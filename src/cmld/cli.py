@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -35,22 +34,6 @@ from .serialize import (
 )
 
 SIGN_NOTE = "rate >= 0; lim (1/n) log P = -rate"
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: command name plus its validated parameters."""
-
-    command: str
-    params: dict = field(default_factory=dict)
-
-    @property
-    def out(self) -> str | None:
-        return self.params.get("out")
-
-    @property
-    def fmt(self) -> str:
-        return self.params.get("format", "json")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -274,23 +257,17 @@ _HANDLERS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Dispatch a validated configuration; returns the process exit status."""
-    ns = argparse.Namespace(**config.params)
+def main(argv: list[str] | None = None) -> int:
+    """Parse ``argv``, run the command and return the process exit status."""
+    args = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[config.command](ns)
+        return _HANDLERS[args.command](args)
     except CmldError as exc:
         print(f"infeasible input: {exc}", file=sys.stderr)
         return 2
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    params = {k: v for k, v in vars(args).items() if k != "command"}
-    return run(RunConfig(command=args.command, params=params))
 
 
 if __name__ == "__main__":

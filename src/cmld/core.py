@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from .errors import DomainError, FeasibilityError
 
 PROB_TOL = 1e-12
@@ -37,6 +35,7 @@ BOUND_LOWER_ONLY = "lower_only"
 _BISECT_LO = 1e-15
 _BISECT_HI = 1.0 - 1e-15
 _BISECT_MAX_ITER = 200
+_SIZE_SCAN_POINTS = 16  # scan of the component-size root bracket
 
 
 def _clean_weights(weights: Mapping[int, float], what: str) -> dict[int, float]:
@@ -197,19 +196,21 @@ def _f_root_fn(q: Mapping[int, float]):
     return F
 
 
-def _bisect_increasing(f, lo: float, hi: float) -> float:
-    """Root of an increasing function by bisection.
+def bisect_increasing(f, lo: float, hi: float) -> float:
+    """Root of an increasing function on [lo, hi] by bisection.
 
-    Runs to interval width 1e-15 (at most 200 iterations), which leaves the
-    residual well inside the documented 1e-12.
+    The shared root finder of the package; a decreasing function is passed
+    negated.  Expects f(lo) <= 0 <= f(hi) and does not evaluate the ends;
+    callers that need the bracket checked do so themselves.  The bracket
+    is halved, a zero at the midpoint moving the upper end, until it is at
+    most 1e-15 wide, its midpoint no longer lies strictly inside, or 200
+    halvings have run; the midpoint is returned.  This leaves residuals
+    well inside the documented 1e-12.
     """
-    flo, fhi = f(lo), f(hi)
-    if flo > 0.0 or fhi < 0.0:
-        raise FeasibilityError(f"bisection bracket invalid: f({lo})={flo}, f({hi})={fhi}")
     for _ in range(_BISECT_MAX_ITER):
-        if hi - lo <= 1e-15:
-            break
         mid = 0.5 * (lo + hi)
+        if hi - lo <= 1e-15 or not lo < mid < hi:
+            break
         if f(mid) < 0.0:
             lo = mid
         else:
@@ -231,7 +232,12 @@ def beta_of_q(q) -> float:
         raise FeasibilityError(
             f"profile with q_1 > 0 violates sum k q_k > 2 sum q_k ({edge} <= {2.0 * vert})"
         )
-    return _bisect_increasing(_f_root_fn(w), _BISECT_LO, _BISECT_HI)
+    F = _f_root_fn(w)
+    flo, fhi = F(_BISECT_LO), F(_BISECT_HI)
+    if flo > 0.0 or fhi < 0.0:
+        raise FeasibilityError(
+            f"bisection bracket invalid: F({_BISECT_LO})={flo}, F({_BISECT_HI})={fhi}")
+    return bisect_increasing(F, _BISECT_LO, _BISECT_HI)
 
 
 def K_of_q(q) -> float:
@@ -348,96 +354,36 @@ def rate_conjectured_multi(D: int, sizes: Iterable[float]) -> float:
     return (1.0 - 0.5 * D) * ent
 
 
-def _size_objective(qvec: np.ndarray, pvec: np.ndarray, ks: np.ndarray, H_p: float) -> float:
-    q = {int(k): float(v) for k, v in zip(ks, qvec) if v > 0.0}
-    pq = {int(k): float(pk - v) for k, pk, v in zip(ks, pvec, qvec) if pk - v > 0.0}
-    return entropy_H(q) + entropy_H(pq) - H_p
+def _logistic(x: float) -> float:
+    """1 / (1 + e^-x) without overflow for either sign of x."""
+    if x >= 0.0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
 
 
-def _coordinate_descent(q0: np.ndarray, pvec: np.ndarray, ks: np.ndarray, H_p: float) -> tuple[np.ndarray, float]:
-    from scipy.optimize import minimize_scalar
-
-    q = q0.copy()
-    best = _size_objective(q, pvec, ks, H_p)
-    n = len(q)
-    for _ in range(200):
-        improved = False
-        for i in range(n):
-            for j in range(i + 1, n):
-                lo = max(-q[i], q[j] - pvec[j])
-                hi = min(pvec[i] - q[i], q[j])
-                if hi - lo < 1e-14:
-                    continue
-
-                def along(d: float, i=i, j=j) -> float:
-                    trial = q.copy()
-                    trial[i] += d
-                    trial[j] -= d
-                    np.clip(trial, 0.0, pvec, out=trial)
-                    return _size_objective(trial, pvec, ks, H_p)
-
-                res = minimize_scalar(along, bounds=(lo, hi), method="bounded",
-                                      options={"xatol": 1e-12})
-                if res.fun < best - 1e-14:
-                    q[i] += res.x
-                    q[j] -= res.x
-                    np.clip(q, 0.0, pvec, out=q)
-                    best = res.fun
-                    improved = True
-        if not improved:
-            break
-    return q, best
-
-
-def _size_grid_check(pvec: np.ndarray, ks: np.ndarray, r: float, H_p: float,
-                     step: float = 1e-4) -> tuple[np.ndarray, float] | None:
-    """Grid scan of the constraint slice for supports of size <= 3."""
-    n = len(ks)
-    if n == 1:
-        q = np.array([r])
-        return q, _size_objective(q, pvec, ks, H_p)
-    if n == 2:
-        lo = max(0.0, r - pvec[1])
-        hi = min(pvec[0], r)
-        m = max(2, int(round((hi - lo) / step)) + 1)
-        q0 = np.linspace(lo, hi, m)
-        vals = [ _size_objective(np.array([a, r - a]), pvec, ks, H_p) for a in q0 ]
-        i = int(np.argmin(vals))
-        return np.array([q0[i], r - q0[i]]), vals[i]
-    if n == 3:
-        # coarse 2-D scan, then local refinement at the requested step
-        best = None
-        for coarse, centre in ((1e-3, None), (step, "refine")):
-            if centre is None:
-                a_lo, a_hi = 0.0, pvec[0]
-                b_lo, b_hi = 0.0, pvec[1]
-            else:
-                a_c, b_c = best[0][0], best[0][1]
-                a_lo, a_hi = max(0.0, a_c - 2e-3), min(pvec[0], a_c + 2e-3)
-                b_lo, b_hi = max(0.0, b_c - 2e-3), min(pvec[1], b_c + 2e-3)
-            na = max(2, int(round((a_hi - a_lo) / coarse)) + 1)
-            nb = max(2, int(round((b_hi - b_lo) / coarse)) + 1)
-            for a in np.linspace(a_lo, a_hi, na):
-                rem = r - a
-                for b in np.linspace(b_lo, b_hi, nb):
-                    c = rem - b
-                    if c < -1e-12 or c > pvec[2] + 1e-12:
-                        continue
-                    q = np.array([a, b, min(max(c, 0.0), pvec[2])])
-                    v = _size_objective(q, pvec, ks, H_p)
-                    if best is None or v < best[1]:
-                        best = (q, v)
-        return best
-    return None
-
-
-def rate_component_size(p: DegreeDistribution, r: float,
-                        restarts: int = 5, seed: int = 0) -> tuple[float, dict[int, float]]:
+def rate_component_size(p: DegreeDistribution, r: float) -> tuple[float, dict[int, float]]:
     """Minimal rate over profiles q with vertex mass r; requires p_1 = p_2 = 0.
 
     Returns the positive rate and the minimizing profile.  The minimum of
-    H(q) + H(p-q) - H(p) is found by pairwise coordinate descent with random
-    feasible restarts and validated against a grid scan on small supports.
+    H(q) + H(p-q) - H(p) under sum_k q_k = r is interior, so it is a
+    stationary point.  Setting the gradient to zero gives
+
+        log(q_k / (p_k - q_k)) - (k/2) log(s_q / s_{p-q}) = const,
+
+    with s half the edge mass, i.e. q_k = p_k sigma(u + k t) for the
+    logistic sigma and t = (1/2) log(s_q / s_{p-q}).  For fixed t the
+    vertex mass is strictly increasing in u, which fixes u(t); what is left
+    is the scalar equation
+
+        g(t) = log s_q - log s_{p-q} - 2t = 0.
+
+    Both parts have mean degree in [k_min, k_max], so every root lies in
+    [c - w, c + w] with c = (1/2) log(r / (sum p - r)) and
+    w = (1/2) log(k_max / k_min); g >= 0 at the left end and <= 0 at the
+    right.  The objective is not convex and g may have several roots, so
+    the bracket is scanned at a fixed number of points, every sign change
+    is bisected, and the root of least objective is returned.
     """
     if p.pk(1) > 0.0 or p.pk(2) > 0.0:
         raise DomainError("component-size rate requires p_1 = p_2 = 0")
@@ -447,39 +393,49 @@ def rate_component_size(p: DegreeDistribution, r: float,
     if r > total + PROB_TOL:
         raise FeasibilityError(f"no feasible q: r = {r} exceeds sum p_k = {total}")
     r = min(r, total)
+    if r == total:
+        return 0.0, dict(p.weights)
 
-    ks = np.array(p.degrees, dtype=float)
-    pvec = np.array([p.weights[int(k)] for k in ks])
     H_p = entropy_H(p)
+    ks = p.degrees
+    pk = [p.weights[k] for k in ks]
+    if len(ks) == 1:
+        q = {ks[0]: r}
+        return entropy_H(q) + entropy_H({ks[0]: pk[0] - r}) - H_p, q
 
-    candidates = [r * pvec / total]
-    rng = np.random.default_rng(seed)
-    for _ in range(restarts):
-        w = rng.uniform(size=len(ks)) * pvec
-        s = w.sum()
-        guess = np.minimum(w * (r / s) if s > 0 else pvec * (r / total), pvec)
-        # water-fill any mass clipped off by the box constraint
-        for _ in range(50):
-            deficit = r - guess.sum()
-            if abs(deficit) < 1e-15:
-                break
-            room = pvec - guess if deficit > 0 else guess
-            tot_room = room.sum()
-            if tot_room <= 0:
-                break
-            guess = np.clip(guess + deficit * room / tot_room, 0.0, pvec)
-        candidates.append(guess)
+    logit_r = math.log(r / (total - r))
 
-    best_q, best_val = None, math.inf
-    for q0 in candidates:
-        q, val = _coordinate_descent(np.asarray(q0, dtype=float), pvec, ks, H_p)
+    def exponents(t: float) -> list[float]:
+        """u(t) + k t for each degree, with u(t) fixing the vertex mass at r."""
+        kt = [k * t for k in ks]
+
+        def mass_gap(u: float) -> float:
+            return sum(v * _logistic(u + x) for v, x in zip(pk, kt)) - r
+
+        u = bisect_increasing(mass_gap, logit_r - max(kt), logit_r - min(kt))
+        return [u + x for x in kt]
+
+    def g(t: float) -> float:
+        xs = exponents(t)
+        s_q = sum(k * v * _logistic(x) for k, v, x in zip(ks, pk, xs))
+        s_pq = sum(k * v * _logistic(-x) for k, v, x in zip(ks, pk, xs))
+        return math.log(s_q) - math.log(s_pq) - 2.0 * t
+
+    c = 0.5 * logit_r
+    w = 0.5 * math.log(ks[-1] / ks[0])
+    ts = [c - w + 2.0 * w * i / (_SIZE_SCAN_POINTS - 1) for i in range(_SIZE_SCAN_POINTS)]
+    gs = [g(t) for t in ts]
+    # a root at an end of the bracket can round to the wrong sign there
+    gs[0], gs[-1] = max(gs[0], 0.0), min(gs[-1], 0.0)
+    best_val, best_q = math.inf, None
+    for a, b, ga, gb in zip(ts, ts[1:], gs, gs[1:]):
+        if (ga > 0.0 and gb > 0.0) or (ga < 0.0 and gb < 0.0):
+            continue
+        root = bisect_increasing(g if ga <= gb else lambda t: -g(t), a, b)
+        xs = exponents(root)
+        q = {k: v * _logistic(x) for k, v, x in zip(ks, pk, xs)}
+        pq = {k: v * _logistic(-x) for k, v, x in zip(ks, pk, xs)}
+        val = entropy_H(q) + entropy_H(pq) - H_p
         if val < best_val:
-            best_q, best_val = q, val
-
-    if len(ks) <= 3:
-        grid = _size_grid_check(pvec, ks, r, H_p)
-        if grid is not None and grid[1] < best_val:
-            best_q, best_val = grid
-
-    argmin = {int(k): float(v) for k, v in zip(ks, best_q) if v > 1e-15}
-    return best_val, argmin
+            best_val, best_q = val, q
+    return best_val, best_q

@@ -121,7 +121,6 @@ class FluidPath:
         if reflection is None:
             reflection = abs(self.zeta0[0]) <= tol and abs(self.psi[0]) <= tol
         if reflection:
-            shifted = self.psi - self.psi[0]
-            gamma = shifted - np.minimum(np.minimum.accumulate(shifted), 0.0)
+            gamma = reflect(self.psi - self.psi[0])
             if np.max(np.abs(gamma - self.zeta0)) > tol:
                 raise PreconditionError("zeta_0 deviates from the reflection of psi")

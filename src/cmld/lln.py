@@ -21,11 +21,9 @@ import math
 
 import numpy as np
 
-from .core import DegreeDistribution
+from .core import DegreeDistribution, bisect_increasing
 from .errors import DomainError
 from .fluid import FluidPath
-
-_MAX_ITER = 200
 
 
 def gen_G0(p: DegreeDistribution, z: float) -> float:
@@ -65,20 +63,12 @@ def survival_rho(p: DegreeDistribution) -> float:
         return 0.0
 
     def h(z: float) -> float:
-        return gen_G1(p, z) - z
+        return z - gen_G1(p, z)
 
-    lo, hi = 0.0, 1.0 - 1e-9  # h(0) = p_1/mu > 0; h < 0 just below 1 when supercritical
-    if h(hi) >= 0.0:
+    hi = 1.0 - 1e-9  # h(0) = -p_1/mu < 0; h > 0 just below 1 when supercritical
+    if h(hi) <= 0.0:
         hi = 1.0 - 1e-12
-    for _ in range(_MAX_ITER):
-        if hi - lo <= 1e-15:
-            break
-        mid = 0.5 * (lo + hi)
-        if h(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect_increasing(h, 0.0, hi)
 
 
 def giant_fraction(p: DegreeDistribution) -> float:
@@ -98,29 +88,26 @@ def inverse_Fs(p: DegreeDistribution, s: float, t: float) -> float:
     if t >= g0s:
         return 0.0
     target = g0s - t  # solve G0(s u) = target, increasing in u
-    lo, hi = 0.0, 1.0
-    for _ in range(_MAX_ITER):
-        if hi - lo <= 1e-15:
-            break
-        mid = 0.5 * (lo + hi)
-        if gen_G0(p, s * mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return bisect_increasing(lambda u: gen_G0(p, s * u) - target, 0.0, 1.0)
 
 
 def _refined_grid(T: float, grid_points: int, special: float | None) -> np.ndarray:
-    """Uniform grid with x4 density in a window around ``special``."""
+    """Uniform grid of spacing h with x4 density within 5h of ``special``.
+
+    The fine points are special + j h/4, so ``special`` is a grid point.
+    They replace the base points within 5h + h/8 of ``special``, and fine
+    points within h/8 of 0 or T are dropped, so no two points are closer
+    than h/8 unless ``special`` itself is that close to an end.
+    """
     base = np.linspace(0.0, T, grid_points)
     if special is None or not 0.0 < special < T:
         return base
     h = T / (grid_points - 1)
-    w = 5.0 * h
-    lo, hi = max(0.0, special - w), min(T, special + w)
-    fine = np.arange(lo, hi + 0.25 * h * 0.5, 0.25 * h)
-    grid = np.unique(np.concatenate([base, fine, [special]]))
-    return grid
+    fine = special + 0.25 * h * np.arange(-20, 21)
+    fine = fine[(fine > 0.125 * h) & (fine < T - 0.125 * h)]
+    keep = np.abs(base - special) > 5.125 * h
+    keep[[0, -1]] = True
+    return np.unique(np.concatenate([base[keep], fine, [special]]))
 
 
 def _psi_from_zeta(grid: np.ndarray, p: DegreeDistribution, ks: np.ndarray,

@@ -33,10 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import bisect_increasing
 from .errors import DomainError, FeasibilityError, PreconditionError
 from .fluid import FluidPath, reflect
 
-_BISECT_MAX_ITER = 200
 _MASS_TOL = 1e-12
 
 CASE_I = "case_i"
@@ -182,15 +182,7 @@ def beta_general(x1: StatePoint, x2: StatePoint) -> tuple[float, str]:
     lo, hi = 1e-15, 1.0 - 1e-15
     if B(hi) >= 0.0:
         raise FeasibilityError("transition root bracket failed at 1-")
-    for _ in range(_BISECT_MAX_ITER):
-        if hi - lo <= 1e-15:
-            break
-        mid = 0.5 * (lo + hi)
-        if B(mid) > 0.0:  # B is strictly decreasing
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), CASE_II
+    return bisect_increasing(lambda a: -B(a), lo, hi), CASE_II
 
 
 def make_segment_spec(x1: StatePoint, x2: StatePoint, t1: float = 0.0) -> PathSegmentSpec:

@@ -31,6 +31,7 @@ from cmld import (
     rate_fit,
     survival_rho,
 )
+from cmld.verify import _check_conservation
 
 HALF_LOG2 = 0.5 * math.log(2.0)
 
@@ -156,26 +157,10 @@ def test_criterion_6_rare_event_decay():
 
 
 def _conservation_suite() -> str | None:
-    rng = np.random.default_rng(7)
-    for i in range(1000):
-        n = int(rng.integers(2, 40))
-        degs = rng.integers(1, 6, size=n)
-        if degs.sum() % 2 == 1:
-            degs[0] += 1
-        d = DegreeSequence(tuple(int(x) for x in degs))
-        rec = eea_run(d, CounterRNG(1234, i), record_trajectory=True)
-        if rec.n_steps > d.m + d.n:
-            return f"step bound violated on sequence {i}"
-        A, V = rec.steps_A, rec.steps_V
-        ks = np.array(rec.degrees)
-        wakes = (V[:-1] - V[1:]).sum(axis=1)
-        dA = A[1:] - A[:-1]
-        if not np.all((wakes == 1) | ((wakes == 0) & (dA == -2))):
-            return f"non-conservative step on sequence {i}"
-        r = np.where(A > 0, A - 1, 0) + V @ ks
-        if np.any(np.diff(r) > 0):
-            return f"living mass increased on sequence {i}"
-    return None
+    # the verify battery's full check: 1000 sequences, generator seed 7,
+    # chain streams CounterRNG(1234, i)
+    result = _check_conservation(fast=False)
+    return None if result.passed else result.detail
 
 
 def _tv_against_enumeration() -> float:

@@ -213,18 +213,23 @@ class TestComponentSize:
         assert rate == pytest.approx(0.0, abs=1e-10)
 
     def test_grid_oracle_two_degrees(self):
-        p = DegreeDistribution({3: 0.5, 4: 0.5})
-        rate, argmin = rate_component_size(p, 0.9)
-        # brute-force grid over the one free coordinate
+        # {3: .9, 30: .1} has three stationary points at r = 0.3 and 0.5:
+        # the objective is not convex there
         from cmld.core import entropy_H as H
-        H_p = H(p)
-        best = math.inf
-        for q3 in np.arange(0.4, 0.5 + 1e-12, 1e-4):
-            q4 = 0.9 - q3
-            val = H({3: q3, 4: q4}) + H({3: 0.5 - q3, 4: 0.5 - q4}) - H_p
-            best = min(best, val)
-        assert rate <= best + 1e-9
-        assert rate == pytest.approx(best, abs=1e-6)
+        for w, r in (({3: 0.5, 4: 0.5}, 0.9), ({3: 0.9, 30: 0.1}, 0.5),
+                     ({3: 0.9, 30: 0.1}, 0.3)):
+            p = DegreeDistribution(w)
+            (k1, p1), (k2, p2) = w.items()
+            rate, argmin = rate_component_size(p, r)
+            # brute-force grid over the one free coordinate
+            H_p = H(p)
+            best = math.inf
+            for a in np.arange(max(0.0, r - p2), min(p1, r) + 1e-12, 1e-4):
+                b = r - a
+                val = H({k1: a, k2: b}) + H({k1: p1 - a, k2: p2 - b}) - H_p
+                best = min(best, val)
+            assert rate <= best + 1e-9
+            assert rate == pytest.approx(best, abs=1e-6)
 
     def test_optimizer_never_beaten_by_grid(self):
         p = DegreeDistribution({3: 0.3, 5: 0.7})
@@ -258,6 +263,32 @@ class TestComponentSize:
             val = (H({3: q[0], 4: q[1], 5: q[2]})
                    + H({3: 0.4 - q[0], 4: 0.3 - q[1], 5: 0.3 - q[2]}) - H_p)
             assert rate <= val + 1e-9
+        # grid oracle on the constraint slice: a 1e-3 scan of (q_3, q_4),
+        # then a 1e-4 scan within 2e-3 of the best coarse point
+        ks = np.array([3.0, 4.0, 5.0])
+
+        def xlogx(x):
+            return np.where(x > 0.0, x * np.log(np.where(x > 0.0, x, 1.0)), 0.0)
+
+        def objective(q):  # H(q) + H(p - q) - H(p), one profile per row
+            out = -H_p
+            for m in (q, pv - q):
+                out = out + xlogx(m).sum(axis=-1) - xlogx(0.5 * m @ ks)
+            return out
+
+        a_lo, a_hi, b_lo, b_hi = 0.0, pv[0], 0.0, pv[1]
+        for step in (1e-3, 1e-4):
+            a, b = np.meshgrid(np.linspace(a_lo, a_hi, int(round((a_hi - a_lo) / step)) + 1),
+                               np.linspace(b_lo, b_hi, int(round((b_hi - b_lo) / step)) + 1))
+            c = 0.7 - a - b
+            ok = (c >= -1e-12) & (c <= pv[2] + 1e-12)
+            q = np.stack([a[ok], b[ok], np.clip(c[ok], 0.0, pv[2])], axis=-1)
+            val = objective(q)
+            i = int(np.argmin(val))
+            a_c, b_c = q[i, 0], q[i, 1]
+            assert rate <= val[i] + 1e-9
+            a_lo, a_hi = max(0.0, a_c - 2e-3), min(pv[0], a_c + 2e-3)
+            b_lo, b_hi = max(0.0, b_c - 2e-3), min(pv[1], b_c + 2e-3)
 
     def test_low_degree_mass_rejected(self):
         with pytest.raises(DomainError):

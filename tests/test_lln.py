@@ -14,6 +14,7 @@ from cmld import (
     giant_fraction,
     inverse_Fs,
     lln_path,
+    path_cost,
     survival_rho,
 )
 
@@ -130,6 +131,15 @@ class TestFluidTrajectory:
     def test_invariants(self):
         fp = lln_path(P13, T=1.2, grid_points=4001)
         fp.check_invariants(tol=2e-6)
+
+    def test_refined_grid_hits_tau_exactly(self):
+        # tau falls 2e-15 from a base grid point here; a near-duplicate
+        # point there made path_cost reject the path as not unit-pace
+        p = DegreeDistribution({1: .3, 2: .1, 3: .2, 4: .15, 5: .1, 7: .1, 10: .05})
+        fp = lln_path(p, T=0.5 * p.mu + 0.5, grid_points=4001)
+        tau = fp.tau_markers["tau"]
+        assert tau in fp.grid
+        assert path_cost(fp, 0.0, tau) <= 1e-5
 
     def test_drain_ode_residual(self):
         # interior of [0, tau]: d zeta_k/dt = -k zeta_k/(mu - 2t) to 1e-6
