@@ -60,7 +60,6 @@ from .paths import (
     minimizer_path,
     normalize_time_change,
     path_cost,
-    skorokhod_map,
     varsigma,
 )
 from .rng import CounterRNG

@@ -117,17 +117,10 @@ def _emit(payload: dict, out: str | None) -> None:
     print(text)
 
 
-def _require_file(path_str: str) -> Path:
-    path = Path(path_str)
-    if not path.exists():
-        raise FileNotFoundError(f"file not found: {path}")
-    return path
-
-
 def _cmd_rate(args: argparse.Namespace) -> int:
     if args.rate_kind == "degree":
-        p = load_degree_distribution(_require_file(args.p))
-        q = load_sub_profile(_require_file(args.q), p)
+        p = load_degree_distribution(args.p)
+        q = load_sub_profile(args.q, p)
         payload = core.rate_component_degree(p, q).as_dict()
     elif args.rate_kind == "dreg":
         rate = core.rate_d_regular(args.D, args.q)
@@ -135,12 +128,12 @@ def _cmd_rate(args: argparse.Namespace) -> int:
                    "sign_convention": SIGN_NOTE}
         print(f"rate {rate:.7f}  limit {-rate:.7f}")
     elif args.rate_kind == "dreg-sub":
-        p = load_degree_distribution(_require_file(args.p))
+        p = load_degree_distribution(args.p)
         rate = core.rate_d_regular_subgraph(p, args.D, args.q)
         payload = {"D": args.D, "q": args.q, "rate": rate, "limit": -rate,
                    "sign_convention": SIGN_NOTE}
     elif args.rate_kind == "size":
-        p = load_degree_distribution(_require_file(args.p))
+        p = load_degree_distribution(args.p)
         rate, argmin = core.rate_component_size(p, args.r)
         payload = {"r": args.r, "rate": rate, "limit": -rate,
                    "argmin": {str(k): v for k, v in argmin.items()},
@@ -154,7 +147,7 @@ def _cmd_rate(args: argparse.Namespace) -> int:
 
 
 def _cmd_lln(args: argparse.Namespace) -> int:
-    p = load_degree_distribution(_require_file(args.p))
+    p = load_degree_distribution(args.p)
     fp = lln_path(p, T=args.T, grid_points=args.grid)
     if args.out:
         fluid_path_to_csv(fp, args.out)
@@ -166,8 +159,8 @@ def _cmd_lln(args: argparse.Namespace) -> int:
 
 
 def _cmd_path(args: argparse.Namespace) -> int:
-    x1 = load_state_point(_require_file(args.x1))
-    x2 = load_state_point(_require_file(args.x2))
+    x1 = load_state_point(args.x1)
+    x2 = load_state_point(args.x2)
     spec = make_segment_spec(x1, x2)
     traj = minimizer_path(spec, grid_points=args.grid)
     cost_quad = path_cost(traj)
@@ -191,7 +184,7 @@ def _cmd_path(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    loaded = load_degree_input(_require_file(args.p))
+    loaded = load_degree_input(args.p)
     if isinstance(loaded, DegreeSequence):
         if args.n != loaded.n:
             raise ValueError(f"--n {args.n} does not match the {loaded.n}-vertex sequence")
@@ -222,8 +215,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    p = load_degree_distribution(_require_file(args.p))
-    q = load_sub_profile(_require_file(args.q), p)
+    p = load_degree_distribution(args.p)
+    q = load_sub_profile(args.q, p)
     res = estimate_event_prob(p, q.weights, args.eps, args.reps, args.seed,
                               n=args.n, workers=args.workers)
     if args.format == "csv":

@@ -240,16 +240,20 @@ def beta_of_q(q) -> float:
     return bisect_increasing(F, _BISECT_LO, _BISECT_HI)
 
 
-def K_of_q(q) -> float:
-    """Correction K(q); exactly zero when q_1 = 0."""
-    w = _weights_of(q)
-    if w.get(1, 0.0) == 0.0:
+def _k_correction(w: Mapping[int, float], beta: float) -> float:
+    """K for weights w at their root beta; exactly zero when beta = 0."""
+    if beta == 0.0:
         return 0.0
-    beta = beta_of_q(w)
     s = 0.5 * math.fsum(k * v for k, v in w.items())
     out = s * math.log1p(-beta * beta)
     out -= math.fsum(v * math.log1p(-beta ** k) for k, v in w.items())
     return out
+
+
+def K_of_q(q) -> float:
+    """Correction K(q); exactly zero when q_1 = 0."""
+    w = _weights_of(q)
+    return _k_correction(w, beta_of_q(w))
 
 
 def rate_component_degree(p: DegreeDistribution, q) -> RateBreakdown:
@@ -263,7 +267,7 @@ def rate_component_degree(p: DegreeDistribution, q) -> RateBreakdown:
             f"({sub.edge_mass} <= {2.0 * sub.vertex_mass})"
         )
     beta = beta_of_q(sub)
-    K = K_of_q(sub)
+    K = _k_correction(sub.weights, beta)
     H_q = entropy_H(sub)
     H_pq = entropy_H(sub.complement())
     H_p = entropy_H(p)

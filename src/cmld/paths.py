@@ -35,7 +35,7 @@ import numpy as np
 
 from .core import bisect_increasing
 from .errors import DomainError, FeasibilityError, PreconditionError
-from .fluid import FluidPath, reflect
+from .fluid import FluidPath
 
 _MASS_TOL = 1e-12
 
@@ -126,11 +126,6 @@ class PathSegmentSpec:
 
     def z(self, k: int) -> float:
         return self.x1.mass(k) - self.x2.mass(k)
-
-
-def skorokhod_map(psi: np.ndarray) -> np.ndarray:
-    """Reflection at zero of a grid-sampled function with psi[0] = 0."""
-    return reflect(psi)
 
 
 def varsigma(x1: StatePoint, x2: StatePoint) -> float:
@@ -280,28 +275,23 @@ def _rate_integrand(zeta0: np.ndarray, zetak: np.ndarray, dzetak: np.ndarray,
                     ks: np.ndarray) -> np.ndarray:
     """Vectorized L(zeta(t), zeta'(t)) along a unit-pace path.
 
-    Velocity entries below the noise floor are treated as zero so that
-    finite-difference jitter at endpoints where a mass vanishes cannot
-    produce spurious infinities.
+    ``zetak`` and ``dzetak`` hold one row per degree in ``ks``; row 0 of
+    nu and mu is degree 0.  Velocity entries below the noise floor are
+    treated as zero so that finite-difference jitter at endpoints where a
+    mass vanishes cannot produce spurious infinities.
     """
-    r = np.maximum(zeta0, 0.0) + zetak @ ks
+    z0 = np.maximum(zeta0, 0.0)
+    r = z0 + ks @ zetak
     nu_k = np.maximum(-dzetak, 0.0)
-    nu0 = np.maximum(1.0 - nu_k.sum(axis=1), 0.0)
-    out = np.zeros(len(zeta0))
+    nu = np.vstack([np.maximum(1.0 - nu_k.sum(axis=0), 0.0), nu_k])
     with np.errstate(divide="ignore", invalid="ignore"):
-        mu_k = ks[None, :] * np.maximum(zetak, 0.0) / r[:, None]
-        live = nu_k > _NU_FLOOR
-        bad = live & (mu_k <= 0.0)
-        ratio = np.where(live & ~bad, nu_k / np.where(mu_k > 0.0, mu_k, 1.0), 1.0)
-        out += np.sum(np.where(live & ~bad, nu_k * np.log(ratio), 0.0), axis=1)
-        out[np.any(bad, axis=1)] = math.inf
-
-        mu0 = np.maximum(zeta0, 0.0) / r
-        live0 = nu0 > _NU_FLOOR
-        bad0 = live0 & (mu0 <= 0.0)
-        ratio0 = np.where(live0 & ~bad0, nu0 / np.where(mu0 > 0.0, mu0, 1.0), 1.0)
-        out += np.where(live0 & ~bad0, nu0 * np.log(ratio0), 0.0)
-        out[bad0] = math.inf
+        mu = np.vstack([z0, ks[:, None] * np.maximum(zetak, 0.0)]) / r
+        live = nu > _NU_FLOOR
+        bad = live & (mu <= 0.0)
+        ok = live & ~bad
+        ratio = np.where(ok, nu / np.where(mu > 0.0, mu, 1.0), 1.0)
+        out = np.sum(np.where(ok, nu * np.log(ratio), 0.0), axis=0)
+    out[np.any(bad, axis=0)] = math.inf
     return out
 
 
@@ -350,38 +340,30 @@ def path_cost(path: FluidPath, t1: float | None = None, t2: float | None = None,
     half = 0.5 * (right - left)
     mid = 0.5 * (right + left)
     g2 = 1.0 / math.sqrt(3.0)
-    t_nodes = np.concatenate([mid - half * g2, mid + half * g2])
-    w_nodes = np.concatenate([half, half])
-    vals = _rate_integrand(*_interp_state(seg, dzetak, t_nodes), ks)
-    if not np.all(np.isfinite(vals)):
-        return math.inf
-    main = float(np.sum(w_nodes * vals))
 
     # tail in s = sqrt((t2 - t)/span): dt = 2 * span * s ds removes the
     # logarithmic endpoint singularity
     nodes, weights = leggauss(_GL_NODES)
-    s_hi = math.sqrt(_TAIL_FRACTION)
-    panel_edges = np.linspace(0.0, s_hi, _GL_PANELS + 1)
-    tail = 0.0
-    for a, b in zip(panel_edges[:-1], panel_edges[1:]):
-        s = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-        w = 0.5 * (b - a) * weights
-        tt = t2 - span * s * s
-        lvals = _rate_integrand(*_interp_state(seg, dzetak, tt), ks)
-        if not np.all(np.isfinite(lvals)):
-            return math.inf
-        tail += float(np.sum(w * lvals * 2.0 * span * s))
-    return main + tail
+    panel_edges = np.linspace(0.0, math.sqrt(_TAIL_FRACTION), _GL_PANELS + 1)
+    a, b = panel_edges[:-1, None], panel_edges[1:, None]
+    s = (0.5 * (b - a) * nodes + 0.5 * (a + b)).ravel()
+    w = (0.5 * (b - a) * weights).ravel()
+
+    t_nodes = np.concatenate([mid - half * g2, mid + half * g2, t2 - span * s * s])
+    w_nodes = np.concatenate([half, half, w * 2.0 * span * s])
+    vals = _rate_integrand(*_interp_state(seg, dzetak, t_nodes), ks)
+    if not np.all(np.isfinite(vals)):
+        return math.inf
+    return float(np.sum(w_nodes * vals))
 
 
 def _interp_state(seg: FluidPath, dzetak: np.ndarray,
                   t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    z0 = np.interp(t, seg.grid, seg.zeta0)
-    zk = np.column_stack([np.interp(t, seg.grid, seg.zetak[:, j])
-                          for j in range(seg.zetak.shape[1])])
-    dk = np.column_stack([np.interp(t, seg.grid, dzetak[:, j])
-                          for j in range(dzetak.shape[1])])
-    return z0, zk, dk
+    """zeta_0, zeta_k and zeta_k' at times t; the last two one row per degree."""
+    stacked = np.vstack([seg.zeta0, seg.zetak.T, dzetak.T])
+    vals = np.array([np.interp(t, seg.grid, row) for row in stacked])
+    d = seg.zetak.shape[1]
+    return vals[0], vals[1:d + 1], vals[d + 1:]
 
 
 def _h_tilde(x0: float, xk: dict[int, float]) -> float:

@@ -16,6 +16,7 @@ import numpy as np
 from .core import DegreeDistribution, SubProfile
 from .errors import DomainError
 from .estimate import EstimateResult
+from .explore import DegreeSequence
 from .fluid import FluidPath
 from .paths import StatePoint
 
@@ -24,27 +25,27 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _degree_weights(data, path: str | Path) -> dict[int, float]:
+    """The {k: w_k} map of a parsed {"degrees": {"k": w_k}} object."""
+    if not isinstance(data, dict) or "degrees" not in data:
+        raise DomainError(f"{path}: expected an object with a 'degrees' map")
+    return {int(k): float(v) for k, v in data["degrees"].items()}
+
+
 def load_degree_distribution(path: str | Path) -> DegreeDistribution:
     """Read {"degrees": {"k": p_k}} from JSON."""
     with open(path) as f:
-        data = json.load(f)
-    if not isinstance(data, dict) or "degrees" not in data:
-        raise DomainError(f"{path}: expected an object with a 'degrees' map")
-    return DegreeDistribution({int(k): float(v) for k, v in data["degrees"].items()})
+        return DegreeDistribution(_degree_weights(json.load(f), path))
 
 
-def load_degree_input(path: str | Path):
+def load_degree_input(path: str | Path) -> DegreeDistribution | DegreeSequence:
     """A degree file holds either a distribution {"degrees": {...}} or a
     plain JSON array of per-vertex degrees (an explicit sequence)."""
-    from .explore import DegreeSequence
-
     with open(path) as f:
         data = json.load(f)
     if isinstance(data, list):
         return DegreeSequence(tuple(int(x) for x in data))
-    if isinstance(data, dict) and "degrees" in data:
-        return DegreeDistribution({int(k): float(v) for k, v in data["degrees"].items()})
-    raise DomainError(f"{path}: expected a 'degrees' map or a degree array")
+    return DegreeDistribution(_degree_weights(data, path))
 
 
 def dump_degree_distribution(p: DegreeDistribution, path: str | Path) -> None:
@@ -56,10 +57,7 @@ def dump_degree_distribution(p: DegreeDistribution, path: str | Path) -> None:
 def load_sub_profile(path: str | Path, reference: DegreeDistribution) -> SubProfile:
     """Sub-profiles share the degree-file schema {"degrees": {...}}."""
     with open(path) as f:
-        data = json.load(f)
-    if not isinstance(data, dict) or "degrees" not in data:
-        raise DomainError(f"{path}: expected an object with a 'degrees' map")
-    return SubProfile({int(k): float(v) for k, v in data["degrees"].items()}, reference)
+        return SubProfile(_degree_weights(json.load(f), path), reference)
 
 
 def load_state_point(path: str | Path) -> StatePoint:

@@ -14,27 +14,25 @@ from cmld import (
     CounterRNG,
     DegreeDistribution,
     DegreeSequence,
-    FeasibilityError,
     FluidPath,
     StatePoint,
     cost_closed_form,
     eea_run,
     estimate_event_prob,
-    giant_fraction,
     lln_check,
-    lln_path,
     make_segment_spec,
     minimizer_path,
     path_cost,
-    rate_component_degree,
     rate_d_regular,
     rate_fit,
-    survival_rho,
 )
-from cmld.verify import _check_conservation
-
-HALF_LOG2 = 0.5 * math.log(2.0)
-
+from cmld.verify import (
+    _check_conservation,
+    _check_lln_zero_cost,
+    _check_quadrature,
+    _check_survival,
+    _check_triple_agreement,
+)
 
 def _report(criterion: str, ok: bool, detail: str, elapsed: float) -> None:
     status = "PASS" if ok else "FAIL"
@@ -43,63 +41,20 @@ def _report(criterion: str, ok: bool, detail: str, elapsed: float) -> None:
 
 
 def test_criterion_1_triple_agreement():
-    def triple():
-        a = rate_d_regular(3, 0.5)
-        b = rate_component_degree(DegreeDistribution({3: 1.0}), {3: 0.5}).I1
-        c = cost_closed_form(StatePoint(0.0, {3: 1.0}), StatePoint(0.0, {3: 0.5}))
-        return a, b, c
-
     best = math.inf
     for _ in range(3):  # best-of-3 screens out scheduler noise on a <1ms budget
         t0 = time.perf_counter()
-        a, b, c = triple()
+        result = _check_triple_agreement()
         best = min(best, time.perf_counter() - t0)
-    exact = max(abs(v - HALF_LOG2) for v in (a, b, c))
-    ok = exact <= 1e-9 and best < 1e-3
-    _report("1", ok, f"max dev from log(2)/2 = {exact:.2e}, runtime {best*1e6:.0f}us",
-            best)
-
-
-def _spec_battery():
-    rng = np.random.default_rng(20240810)
-    cases = [
-        (StatePoint(0.0, {3: 1.0}), StatePoint(0.0, {3: 0.5})),        # case (i)
-        (StatePoint(1.0, {3: 1.0}), StatePoint(0.5, {3: 0.5})),        # beta ~ 0.522
-        (StatePoint(0.0, {1: 0.5, 3: 0.5}), StatePoint(0.0, {1: 0.4, 3: 0.2})),
-        (StatePoint(0.0, {4: 1.0}), StatePoint(0.0, {4: 0.25})),
-    ]
-    while len(cases) < 25:
-        ks = sorted(int(k) for k in rng.choice(np.arange(1, 7), size=rng.integers(1, 4),
-                                               replace=False))
-        x1k = {k: float(rng.uniform(0.05, 0.6)) for k in ks}
-        x2k = {k: v * float(rng.uniform(0.1, 0.9)) for k, v in x1k.items()}
-        x10 = float(rng.uniform(0.0, 0.8))
-        x20 = float(rng.uniform(0.0, x10)) if rng.uniform() < 0.4 else 0.0
-        x1, x2 = StatePoint(x10, x1k), StatePoint(x20, x2k)
-        try:
-            spec = make_segment_spec(x1, x2)
-        except FeasibilityError:
-            continue
-        cases.append((x1, x2))
-    return cases
+    ok = result.passed and best < 1e-3
+    _report("1", ok, f"{result.detail}, runtime {best*1e6:.0f}us", best)
 
 
 def test_criterion_2_quadrature_vs_closed_form():
     t0 = time.time()
-    worst = 0.0
-    n_case_i = n_case_ii = 0
-    for x1, x2 in _spec_battery():
-        spec = make_segment_spec(x1, x2)
-        if spec.case == "case_i":
-            n_case_i += 1
-        else:
-            n_case_ii += 1
-        err = abs(path_cost(minimizer_path(spec)) - cost_closed_form(x1, x2))
-        worst = max(worst, err)
+    result = _check_quadrature(fast=False)
     elapsed = time.time() - t0
-    ok = worst <= 1e-6 and n_case_i > 0 and n_case_ii > 0 and elapsed < 5.0
-    _report("2", ok, f"25 segments (case i x{n_case_i}, case ii x{n_case_ii}), "
-            f"max |quad - closed| = {worst:.2e}", elapsed)
+    _report("2", result.passed and elapsed < 5.0, result.detail, elapsed)
 
 
 def test_criterion_3_root_exactness():
@@ -117,27 +72,21 @@ def test_criterion_3_root_exactness():
 
 def test_criterion_4_lln_quantitative():
     t0 = time.time()
+    survival = _check_survival()
     p = DegreeDistribution({1: 0.5, 3: 0.5})
-    e_rho = abs(survival_rho(p) - 1.0 / 3.0)
-    e_gf = abs(giant_fraction(p) - 22.0 / 27.0)
     largest, sup = lln_check(p, 100000, seed=20240810)
     elapsed = time.time() - t0
-    ok = (e_rho <= 1e-10 and e_gf <= 1e-12
-          and abs(largest - 22.0 / 27.0) <= 0.01 and sup <= 0.02 and elapsed < 10.0)
-    _report("4", ok, f"rho dev {e_rho:.1e}, giant dev {e_gf:.1e}, "
+    ok = (survival.passed and abs(largest - 22.0 / 27.0) <= 0.01 and sup <= 0.02
+          and elapsed < 10.0)
+    _report("4", ok, f"{survival.detail}, "
             f"largest {largest:.4f} (target {22/27:.4f}), sup dist {sup:.4f}", elapsed)
 
 
 def test_criterion_5_zero_cost_fluid_path():
     t0 = time.time()
-    p = DegreeDistribution({1: 0.5, 3: 0.5})
-    fp = lln_path(p, T=1.2, grid_points=2001)
-    tau = fp.tau_markers["tau"]
-    t2 = float(fp.grid[fp.grid <= tau + 1e-12][-1])
-    cost = path_cost(fp, 0.0, t2)
+    result = _check_lln_zero_cost()
     elapsed = time.time() - t0
-    ok = cost <= 1e-5 and elapsed < 1.0
-    _report("5", ok, f"cost on [0, tau] = {cost:.2e}", elapsed)
+    _report("5", result.passed and elapsed < 1.0, result.detail, elapsed)
 
 
 def test_criterion_6_rare_event_decay():
@@ -154,13 +103,6 @@ def test_criterion_6_rare_event_decay():
     hits = [r.hits for r in results]
     _report("6", ok, f"hits {hits}, slope {slope:.4f} in [0.24, 0.48] "
             f"(theory 0.3466), intercept {intercept:.3f}", elapsed)
-
-
-def _conservation_suite() -> str | None:
-    # the verify battery's full check: 1000 sequences, generator seed 7,
-    # chain streams CounterRNG(1234, i)
-    result = _check_conservation(fast=False)
-    return None if result.passed else result.detail
 
 
 def _tv_against_enumeration() -> float:
@@ -285,15 +227,15 @@ def _symmetry_exact() -> bool:
 
 def test_criterion_7_property_suites():
     t0 = time.time()
-    failure = _conservation_suite()
+    conservation = _check_conservation(fast=False)
     tv = _tv_against_enumeration()
     worst_margin = _perturbation_suite()
     add_err = _additivity_suite()
     sym = _symmetry_exact()
     elapsed = time.time() - t0
-    ok = (failure is None and tv <= 0.02 and worst_margin >= -1e-9
+    ok = (conservation.passed and tv <= 0.02 and worst_margin >= -1e-9
           and add_err <= 1e-10 and sym and elapsed < 120.0)
-    _report("7", ok, f"conservation {'ok' if failure is None else failure}, "
+    _report("7", ok, f"conservation {conservation.detail}, "
             f"TV {tv:.4f}, perturbation margin {worst_margin:.2e}, "
             f"additivity dev {add_err:.2e}, symmetry exact {sym}", elapsed)
 

@@ -141,6 +141,8 @@ class TestComponentDegreeRate:
         rb = rate_component_degree(P13, Q13)
         assert rb.I1 == pytest.approx(I1_MIXED_EXPECTED, abs=1e-10)
         assert rb.bound_kind == BOUND_LOWER_ONLY
+        assert rb.beta == beta_of_q(Q13)
+        assert rb.K == K_of_q(Q13)
 
     def test_q_above_p_rejected(self):
         with pytest.raises(DomainError):

@@ -25,9 +25,9 @@ from cmld import (
     normalize_time_change,
     path_cost,
     rate_component_degree,
-    skorokhod_map,
     varsigma,
 )
+from cmld.fluid import reflect
 
 HALF_LOG2 = 0.5 * math.log(2.0)
 # frozen from a 50-digit closed-form evaluation at the exact root
@@ -42,26 +42,26 @@ X2_ACT = StatePoint(0.5, {3: 0.5})
 class TestSkorokhod:
     def test_nonnegative_input_identity(self):
         psi = np.array([0.0, 0.5, 0.2, 1.0])
-        assert np.array_equal(skorokhod_map(psi), psi)
+        assert np.array_equal(reflect(psi), psi)
 
     def test_pure_drift_reflects_to_zero(self):
         t = np.linspace(0.0, 2.0, 21)
-        assert np.max(np.abs(skorokhod_map(-t))) == 0.0
+        assert np.max(np.abs(reflect(-t))) == 0.0
 
     def test_piecewise_example(self):
         psi = np.array([0.0, -1.0, 1.0])
-        out = skorokhod_map(psi)
+        out = reflect(psi)
         assert out[-1] == 2.0
 
     def test_requires_zero_start(self):
         with pytest.raises(PreconditionError):
-            skorokhod_map(np.array([0.5, 1.0]))
+            reflect(np.array([0.5, 1.0]))
 
     @given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=60))
     @settings(max_examples=80, deadline=None)
     def test_nonnegative_output(self, steps):
         psi = np.concatenate([[0.0], np.cumsum(steps)])
-        assert np.all(skorokhod_map(psi) >= 0.0)
+        assert np.all(reflect(psi) >= 0.0)
 
     @given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40),
            st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40))
@@ -70,7 +70,7 @@ class TestSkorokhod:
         m = min(len(a), len(b))
         psi1 = np.concatenate([[0.0], np.cumsum(a[:m])])
         psi2 = np.concatenate([[0.0], np.cumsum(b[:m])])
-        lhs = np.max(np.abs(skorokhod_map(psi1) - skorokhod_map(psi2)))
+        lhs = np.max(np.abs(reflect(psi1) - reflect(psi2)))
         assert lhs <= 2.0 * np.max(np.abs(psi1 - psi2)) + 1e-12
 
 
