@@ -276,29 +276,18 @@ def rate_component_degree(p: DegreeDistribution, q) -> RateBreakdown:
     return RateBreakdown(beta, H_q, H_pq, H_p, K, I1, sub.feasible, kind)
 
 
-def _binary_entropy_pair(qD: float) -> tuple[float, float]:
-    # canonicalize through the larger element: 1 - big is exact for big in
-    # [0.5, 1], so (D, q) and (D, 1-q) see bit-identical inputs
-    big = max(qD, 1.0 - qD)
-    small = 1.0 - big
-    return small, big
-
-
 def rate_d_regular(D: int, qD: float) -> float:
     """Rate for a component of size about n*qD in a D-regular graph.
 
-    Equals (1 - D/2)(qD log qD + (1-qD) log(1-qD)) >= 0 and is symmetric
-    under qD <-> 1 - qD.
+    The one-component case of :func:`rate_conjectured_multi`:
+    (1 - D/2)(qD log qD + (1-qD) log(1-qD)) >= 0, symmetric under
+    qD <-> 1 - qD.
     """
-    if D < 3:
-        raise DomainError(f"D-regular rate requires D >= 3, got {D}")
     if not 0.0 < qD <= 1.0:
         raise DomainError(f"qD must lie in (0, 1], got {qD}")
-    small, big = _binary_entropy_pair(qD)
-    ent = big * math.log(big)
-    if small > 0.0:
-        ent += small * math.log(small)
-    return (1.0 - 0.5 * D) * ent
+    # 1 - big is exact for big in [0.5, 1], so (D, q) and (D, 1-q) see
+    # bit-identical inputs
+    return rate_conjectured_multi(D, [max(qD, 1.0 - qD)])
 
 
 def rate_d_regular_subgraph(p: DegreeDistribution, D: int, qD: float) -> float:
@@ -326,7 +315,9 @@ def rate_d_regular_subgraph(p: DegreeDistribution, D: int, qD: float) -> float:
 def rate_conjectured_largest(D: int, x: float) -> float:
     """Conjectured rate for the largest component to have size about n*x.
 
-    Output is conjectural and is flagged as such wherever it is emitted.
+    Equals ``rate_conjectured_multi(D, [x] * floor(1/x))``, written in
+    closed form so that its cost does not grow like 1/x.  Output is
+    conjectural and is flagged as such wherever it is emitted.
     """
     if D < 3:
         raise DomainError(f"D >= 3 required, got {D}")

@@ -59,11 +59,11 @@ class EstimateResult:
         }
 
 
-def clopper_pearson(hits: int, reps: int, level: float = 0.95) -> tuple[float, float]:
-    """Exact binomial confidence interval."""
+def clopper_pearson(hits: int, reps: int) -> tuple[float, float]:
+    """Exact 95% binomial confidence interval."""
     from scipy.stats import beta as beta_dist
 
-    alpha = 1.0 - level
+    alpha = 0.05
     lo = 0.0 if hits == 0 else float(beta_dist.ppf(alpha / 2.0, hits, reps - hits + 1))
     hi = 1.0 if hits == reps else float(beta_dist.ppf(1.0 - alpha / 2.0, hits + 1, reps - hits))
     return lo, hi
@@ -141,10 +141,10 @@ def _resolve_input(p_or_d, n: int | None) -> tuple[DegreeSequence, dict[int, int
         if n is None:
             raise DomainError("n is required when estimating from a distribution")
         d = DegreeSequence.from_distribution(p_or_d, n)
-    elif isinstance(p_or_d, DegreeSequence):
-        d = p_or_d
     else:
-        d = DegreeSequence(tuple(int(x) for x in p_or_d))
+        d = p_or_d if isinstance(p_or_d, DegreeSequence) else DegreeSequence(tuple(p_or_d))
+        if n is not None and n != d.n:
+            raise DomainError(f"n = {n} does not match the {d.n}-vertex degree sequence")
     return d, d.counts()
 
 

@@ -106,18 +106,11 @@ class ExplorationRecord:
     n: int
     m: int
     n_steps: int
-    excursions: list[tuple[int, int]]
-    components: list[ComponentRecord]
-    eta_increments: int  # reflection events = fresh wakes from A = 0
-    terminated: bool
+    components: list[ComponentRecord]  # in order; each spans n_edges + 1 steps
     steps_A: np.ndarray | None = None  # (n_steps + 1,) when trajectory recorded
     steps_V: np.ndarray | None = None  # (n_steps + 1, len(degrees))
     new_component_at: np.ndarray | None = None  # step indices of fresh wakes
     step_times: np.ndarray | None = None  # Poissonized jump instants, when requested
-
-    @property
-    def has_trajectory(self) -> bool:
-        return self.steps_A is not None
 
 
 def sample_multigraph(d: DegreeSequence, rng: CounterRNG) -> list[tuple[int, int]]:
@@ -140,7 +133,7 @@ def eea_run(d: DegreeSequence, rng: CounterRNG,
             poissonize: bool = False) -> ExplorationRecord:
     """Run the exploration chain to termination.
 
-    Components and excursions are always recorded; the full (A, V) step
+    Components are always recorded; the full (A, V) step
     sequence only when ``record_trajectory`` is set.  With ``poissonize``
     the record carries continuous jump instants (i.i.d. exponential holding
     times at total rate n), drawn from the paired stream
@@ -160,12 +153,10 @@ def eea_run(d: DegreeSequence, rng: CounterRNG,
         record_A = [a]
         record_V = [[kv[k] for k in degs]]
 
-    excursions: list[tuple[int, int]] = []
     components: list[ComponentRecord] = []
     new_comp_steps: list[int] = []
     cur_config: dict[int, int] = {}
     cur_edges = 0
-    cur_start = 0
     j = 0
 
     while True:
@@ -198,14 +189,12 @@ def eea_run(d: DegreeSequence, rng: CounterRNG,
             else:
                 a = woken
                 new_comp_steps.append(j)
-                cur_start = j
             cur_config[woken] = cur_config.get(woken, 0) + 1
         j += 1
         if record_trajectory:
             record_A.append(a)
             record_V.append([kv[k] for k in degs])
         if a == 0:
-            excursions.append((cur_start, j))
             components.append(ComponentRecord(
                 degree_config=dict(sorted(cur_config.items())),
                 n_vertices=sum(cur_config.values()),
@@ -221,8 +210,7 @@ def eea_run(d: DegreeSequence, rng: CounterRNG,
 
     rec = ExplorationRecord(
         degrees=degs, n=n, m=m, n_steps=j,
-        excursions=excursions, components=components,
-        eta_increments=len(new_comp_steps), terminated=True,
+        components=components,
         steps_A=np.array(record_A, dtype=np.int64) if record_trajectory else None,
         steps_V=np.array(record_V, dtype=np.int64) if record_trajectory else None,
         new_component_at=np.array(new_comp_steps, dtype=np.int64) if record_trajectory else None,
@@ -245,8 +233,6 @@ def _check_conservation_totals(rec: ExplorationRecord, counts: dict[int, int]) -
 
 def extract_components(rec: ExplorationRecord) -> tuple[float, int, list[ComponentRecord]]:
     """(largest vertex fraction, component count, components sorted by size)."""
-    if not rec.terminated:
-        raise StateError("exploration record is incomplete")
     comps = sorted(rec.components, key=lambda c: (-c.n_vertices, -c.n_edges))
     largest = comps[0].n_vertices / rec.n if comps else 0.0
     return largest, len(comps), comps
@@ -259,7 +245,7 @@ def empirical_path(rec: ExplorationRecord, n: int, grid: np.ndarray) -> FluidPat
     active density minus twice the per-vertex count of fresh component
     starts, so that the reflection identity holds at fluid scale.
     """
-    if not rec.has_trajectory:
+    if rec.steps_A is None:
         raise StateError("record has no trajectory; rerun with record_trajectory=True")
     grid = np.asarray(grid, dtype=float)
     idx = np.minimum((n * grid).astype(np.int64), rec.n_steps)
@@ -267,8 +253,7 @@ def empirical_path(rec: ExplorationRecord, n: int, grid: np.ndarray) -> FluidPat
     zeta0 = rec.steps_A[idx] / n
     zetak = rec.steps_V[idx] / n
     starts = np.zeros(rec.n_steps + 1, dtype=np.int64)
-    if rec.new_component_at is not None and len(rec.new_component_at) > 0:
-        np.add.at(starts, rec.new_component_at + 1, 1)
+    np.add.at(starts, rec.new_component_at + 1, 1)
     eta = 2.0 * np.cumsum(starts)[idx] / n
     psi = zeta0 - eta
     return FluidPath(grid=grid, degrees=rec.degrees, zeta0=zeta0,

@@ -62,10 +62,6 @@ class FluidPath:
         if self.zetak.shape != (n, len(self.degrees)):
             raise DomainError("zetak must have shape (len(grid), len(degrees))")
 
-    @property
-    def max_degree(self) -> int:
-        return max(self.degrees) if self.degrees else 0
-
     def zeta(self, k: int) -> np.ndarray:
         """Sleeping-mass trajectory of degree k (zeros if untracked)."""
         if k == 0:
@@ -104,12 +100,12 @@ class FluidPath:
             meta=dict(self.meta),
         )
 
-    def check_invariants(self, tol: float = 1e-9, reflection: bool | None = None) -> None:
+    def check_invariants(self, tol: float = 1e-9) -> None:
         """Raise PreconditionError if a structural invariant fails.
 
         Checks zeta_k >= 0 and non-increasing, r non-increasing, and, for
-        paths started at mass zero of active half-edges (or when forced via
-        ``reflection=True``), zeta_0 = Gamma(psi) on the grid.
+        paths whose zeta_0 and psi start within tol of 0, zeta_0 = Gamma(psi)
+        on the grid.
         """
         if np.any(self.zetak < -tol):
             raise PreconditionError("zeta_k < 0 on the grid")
@@ -118,9 +114,7 @@ class FluidPath:
         r = self.r()
         if np.any(np.diff(r) > tol):
             raise PreconditionError("r(zeta) increases along the grid")
-        if reflection is None:
-            reflection = abs(self.zeta0[0]) <= tol and abs(self.psi[0]) <= tol
-        if reflection:
+        if abs(self.zeta0[0]) <= tol and abs(self.psi[0]) <= tol:
             gamma = reflect(self.psi - self.psi[0])
             if np.max(np.abs(gamma - self.zeta0)) > tol:
                 raise PreconditionError("zeta_0 deviates from the reflection of psi")

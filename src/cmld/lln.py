@@ -9,10 +9,11 @@ component exists and rho is the unique fixed point G1(rho) = rho in [0, 1);
 for sum_k k(k-2) p_k <= 0 the survival root is reported as the sentinel 1
 ("no giant"), which also makes the giant fraction 1 - G0(rho) vanish.
 
-The zero-cost trajectory explores the graph at unit pace.  Subcritical:
-zeta_k(t) = p_k f_1(t)^k with f_s the inverse of F_s(u) = G0(s) - G0(su).
-Supercritical: zeta_k(t) = p_k (1 - 2t/mu)^{k/2} until tau = mu(1-rho^2)/2
-(the giant is exhausted), then p_k rho^k f_rho(t - tau)^k.
+The zero-cost trajectory explores the graph at unit pace along one
+profile zeta_k(t) = p_k y(t)^k: y = sqrt(1 - 2t/mu) until tau = mu(1-rho^2)/2
+(the giant is exhausted), then y = rho f_rho(t - tau), with f_s the inverse
+of F_s(u) = G0(s) - G0(su).  Without a giant the sentinel rho = 1 gives
+tau = 0, so the profile is p_k f_1(t)^k throughout.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def inverse_Fs(p: DegreeDistribution, s: float, t: float) -> float:
     return bisect_increasing(lambda u: gen_G0(p, s * u) - target, 0.0, 1.0)
 
 
-def _refined_grid(T: float, grid_points: int, special: float | None) -> np.ndarray:
+def _refined_grid(T: float, grid_points: int, special: float) -> np.ndarray:
     """Uniform grid of spacing h with x4 density within 5h of ``special``.
 
     The fine points are special + j h/4, so ``special`` is a grid point.
@@ -100,7 +101,7 @@ def _refined_grid(T: float, grid_points: int, special: float | None) -> np.ndarr
     than h/8 unless ``special`` itself is that close to an end.
     """
     base = np.linspace(0.0, T, grid_points)
-    if special is None or not 0.0 < special < T:
+    if not 0.0 < special < T:
         return base
     h = T / (grid_points - 1)
     fine = special + 0.25 * h * np.arange(-20, 21)
@@ -141,48 +142,33 @@ def lln_path(p: DegreeDistribution, T: float | None = None, grid_points: int = 1
 
     nu = criticality_nu(p)
     rho = survival_rho(p)
-    supercritical = _kk2(p) > 0.0
     ks = np.array(p.degrees, dtype=float)
     pk = np.array([p.weights[int(k)] for k in ks])
-
-    if supercritical:
-        tau = 0.5 * mu * (1.0 - rho * rho)
-        tau_zeta = tau + gen_G0(p, rho)
-    else:
-        tau = None
-        tau_zeta = gen_G0(p, 1.0)
+    tau = 0.5 * mu * (1.0 - rho * rho)
+    tau_zeta = tau + gen_G0(p, rho)
 
     if grid is None:
         grid = _refined_grid(T, grid_points, tau)
 
-    n = len(grid)
-    zetak = np.zeros((n, len(ks)))
-    zeta0 = np.zeros(n)
-
-    if not supercritical:
-        f1 = np.array([inverse_Fs(p, 1.0, t) for t in grid])
-        zetak[:] = pk[None, :] * f1[:, None] ** ks[None, :]
-    else:
-        before = grid <= tau
-        x = np.sqrt(np.maximum(1.0 - 2.0 * grid[before] / mu, 0.0))
-        zetak[before] = pk[None, :] * x[:, None] ** ks[None, :]
-        g1x = np.array([gen_G1(p, xi) for xi in x])
-        zeta0[before] = np.maximum(mu - 2.0 * grid[before] - mu * x * g1x, 0.0)
-        after = ~before
-        if np.any(after):
-            frho = np.array([inverse_Fs(p, rho, t - tau) if rho > 0.0 else 0.0
-                             for t in grid[after]])
-            zetak[after] = pk[None, :] * (rho ** ks)[None, :] * frho[:, None] ** ks[None, :]
+    before = grid <= tau
+    y = np.empty(len(grid))
+    y[before] = np.sqrt(np.maximum(1.0 - 2.0 * grid[before] / mu, 0.0))
+    y[~before] = [rho * inverse_Fs(p, rho, t - tau) if rho > 0.0 else 0.0
+                  for t in grid[~before]]
+    zetak = pk[None, :] * y[:, None] ** ks[None, :]
+    zeta0 = np.zeros(len(grid))
+    g1y = np.array([gen_G1(p, yi) for yi in y[before]])
+    zeta0[before] = np.maximum(mu - 2.0 * grid[before] - mu * y[before] * g1y, 0.0)
 
     psi = _psi_from_zeta(grid, p, ks, zetak, zeta0)
     markers = {"tau_zeta": tau_zeta}
-    if tau is not None:
+    if rho < 1.0:
         markers["tau"] = tau
     meta = {
         "mu": mu,
         "nu": nu,
         "rho": rho,
-        "tau": tau if tau is not None else 0.0,
+        "tau": tau,
         "giant_fraction": 1.0 - gen_G0(p, rho),
     }
     return FluidPath(grid=grid, degrees=p.degrees, zeta0=zeta0, zetak=zetak,

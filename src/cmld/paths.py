@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import bisect_increasing
+from .core import _clean_weights, bisect_increasing
 from .errors import DomainError, FeasibilityError, PreconditionError
 from .fluid import FluidPath
 
@@ -59,17 +59,8 @@ class StatePoint:
     def __post_init__(self) -> None:
         if self.x0 < -_MASS_TOL:
             raise DomainError(f"x0 must be nonnegative, got {self.x0}")
-        clean = {}
-        for k, v in self.xk.items():
-            kk = int(k)
-            if kk < 1:
-                raise DomainError(f"degree {k!r} is not a positive integer")
-            if v < -_MASS_TOL:
-                raise DomainError(f"negative mass {v} at degree {kk}")
-            if v > 0.0:
-                clean[kk] = float(v)
         object.__setattr__(self, "x0", max(float(self.x0), 0.0))
-        object.__setattr__(self, "xk", dict(sorted(clean.items())))
+        object.__setattr__(self, "xk", _clean_weights(self.xk, "StatePoint"))
 
     @property
     def degrees(self) -> tuple[int, ...]:
@@ -92,10 +83,9 @@ class StatePoint:
 
 @dataclass(frozen=True)
 class LocalVelocity:
-    """Velocity profile (beta_0, (beta_k)), beta_k in [-1, 0] for k >= 1."""
+    """Velocity profile (beta_k), beta_k in [-1, 0] for k >= 1."""
 
     betak: dict[int, float]
-    beta0: float = 0.0  # plays no role in the local rate
 
     def __post_init__(self) -> None:
         for k, v in self.betak.items():
@@ -231,8 +221,7 @@ def minimizer_path(spec: PathSegmentSpec, grid: np.ndarray | None = None,
     ks = np.array(degrees, dtype=float)
     p1 = np.array([spec.x1.mass(k) for k in degrees])
     zk = np.array([spec.z(k) for k in degrees])
-    denom = 1.0 - beta ** ks if beta > 0.0 else np.ones_like(ks)
-    ztil = np.where(zk > 0.0, zk / denom, 0.0)
+    ztil = np.where(zk > 0.0, zk / (1.0 - beta ** ks), 0.0)
 
     u = np.clip((grid - t1) / vst, 0.0, 1.0)
     factor = (1.0 - u)[:, None] ** (0.5 * ks)[None, :]
@@ -295,18 +284,17 @@ def _rate_integrand(zeta0: np.ndarray, zetak: np.ndarray, dzetak: np.ndarray,
     return out
 
 
-def _check_unit_pace(path: FluidPath, tol: float) -> None:
+def _check_unit_pace(path: FluidPath) -> None:
     r = path.r()
     slopes = np.diff(r) / np.diff(path.grid)
     residual = float(np.max(np.abs(slopes + 2.0)))
-    if residual > tol:
+    if residual > J2_TOLERANCE:
         raise PreconditionError(
-            f"path is not unit-pace: max |dr/dt + 2| = {residual} > {tol}"
+            f"path is not unit-pace: max |dr/dt + 2| = {residual} > {J2_TOLERANCE}"
         )
 
 
-def path_cost(path: FluidPath, t1: float | None = None, t2: float | None = None,
-              pace_tol: float = J2_TOLERANCE) -> float:
+def path_cost(path: FluidPath, t1: float | None = None, t2: float | None = None) -> float:
     """Integral of the local rate along a unit-pace path segment.
 
     The final 5% of the interval is integrated in the variable
@@ -323,7 +311,7 @@ def path_cost(path: FluidPath, t1: float | None = None, t2: float | None = None,
     if t2 == t1:
         return 0.0
     seg = path.slice(t1, t2)
-    _check_unit_pace(seg, pace_tol)
+    _check_unit_pace(seg)
 
     from numpy.polynomial.legendre import leggauss
 
@@ -397,8 +385,7 @@ def cost_closed_form(x1: StatePoint, x2: StatePoint) -> float:
 
 
 def normalize_time_change(path: FluidPath, t1: float | None = None,
-                          t2: float | None = None,
-                          increase_tol: float = 1e-9) -> FluidPath:
+                          t2: float | None = None) -> FluidPath:
     """Reparameterize a segment so that dr/dt = -2 exactly on the grid.
 
     Constant-r plateaus collapse to single points (their right endpoint
@@ -411,7 +398,7 @@ def normalize_time_change(path: FluidPath, t1: float | None = None,
         t2 = float(path.grid[-1])
     seg = path.slice(t1, t2)
     r = seg.r()
-    if np.any(np.diff(r) > increase_tol):
+    if np.any(np.diff(r) > 1e-9):
         worst = float(np.max(np.diff(r)))
         raise PreconditionError(f"r(zeta) increases along the grid (max step {worst})")
     r = np.minimum.accumulate(r)  # clip roundoff-level upticks

@@ -1,8 +1,9 @@
 """File formats: JSON degree/state inputs, CSV trajectories, JSONL estimates.
 
 CSV values use 17 significant digits so that every emitted file re-parses
-into the originating values exactly.  Trajectory column order is fixed:
-t, zeta_0, zeta_1, ..., zeta_K, psi with K the largest tracked degree.
+into the originating values exactly.  Trajectory columns are t, zeta_0,
+zeta_k for each tracked degree k in the path's order, then psi; the header
+names the tracked degrees.
 """
 
 from __future__ import annotations
@@ -76,17 +77,13 @@ def dump_state_point(x: StatePoint, path: str | Path) -> None:
 
 
 def fluid_path_to_csv(path_obj: FluidPath, path: str | Path) -> None:
-    """Columns t, zeta_0..zeta_K, psi at full double precision."""
-    K = path_obj.max_degree
-    header = ["t"] + [f"zeta_{k}" for k in range(K + 1)] + ["psi"]
+    """Columns t, zeta_0, zeta_k for k in degrees, psi at full double precision."""
+    header = ["t", "zeta_0"] + [f"zeta_{k}" for k in path_obj.degrees] + ["psi"]
+    data = np.column_stack([path_obj.grid, path_obj.zeta0, path_obj.zetak, path_obj.psi])
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(header)
-        for i, t in enumerate(path_obj.grid):
-            row = [_fmt(t), _fmt(path_obj.zeta0[i])]
-            row += [_fmt(path_obj.zeta(k)[i]) for k in range(1, K + 1)]
-            row.append(_fmt(path_obj.psi[i]))
-            w.writerow(row)
+        w.writerows([_fmt(x) for x in row] for row in data)
 
 
 def fluid_path_from_csv(path: str | Path) -> FluidPath:
@@ -94,17 +91,16 @@ def fluid_path_from_csv(path: str | Path) -> FluidPath:
         reader = csv.reader(f)
         header = next(reader)
         rows = [[float(x) for x in row] for row in reader if row]
-    if header[0] != "t" or header[-1] != "psi":
+    names = header[2:-1]
+    if (header[:2] != ["t", "zeta_0"] or header[-1] != "psi"
+            or not all(h.startswith("zeta_") and h[5:].isdecimal() for h in names)):
         raise DomainError(f"{path}: not a trajectory CSV")
-    data = np.array(rows)
-    K = len(header) - 3  # t, zeta_0..zeta_K, psi
-    zcols = data[:, 2:2 + K]  # zeta_1..zeta_K
-    tracked = [k for k in range(1, K + 1) if np.any(zcols[:, k - 1] != 0.0)]
+    data = np.array(rows).reshape(-1, len(header))
     return FluidPath(
         grid=data[:, 0],
-        degrees=tuple(tracked),
+        degrees=tuple(int(h[5:]) for h in names),
         zeta0=data[:, 1],
-        zetak=zcols[:, [k - 1 for k in tracked]] if tracked else np.zeros((len(data), 0)),
+        zetak=data[:, 2:-1],
         psi=data[:, -1],
     )
 

@@ -127,15 +127,19 @@ class TestRoundTrip:
         assert back.xk == x.xk
 
     def test_fluid_path_csv_exact_roundtrip(self, tmp_path):
-        fp = lln_path(DegreeDistribution({1: 0.5, 3: 0.5}), T=1.2, grid_points=101)
-        f = tmp_path / "traj.csv"
-        fluid_path_to_csv(fp, f)
-        back = fluid_path_from_csv(f)
-        assert np.array_equal(back.grid, fp.grid)
-        assert np.array_equal(back.psi, fp.psi)
-        assert np.array_equal(back.zeta0, fp.zeta0)
-        for k in fp.degrees:
-            assert np.array_equal(back.zeta(k), fp.zeta(k))
+        full = lln_path(DegreeDistribution({1: 0.5, 3: 0.5}), T=1.2, grid_points=101)
+        # after tau_zeta every zeta_k is zero, but degrees (1, 3) are still tracked
+        after = full.slice(float(full.grid[full.grid >= full.tau_markers["tau_zeta"]][0]), 1.2)
+        for fp in (full, after):
+            f = tmp_path / "traj.csv"
+            fluid_path_to_csv(fp, f)
+            back = fluid_path_from_csv(f)
+            assert back.degrees == fp.degrees
+            assert np.array_equal(back.grid, fp.grid)
+            assert np.array_equal(back.psi, fp.psi)
+            assert np.array_equal(back.zeta0, fp.zeta0)
+            for k in fp.degrees:
+                assert np.array_equal(back.zeta(k), fp.zeta(k))
 
     def test_estimate_json_line_roundtrip(self):
         from cmld import estimate_event_prob

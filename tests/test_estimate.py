@@ -36,6 +36,14 @@ class TestEventProbability:
         with pytest.raises(DomainError):
             estimate_event_prob((1, 1), {1: 1.0}, eps=0.1, reps=0, seed=3)
 
+    def test_sequence_length_must_match_n(self):
+        seq = (1, 1, 3, 3)
+        with pytest.raises(DomainError, match="4-vertex"):
+            estimate_event_prob(seq, {3: 0.5}, eps=0.3, reps=10, seed=9, n=24)
+        with pytest.raises(DomainError, match="4-vertex"):
+            estimate_event_prob(DegreeSequence(seq), {3: 0.5}, eps=0.3, reps=10, seed=9, n=24)
+        assert estimate_event_prob(seq, {3: 0.5}, eps=0.3, reps=10, seed=9, n=4).n == 4
+
     def test_worker_invariance(self):
         p = DegreeDistribution({3: 1.0})
         base = None

@@ -229,6 +229,8 @@ class TestLocalRate:
     def test_domain_validation(self):
         with pytest.raises(DomainError):
             LocalVelocity({3: 0.5})
+        with pytest.raises(DomainError):
+            StatePoint(0.0, {2.5: 0.1})  # not truncated to degree 2
 
 
 class TestPathCost:
