@@ -30,7 +30,7 @@ from .explore import DegreeSequence, eea_run, empirical_path, extract_components
 from .lln import lln_path
 from .rng import CounterRNG, counter_uniforms, stream_keys
 
-_DEFAULT_CHUNK = 1 << 18
+_DEFAULT_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -84,20 +84,27 @@ def _event_windows(n: int, q: dict[int, float], eps: float,
 
 def _batch_hits(counts: dict[int, int], rep_lo: int, rep_hi: int, seed: int,
                 lo: np.ndarray, hi: np.ndarray) -> int:
-    """Event hits among replications [rep_lo, rep_hi), lockstep-vectorized."""
+    """Event hits among replications [rep_lo, rep_hi), lockstep-vectorized.
+
+    State is degree-major: row d of ``V`` holds the sleeping count of degree
+    ``degs[d]`` for every replication, so each step is a few contiguous
+    full-width operations.  ``Vstart`` is ``V`` when the current component
+    started; at a close, ``Vstart - V`` is the component's configuration.
+    """
     degs = np.array(sorted(counts), dtype=np.int64)
     D = len(degs)
     R = rep_hi - rep_lo
     n = sum(counts.values())
     m = sum(k * c for k, c in counts.items()) // 2
 
-    V = np.tile(np.array([counts[int(k)] for k in degs], dtype=np.int64), (R, 1))
+    V = np.repeat(np.array([[counts[int(k)]] for k in degs], dtype=np.int64), R, axis=1)
+    Vstart = V.copy()
     A = np.zeros(R, dtype=np.int64)
-    s = np.full(R, sum(k * c for k, c in counts.items()), dtype=np.int64)
-    cur = np.zeros((R, D), dtype=np.int64)
+    s = np.full(R, 2 * m, dtype=np.int64)
     hit = np.zeros(R, dtype=bool)
     keys = stream_keys(seed, np.arange(rep_lo, rep_hi, dtype=np.uint64))
-    rows = np.arange(R)
+    cols = np.arange(D)[:, None]
+    lo, hi = lo[:, None], hi[:, None]
 
     for j in range(m + n):
         killw = np.maximum(A - 1, 0)
@@ -105,34 +112,29 @@ def _batch_hits(counts: dict[int, int], rep_lo: int, rep_hi: int, seed: int,
         active = denom > 0
         if not active.any():
             break
-        u = counter_uniforms(keys, j)
-        x = u * denom
-        kills = active & (x < killw)
-        wakes = active & ~kills
+        # y < 0 (exactly when x = u * denom < killw) kills, else the bucket
+        # holding y wakes; u < 1 keeps y below s, the last cumulative
+        # weight, so the last bucket needs no test
+        y = counter_uniforms(keys, j) * denom - killw
+        wakes = active & (y >= 0)
+        cum = np.zeros(R, dtype=np.int64)
+        b = np.zeros(R, dtype=np.int64)
+        for d in range(D - 1):
+            cum += degs[d] * V[d]
+            b += cum <= y
 
-        y = x - killw
-        cum = np.cumsum(degs[None, :] * V, axis=1)
-        b = np.sum(cum <= y[:, None], axis=1)
-        over = wakes & (b >= D)
-        if over.any():  # u within one ulp of 1: take the largest nonempty bucket
-            for r in np.nonzero(over)[0]:
-                b[r] = int(np.max(np.nonzero(V[r] > 0)[0]))
-        b = np.minimum(b, D - 1)
+        woken = degs[b] * wakes
+        V -= (b == cols) & wakes
+        s -= woken
+        busy = A > 0  # a kill and a wake from A > 0 both spend two half-edges
+        A += woken - 2 * busy
 
-        woken = degs[b]
-        A_new = np.where(kills, A - 2,
-                         np.where(wakes, np.where(A > 0, A + woken - 2, woken), A))
-        wr = rows[wakes]
-        V[wr, b[wakes]] -= 1
-        cur[wr, b[wakes]] += 1
-        s = s - np.where(wakes, woken, 0)
-
-        closed = active & (A > 0) & (A_new == 0)
+        closed = busy & (A == 0)
         if closed.any():
-            ok = np.all((cur[closed] >= lo) & (cur[closed] <= hi), axis=1)
-            hit[np.nonzero(closed)[0][ok]] = True
-            cur[closed] = 0
-        A = A_new
+            idx = np.nonzero(closed)[0]
+            conf = Vstart[:, idx] - V[:, idx]
+            hit[idx[np.all((conf >= lo) & (conf <= hi), axis=0)]] = True
+            Vstart[:, idx] = V[:, idx]
     return int(hit.sum())
 
 

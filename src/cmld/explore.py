@@ -122,7 +122,7 @@ def sample_multigraph(d: DegreeSequence, rng: CounterRNG) -> list[tuple[int, int
     half = np.repeat(np.arange(d.n, dtype=np.int64),
                      np.array(d.degrees, dtype=np.int64))
     rng.shuffle(half)
-    return [(int(half[2 * i]), int(half[2 * i + 1])) for i in range(len(half) // 2)]
+    return list(zip(half[0::2].tolist(), half[1::2].tolist()))
 
 
 _TIME_STREAM_SALT = 1 << 32  # paired stream for the optional time decoration
@@ -173,14 +173,10 @@ def eea_run(d: DegreeSequence, rng: CounterRNG,
         else:
             y = x - killw
             cum = 0
-            woken = -1
-            for k in degs:
-                cum += k * kv[k]
+            for woken in degs:  # u < 1 keeps y below the total weight s
+                cum += woken * kv[woken]
                 if y < cum:
-                    woken = k
                     break
-            if woken < 0:  # float edge: u ~ 1 with empty tail bucket
-                woken = next(k for k in reversed(degs) if kv[k] > 0)
             kv[woken] -= 1
             s -= woken
             if a > 0:

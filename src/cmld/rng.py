@@ -30,10 +30,14 @@ def _mix64(z: int) -> int:
 
 
 def _mix64_vec(z: np.ndarray) -> np.ndarray:
-    # uint64 arithmetic wraps; identical bit-for-bit to _mix64
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    # uint64 arithmetic wraps; identical bit-for-bit to _mix64.  The first
+    # line makes a fresh array, which the rest updates in place.
+    z = z ^ (z >> np.uint64(30))
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def stream_key(seed: int, stream: int) -> int:
@@ -56,11 +60,19 @@ def counter_uniform(key: int, counter: int) -> float:
     return (word >> 11) * (1.0 / 9007199254740992.0)  # 53-bit mantissa
 
 
+def _unit_floats(words: np.ndarray) -> np.ndarray:
+    """Top 53 bits of each word as a [0,1) float, as in :func:`counter_uniform`;
+    ``words`` is consumed."""
+    words >>= np.uint64(11)
+    u = words.astype(np.float64)
+    u *= 1.0 / 9007199254740992.0
+    return u
+
+
 def counter_uniforms(keys: np.ndarray, counter: int) -> np.ndarray:
     """Vectorized :func:`counter_uniform`: one variate per key at a fixed counter."""
     shift = np.uint64(((counter + 1) * _GOLDEN) & _MASK64)
-    words = _mix64_vec(keys + shift)
-    return (words >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+    return _unit_floats(_mix64_vec(keys + shift))
 
 
 @dataclass
@@ -90,16 +102,22 @@ class CounterRNG:
 
     def uniforms(self, count: int) -> np.ndarray:
         ctrs = np.arange(self._ctr + 1, self._ctr + count + 1, dtype=np.uint64)
-        words = _mix64_vec(np.uint64(self._key) + ctrs * np.uint64(_GOLDEN))
         self._ctr += count
-        return (words >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+        return _unit_floats(_mix64_vec(np.uint64(self._key) + ctrs * np.uint64(_GOLDEN)))
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n)."""
         return int(self.uniform() * n)
 
     def shuffle(self, arr: np.ndarray) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(arr) - 1, 0, -1):
-            j = self.randrange(i + 1)
-            arr[i], arr[j] = arr[j], arr[i]
+        """In-place Fisher-Yates shuffle.
+
+        Position i = L-1, ..., 1 swaps with ``j = randrange(i + 1)``; the
+        L - 1 draws are taken at once, with the same product and truncation.
+        """
+        L = len(arr)
+        js = (self.uniforms(max(L - 1, 0)) * np.arange(L, 1, -1)).astype(np.int64).tolist()
+        a = arr.tolist()
+        for i, j in zip(range(L - 1, 0, -1), js):
+            a[i], a[j] = a[j], a[i]
+        arr[:] = a

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cmld
 from cmld import (
     BOUND_LOWER_ONLY,
     BOUND_TWO_SIDED,
@@ -339,3 +344,13 @@ class TestTypes:
         assert SubProfile({3: 0.5}, DegreeDistribution({3: 1.0})).feasible
         p2 = DegreeDistribution({2: 1.0})
         assert not SubProfile({2: 0.5}, p2).feasible
+
+
+def test_import_loads_no_scipy():
+    # scipy is imported lazily, by the few routines that need it
+    src = Path(cmld.__file__).resolve().parents[1]
+    code = ("import sys, cmld; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0].startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"

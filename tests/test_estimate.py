@@ -15,6 +15,7 @@ from cmld import (
     estimate_event_prob,
     lln_check,
     rate_fit,
+    survival_rho,
 )
 from cmld.estimate import _batch_hits, _event_windows, clopper_pearson
 
@@ -88,6 +89,48 @@ class TestEventProbability:
                     scalar += 1
                     break
         assert vec == scalar
+
+    def test_matches_scalar_chain_on_many_degrees(self):
+        # seven degree columns, in the giant's LLN window and in the rarer
+        # window "the whole graph is one component"
+        p_mix = {1: 0.3, 2: 0.1, 3: 0.2, 4: 0.15, 5: 0.1, 7: 0.1, 10: 0.05}
+        p = DegreeDistribution(p_mix)
+        d = DegreeSequence.from_distribution(p, 100)
+        ks = tuple(sorted(d.counts()))
+        assert len(ks) == 7
+        rho = survival_rho(p)
+        giant = {k: v * (1.0 - rho ** k) for k, v in p_mix.items()}
+        reps, seed = 300, 4242
+        configs = [np.array([[c.degree_config.get(k, 0) for k in ks]
+                             for c in eea_run(d, CounterRNG(seed, r)).components])
+                   for r in range(reps)]
+        for q, eps in ((giant, 3 / d.n), (p_mix, 0.5 / d.n)):
+            lo, hi, ok = _event_windows(d.n, q, eps, ks)
+            assert ok
+            scalar = sum(bool(np.any(np.all((m >= lo) & (m <= hi), axis=1)))
+                         for m in configs)
+            assert 0 < scalar < reps
+            default = estimate_event_prob(d, q, eps, reps=reps, seed=seed)
+            small = estimate_event_prob(d, q, eps, reps=reps, seed=seed, chunk_size=64)
+            assert default.hits == small.hits == scalar
+
+    def test_largest_uniform_stays_inside_last_bucket(self):
+        # Neither chain has a fallback for a wake past the last bucket: with
+        # the largest uniform, y = fl(fl(u * denom) - killw) stays below
+        # s = denom - killw (s = 0 forces a kill), for every integer denom < 2^53.
+        u_max = (2 ** 53 - 1) * (1.0 / 9007199254740992.0)
+        assert u_max == np.nextafter(1.0, 0.0)
+        for denom in range(1, 2001):
+            killw = np.arange(denom + 1)
+            y = u_max * np.float64(denom) - killw
+            assert np.all(y < denom - killw), denom
+        rng = np.random.default_rng(53)
+        denom = rng.integers(1, 2 ** 50, size=200_000, endpoint=True)
+        killw = rng.integers(0, denom, endpoint=True)
+        y = u_max * denom.astype(np.float64) - killw
+        assert np.all(y < denom - killw)
+        for dn, kw in zip(denom[:2000].tolist(), killw[:2000].tolist()):
+            assert u_max * dn - kw < dn - kw
 
     def test_absent_degree_requires_small_q(self):
         # q puts mass on a degree not present in the graph: impossible unless q_k <= eps

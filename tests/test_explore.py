@@ -62,6 +62,20 @@ class TestMatching:
         stat = chisquare(list(counts.values()))
         assert stat.pvalue > 0.001
 
+    def test_shuffle_matches_randrange_loop(self):
+        for length in (0, 1, 2, 7, 1000):
+            for seed in (3, 2024):
+                ref_rng = CounterRNG(seed, 5)
+                ref = list(range(length))
+                for i in range(length - 1, 0, -1):
+                    j = ref_rng.randrange(i + 1)
+                    ref[i], ref[j] = ref[j], ref[i]
+                rng = CounterRNG(seed, 5)
+                arr = np.arange(length, dtype=np.int64)
+                rng.shuffle(arr)
+                assert arr.tolist() == ref
+                assert rng._ctr == ref_rng._ctr == max(length - 1, 0)
+
 
 class TestExplorationRuns:
     def test_two_leaves_hand_trace(self):
