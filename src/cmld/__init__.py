@@ -9,7 +9,6 @@ from .core import (
     SubProfile,
     K_of_q,
     beta_of_q,
-    ell,
     entropy_H,
     rate_component_degree,
     rate_component_size,
@@ -58,7 +57,6 @@ from .paths import (
     local_rate_L,
     make_segment_spec,
     minimizer_path,
-    normalize_time_change,
     path_cost,
     varsigma,
 )

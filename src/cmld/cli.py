@@ -166,10 +166,7 @@ def _cmd_path(args: argparse.Namespace) -> int:
     cost_quad = path_cost(traj)
     cost_closed = cost_closed_form(x1, x2)
     report = {
-        "varsigma": spec.varsigma,
-        "varsigma_tilde": spec.varsigma_tilde if spec.varsigma > 0 else 0.0,
-        "beta": spec.beta,
-        "case": spec.case,
+        **traj.meta,
         "cost_closed": cost_closed,
         "cost_quadrature": cost_quad,
         "residual": abs(cost_quad - cost_closed),

@@ -161,15 +161,6 @@ def _weights_of(r) -> dict[int, float]:
     return _clean_weights(r, "weights")
 
 
-def ell(x: float) -> float:
-    """Pointwise Poisson cost x log x - x + 1, with 0 log 0 = 0."""
-    if x < 0.0:
-        raise DomainError(f"ell: negative argument {x}")
-    if x == 0.0:
-        return 1.0
-    return x * math.log(x) - x + 1.0
-
-
 def entropy_H(r) -> float:
     """H(r) = sum r_k log r_k - s log s with s = (1/2) sum k r_k."""
     w = _weights_of(r)
@@ -182,15 +173,21 @@ def entropy_H(r) -> float:
     return math.fsum(terms)
 
 
-def _f_root_fn(q: Mapping[int, float]):
-    """F(alpha) = sum_{k>=3} F_k(alpha) k q_k - q_1, strictly increasing."""
-    q1 = q.get(1, 0.0)
-    hi = [(k, k * v) for k, v in q.items() if k >= 3 and v > 0.0]
+def _transition_fn(w: Mapping[int, float], x10: float, x20: float):
+    """The strictly increasing function whose zero is the transition root,
 
-    def F(alpha: float) -> float:
-        acc = -q1
+        F(a) = -w_1 - x20/a + a x10 + sum_{k>=3} k w_k (a - a^{k-1})/(1 - a^k),
+
+    for drop weights w between states with active masses x10 and x20;
+    beta(q) is the zero for w = q and x10 = x20 = 0.
+    """
+    w1 = w.get(1, 0.0)
+    hi = [(k, k * v) for k, v in w.items() if k >= 3 and v > 0.0]
+
+    def F(a: float) -> float:
+        acc = -w1 - x20 / a + a * x10
         for k, kv in hi:
-            acc += kv * (alpha - alpha ** (k - 1)) / (1.0 - alpha ** k)
+            acc += kv * (a - a ** (k - 1)) / (1.0 - a ** k)
         return acc
 
     return F
@@ -232,7 +229,7 @@ def beta_of_q(q) -> float:
         raise FeasibilityError(
             f"profile with q_1 > 0 violates sum k q_k > 2 sum q_k ({edge} <= {2.0 * vert})"
         )
-    F = _f_root_fn(w)
+    F = _transition_fn(w, 0.0, 0.0)
     flo, fhi = F(_BISECT_LO), F(_BISECT_HI)
     if flo > 0.0 or fhi < 0.0:
         raise FeasibilityError(

@@ -110,7 +110,6 @@ class ExplorationRecord:
     steps_A: np.ndarray | None = None  # (n_steps + 1,) when trajectory recorded
     steps_V: np.ndarray | None = None  # (n_steps + 1, len(degrees))
     new_component_at: np.ndarray | None = None  # step indices of fresh wakes
-    step_times: np.ndarray | None = None  # Poissonized jump instants, when requested
 
 
 def sample_multigraph(d: DegreeSequence, rng: CounterRNG) -> list[tuple[int, int]]:
@@ -125,19 +124,12 @@ def sample_multigraph(d: DegreeSequence, rng: CounterRNG) -> list[tuple[int, int
     return list(zip(half[0::2].tolist(), half[1::2].tolist()))
 
 
-_TIME_STREAM_SALT = 1 << 32  # paired stream for the optional time decoration
-
-
 def eea_run(d: DegreeSequence, rng: CounterRNG,
-            record_trajectory: bool = False,
-            poissonize: bool = False) -> ExplorationRecord:
+            record_trajectory: bool = False) -> ExplorationRecord:
     """Run the exploration chain to termination.
 
     Components are always recorded; the full (A, V) step
-    sequence only when ``record_trajectory`` is set.  With ``poissonize``
-    the record carries continuous jump instants (i.i.d. exponential holding
-    times at total rate n), drawn from the paired stream
-    ``rng.stream + 2**32`` so the jump-chain decisions are unaffected.
+    sequence only when ``record_trajectory`` is set.
     """
     counts = d.counts()
     degs = tuple(counts)
@@ -198,19 +190,12 @@ def eea_run(d: DegreeSequence, rng: CounterRNG,
             ))
             cur_config, cur_edges = {}, 0
 
-    times = None
-    if poissonize:
-        clock = rng.spawn(rng.stream + _TIME_STREAM_SALT)
-        holds = -np.log1p(-clock.uniforms(j)) / n  # Exp(n) holding times
-        times = np.concatenate([[0.0], np.cumsum(holds)])
-
     rec = ExplorationRecord(
         degrees=degs, n=n, m=m, n_steps=j,
         components=components,
         steps_A=np.array(record_A, dtype=np.int64) if record_trajectory else None,
         steps_V=np.array(record_V, dtype=np.int64) if record_trajectory else None,
         new_component_at=np.array(new_comp_steps, dtype=np.int64) if record_trajectory else None,
-        step_times=times,
     )
     _check_conservation_totals(rec, counts)
     return rec

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _clean_weights, bisect_increasing
+from .core import _BISECT_HI, _BISECT_LO, _clean_weights, _transition_fn, bisect_increasing
 from .errors import DomainError, FeasibilityError, PreconditionError
 from .fluid import FluidPath
 
@@ -71,14 +71,6 @@ class StatePoint:
 
     def r(self) -> float:
         return max(self.x0, 0.0) + math.fsum(k * v for k, v in self.xk.items())
-
-    def jump_weights(self, degrees: tuple[int, ...]) -> tuple[float, np.ndarray]:
-        """(mu(0|x), mu(k|x) for k in degrees); point mass at 0 when x = 0."""
-        r = self.r()
-        if r <= 0.0:
-            return 1.0, np.zeros(len(degrees))
-        return (max(self.x0, 0.0) / r,
-                np.array([k * self.mass(k) / r for k in degrees]))
 
 
 @dataclass(frozen=True)
@@ -139,9 +131,8 @@ def beta_general(x1: StatePoint, x2: StatePoint) -> tuple[float, str]:
 
     Case (i): x2_0 = 0 and z_1 = 0 give beta = 0 exactly.  Case (ii)
     requires sum_k k z_k + z_0 > 2 sum_k z_k together with x2_0 > 0 or
-    z_1 > 0; beta is then the unique zero of the strictly decreasing
-
-        B(a) = z_1 - sum_{k>=3} k z_k (a - a^{k-1})/(1 - a^k) + x2_0/a - a x1_0.
+    z_1 > 0; beta is then the unique zero of the strictly increasing
+    ``core._transition_fn(z, x1_0, x2_0)``.
     """
     z = _drop(x1, x2)
     z1 = z.get(1, 0.0)
@@ -155,19 +146,10 @@ def beta_general(x1: StatePoint, x2: StatePoint) -> tuple[float, str]:
             "segment admits no transition root: requires x2_0 = z_1 = 0, or "
             f"sum k z_k + z_0 > 2 sum z_k ({edge} vs {2.0 * vert}) with x2_0 > 0 or z_1 > 0"
         )
-    hi_terms = [(k, k * v) for k, v in z.items() if k >= 3 and v > 0.0]
-    x10, x20 = x1.x0, x2.x0
-
-    def B(a: float) -> float:
-        acc = z1 + x20 / a - a * x10
-        for k, kv in hi_terms:
-            acc -= kv * (a - a ** (k - 1)) / (1.0 - a ** k)
-        return acc
-
-    lo, hi = 1e-15, 1.0 - 1e-15
-    if B(hi) >= 0.0:
+    F = _transition_fn(z, x1.x0, x2.x0)
+    if F(_BISECT_HI) <= 0.0:
         raise FeasibilityError("transition root bracket failed at 1-")
-    return bisect_increasing(lambda a: -B(a), lo, hi), CASE_II
+    return bisect_increasing(F, _BISECT_LO, _BISECT_HI), CASE_II
 
 
 def make_segment_spec(x1: StatePoint, x2: StatePoint, t1: float = 0.0) -> PathSegmentSpec:
@@ -235,29 +217,23 @@ def minimizer_path(spec: PathSegmentSpec, grid: np.ndarray | None = None,
 
 def _segment_meta(spec: PathSegmentSpec) -> dict:
     return {
-        "beta": spec.beta,
-        "case": spec.case,
         "varsigma": spec.varsigma,
         "varsigma_tilde": spec.varsigma_tilde if spec.varsigma > 0.0 else 0.0,
+        "beta": spec.beta,
+        "case": spec.case,
     }
 
 
 def local_rate_L(x: StatePoint, v: LocalVelocity) -> float:
-    """KL-form local rate; +inf when the profile is inadmissible at x."""
-    degrees = tuple(sorted(set(x.degrees) | {k for k in v.betak}))
-    nu_k = np.array([-v.betak.get(k, 0.0) for k in degrees])
-    nu0 = 1.0 - nu_k.sum()
-    if nu0 < 0.0:
-        return math.inf
-    mu0, mu_k = x.jump_weights(degrees)
-    total = 0.0
-    for nu, mu in [(nu0, mu0), *zip(nu_k, mu_k)]:
-        if nu <= 0.0:
-            continue
-        if mu <= 0.0:
-            return math.inf
-        total += nu * math.log(nu / mu)
-    return total
+    """KL-form local rate; +inf when the profile is inadmissible at x.
+
+    One node of :func:`_rate_integrand` at zeta = x, zeta' = beta.
+    """
+    degrees = sorted(set(x.degrees) | set(v.betak))
+    zetak = np.array([x.mass(k) for k in degrees]).reshape(-1, 1)
+    dzetak = np.array([v.betak.get(k, 0.0) for k in degrees]).reshape(-1, 1)
+    return float(_rate_integrand(np.array([x.x0]), zetak, dzetak,
+                                 np.array(degrees, dtype=float))[0])
 
 
 def _rate_integrand(zeta0: np.ndarray, zetak: np.ndarray, dzetak: np.ndarray,
@@ -265,22 +241,27 @@ def _rate_integrand(zeta0: np.ndarray, zetak: np.ndarray, dzetak: np.ndarray,
     """Vectorized L(zeta(t), zeta'(t)) along a unit-pace path.
 
     ``zetak`` and ``dzetak`` hold one row per degree in ``ks``; row 0 of
-    nu and mu is degree 0.  Velocity entries below the noise floor are
-    treated as zero so that finite-difference jitter at endpoints where a
-    mass vanishes cannot produce spurious infinities.
+    nu and mu is degree 0, and mu is the point mass at 0 where r = 0.
+    Velocity entries at or below the noise floor are treated as zero so
+    that finite-difference jitter at endpoints where a mass vanishes
+    cannot produce spurious infinities; by the same floor, the rate is
+    infinite where sum_k nu_k exceeds 1 by more than it.
     """
     z0 = np.maximum(zeta0, 0.0)
     r = z0 + ks @ zetak
+    empty = r <= 0.0
     nu_k = np.maximum(-dzetak, 0.0)
-    nu = np.vstack([np.maximum(1.0 - nu_k.sum(axis=0), 0.0), nu_k])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mu = np.vstack([z0, ks[:, None] * np.maximum(zetak, 0.0)]) / r
-        live = nu > _NU_FLOOR
-        bad = live & (mu <= 0.0)
-        ok = live & ~bad
-        ratio = np.where(ok, nu / np.where(mu > 0.0, mu, 1.0), 1.0)
-        out = np.sum(np.where(ok, nu * np.log(ratio), 0.0), axis=0)
-    out[np.any(bad, axis=0)] = math.inf
+    nu0 = 1.0 - nu_k.sum(axis=0)
+    nu = np.vstack([np.maximum(nu0, 0.0), nu_k])
+    mu = np.vstack([z0, ks[:, None] * np.maximum(zetak, 0.0)]) / np.where(empty, 1.0, r)
+    mu[:, empty] = 0.0
+    mu[0, empty] = 1.0
+    live = nu > _NU_FLOOR
+    bad = live & (mu <= 0.0)
+    ok = live & ~bad
+    ratio = np.where(ok, nu / np.where(ok, mu, 1.0), 1.0)
+    out = np.sum(np.where(ok, nu * np.log(ratio), 0.0), axis=0)
+    out[np.any(bad, axis=0) | (nu0 < -_NU_FLOOR)] = math.inf
     return out
 
 
@@ -382,40 +363,3 @@ def cost_closed_form(x1: StatePoint, x2: StatePoint) -> float:
         raise FeasibilityError("x2_0 > 0 with beta = 0 has infinite cost")
     return (_h_tilde(z0, z) + _h_tilde(x2.x0, x2.xk) - _h_tilde(x1.x0, x1.xk)
             + k_tilde)
-
-
-def normalize_time_change(path: FluidPath, t1: float | None = None,
-                          t2: float | None = None) -> FluidPath:
-    """Reparameterize a segment so that dr/dt = -2 exactly on the grid.
-
-    Constant-r plateaus collapse to single points (their right endpoint
-    survives), and the image interval has length (r(t1) - r(t2))/2.  The
-    cost of the reparameterized segment never exceeds the original's.
-    """
-    if t1 is None:
-        t1 = float(path.grid[0])
-    if t2 is None:
-        t2 = float(path.grid[-1])
-    seg = path.slice(t1, t2)
-    r = seg.r()
-    if np.any(np.diff(r) > 1e-9):
-        worst = float(np.max(np.diff(r)))
-        raise PreconditionError(f"r(zeta) increases along the grid (max step {worst})")
-    r = np.minimum.accumulate(r)  # clip roundoff-level upticks
-    f = t1 + 0.5 * (r[0] - r)  # new clock; plateaus of r freeze it
-
-    keep = np.empty(len(f), dtype=bool)
-    keep[:-1] = np.diff(f) > 0.0
-    keep[-1] = True  # last occurrence survives on each plateau
-    new_grid = f[keep]
-    if len(new_grid) < 2:
-        raise PreconditionError("r(zeta) is constant on the whole segment")
-    return FluidPath(
-        grid=new_grid,
-        degrees=seg.degrees,
-        zeta0=seg.zeta0[keep],
-        zetak=seg.zetak[keep],
-        psi=seg.psi[keep],
-        tau_markers=dict(seg.tau_markers),
-        meta=dict(seg.meta),
-    )

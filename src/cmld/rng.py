@@ -91,10 +91,6 @@ class CounterRNG:
     def __post_init__(self) -> None:
         self._key = stream_key(self.seed, self.stream)
 
-    def spawn(self, stream: int) -> "CounterRNG":
-        """Independent stream under the same master seed."""
-        return CounterRNG(self.seed, stream)
-
     def uniform(self) -> float:
         u = counter_uniform(self._key, self._ctr)
         self._ctr += 1

@@ -19,7 +19,6 @@ from cmld import (
     SubProfile,
     K_of_q,
     beta_of_q,
-    ell,
     entropy_H,
     rate_component_degree,
     rate_component_size,
@@ -37,21 +36,6 @@ HALF_LOG2 = 0.5 * math.log(2.0)
 
 P13 = DegreeDistribution({1: 0.5, 3: 0.5})
 Q13 = SubProfile({1: 0.1, 3: 0.3}, P13)
-
-
-class TestEll:
-    def test_unique_zero(self):
-        assert ell(1.0) == 0.0
-
-    def test_zero_convention(self):
-        assert ell(0.0) == 1.0
-
-    def test_at_e(self):
-        assert ell(math.e) == pytest.approx(1.0, abs=1e-15)
-
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            ell(-0.1)
 
 
 class TestEntropy:

@@ -141,25 +141,6 @@ class TestComponents:
         assert sum(c.n_edges + 1 for c in rec.components) == rec.n_steps
 
 
-class TestPoissonizedDecoration:
-    def test_jump_chain_unchanged(self):
-        d = DegreeSequence((1, 1, 2, 3, 3))
-        plain = eea_run(d, CounterRNG(5, 3), record_trajectory=True)
-        timed = eea_run(d, CounterRNG(5, 3), record_trajectory=True, poissonize=True)
-        assert np.array_equal(plain.steps_A, timed.steps_A)
-        assert np.array_equal(plain.steps_V, timed.steps_V)
-
-    def test_times_strictly_increase_at_unit_mean_pace(self):
-        p = DegreeDistribution({1: 0.5, 3: 0.5})
-        d = DegreeSequence.from_distribution(p, 4000)
-        rec = eea_run(d, CounterRNG(17, 0), poissonize=True)
-        t = rec.step_times
-        assert len(t) == rec.n_steps + 1
-        assert np.all(np.diff(t) > 0.0)
-        # total duration concentrates around steps/n
-        assert t[-1] == pytest.approx(rec.n_steps / d.n, rel=0.1)
-
-
 class TestEmpiricalPath:
     def test_initial_condition(self):
         p = DegreeDistribution({1: 0.5, 3: 0.5})

@@ -17,12 +17,12 @@ from cmld import (
     StatePoint,
     SubProfile,
     beta_general,
+    beta_of_q,
     cost_closed_form,
     lln_path,
     local_rate_L,
     make_segment_spec,
     minimizer_path,
-    normalize_time_change,
     path_cost,
     rate_component_degree,
     varsigma,
@@ -108,6 +108,14 @@ class TestTransitionRoot:
         assert beta == pytest.approx(0.5218479361478246, abs=1e-10)
         resid = (-1.5 * beta / (1 + beta + beta * beta) + 0.5 / beta - beta)
         assert abs(resid) <= 1e-10
+
+    def test_agrees_with_profile_root_exactly(self):
+        # dyadic weights make z = x1 - x2 exact, so both routes solve the
+        # same equation on the same bracket
+        p = {1: 0.5, 3: 0.5}
+        q = {1: 0.125, 3: 0.375}
+        x2 = StatePoint(0.0, {k: p[k] - q[k] for k in p})
+        assert beta_general(StatePoint(0.0, p), x2)[0] == beta_of_q(q)
 
     def test_neither_case_rejected(self):
         # x2_0 > 0 rules out case (i); edge drop equal to twice the vertex
@@ -196,7 +204,7 @@ class TestLocalRate:
     def test_natural_velocity_zero(self):
         x = StatePoint(0.2, {1: 0.3, 3: 0.4})
         degrees = x.degrees
-        _, mu_k = x.jump_weights(degrees)
+        mu_k = [k * x.mass(k) / x.r() for k in degrees]
         v = LocalVelocity({k: -m for k, m in zip(degrees, mu_k)})
         assert local_rate_L(x, v) == pytest.approx(0.0, abs=1e-14)
 
@@ -206,13 +214,18 @@ class TestLocalRate:
     def test_single_term(self):
         # resting profile at a state with active fraction c costs log(1/c)
         x = StatePoint(1.0, {3: 1.0})
-        c = x.jump_weights(x.degrees)[0]
+        c = x.x0 / x.r()
         assert local_rate_L(x, LocalVelocity({})) == pytest.approx(
             math.log(1.0 / c), abs=1e-14)
 
     def test_infinite_when_oversubscribed(self):
         x = StatePoint(0.0, {1: 0.5, 3: 0.5})
         assert local_rate_L(x, LocalVelocity({1: -0.7, 3: -0.7})) == math.inf
+
+    def test_empty_state_is_point_mass_at_zero(self):
+        x = StatePoint(0.0, {})
+        assert local_rate_L(x, LocalVelocity({3: -0.1})) == math.inf
+        assert local_rate_L(x, LocalVelocity({3: 0.0})) == 0.0
 
     def test_infinite_on_empty_degree(self):
         x = StatePoint(0.5, {3: 0.5})
@@ -252,6 +265,13 @@ class TestPathCost:
                          zetak=np.full((11, 1), 0.4), psi=np.zeros(11))
         with pytest.raises(PreconditionError, match=r"\|dr/dt \+ 2\|"):
             path_cost(flat)
+
+    def test_oversubscribed_path_infinite(self):
+        # unit pace, but 1.5 wakes per unit time: sum_k nu_k = 1.5 > 1
+        t = np.linspace(0.0, 0.4, 41)
+        path = FluidPath(grid=t, degrees=(1,), zeta0=1.0 - 0.5 * t,
+                         zetak=(1.0 - 1.5 * t)[:, None], psi=np.zeros_like(t))
+        assert path_cost(path) == math.inf
 
     def test_lln_supercritical_zero_cost(self):
         p = DegreeDistribution({1: 0.5, 3: 0.5})
@@ -300,63 +320,3 @@ class TestClosedForm:
             rhs = (cost_closed_form(sp(p), sp(minus(p, q)))
                    + cost_closed_form(sp(minus(p, q)), sp(minus(minus(p, q), qb))))
             assert abs(lhs - rhs) <= 1e-10
-
-
-class TestTimeChange:
-    def test_identity_on_normalized(self):
-        mp = minimizer_path(make_segment_spec(X1_REG, X2_REG), grid_points=801)
-        out = normalize_time_change(mp)
-        assert np.max(np.abs(out.grid - mp.grid)) <= 1e-9
-        assert np.max(np.abs(out.zeta(3) - mp.zeta(3))) <= 1e-9
-
-    def test_plateau_excised(self):
-        mp = minimizer_path(make_segment_spec(X1_REG, X2_REG), grid_points=401)
-        mid = 200
-        shift = 0.1
-        grid = np.concatenate([mp.grid[:mid],
-                               [mp.grid[mid - 1] + 0.03, mp.grid[mid - 1] + 0.06],
-                               mp.grid[mid:] + shift])
-        frozen = FluidPath(
-            grid=grid, degrees=mp.degrees,
-            zeta0=np.concatenate([mp.zeta0[:mid], [mp.zeta0[mid - 1]] * 2, mp.zeta0[mid:]]),
-            zetak=np.vstack([mp.zetak[:mid], np.tile(mp.zetak[mid - 1], (2, 1)), mp.zetak[mid:]]),
-            psi=np.concatenate([mp.psi[:mid], [mp.psi[mid - 1]] * 2, mp.psi[mid:]]),
-        )
-        out = normalize_time_change(frozen)
-        assert out.grid[-1] - out.grid[0] == pytest.approx(0.75, abs=1e-12)
-        assert out.zeta(3)[0] == 1.0
-        assert out.zeta(3)[-1] == pytest.approx(0.5, abs=1e-12)
-        r = out.r()
-        slopes = np.diff(r) / np.diff(out.grid)
-        assert np.max(np.abs(slopes + 2.0)) <= 1e-8
-
-    def test_lln_prefix_unchanged(self):
-        p = DegreeDistribution({1: 0.5, 3: 0.5})
-        fp = lln_path(p, T=1.2, grid_points=2001)
-        tau = fp.tau_markers["tau"]
-        t2 = float(fp.grid[fp.grid <= tau + 1e-12][-1])
-        out = normalize_time_change(fp, 0.0, t2)
-        ref = fp.slice(0.0, t2)
-        assert np.max(np.abs(out.grid - ref.grid)) <= 1e-9
-
-    def test_inverts_smooth_warp(self):
-        # warp the clock of a unit-pace path, then renormalize: the original
-        # parameterization comes back exactly (r-values pin the new clock)
-        mp = minimizer_path(make_segment_spec(X1_REG, X2_REG),
-                            grid=np.linspace(0.0, 0.75, 2001))
-        t = mp.grid
-        w = t + 0.1 * np.sin(np.pi * t / 0.75) * t * (0.75 - t)
-        warped = FluidPath(grid=w, degrees=mp.degrees, zeta0=mp.zeta0,
-                           zetak=mp.zetak, psi=mp.psi)
-        back = normalize_time_change(warped)
-        assert np.max(np.abs(back.grid - t)) <= 1e-12
-        assert np.array_equal(back.zeta(3), mp.zeta(3))
-
-    def test_increasing_r_rejected(self):
-        grid = np.linspace(0.0, 1.0, 5)
-        rising = FluidPath(grid=grid, degrees=(3,),
-                           zeta0=np.linspace(0.0, 1.0, 5),
-                           zetak=np.full((5, 1), 0.4),
-                           psi=np.linspace(0.0, 1.0, 5))
-        with pytest.raises(PreconditionError):
-            normalize_time_change(rising)
