@@ -129,7 +129,12 @@ def eea_run(d: DegreeSequence, rng: CounterRNG,
     """Run the exploration chain to termination.
 
     Components are always recorded; the full (A, V) step
-    sequence only when ``record_trajectory`` is set.
+    sequence only when ``record_trajectory`` is set.  The chain reads its
+    stream ahead in blocks of at most 2^16 draws (:meth:`CounterRNG.read_ahead`),
+    so memory stays bounded, and leaves the counter ``n_steps`` past its
+    start.  A recorded run keeps only A and the woken degree of each step
+    (0 for a kill); ``steps_V`` is rebuilt from the wakes by one
+    cumulative sum.
     """
     counts = d.counts()
     degs = tuple(counts)
@@ -139,29 +144,20 @@ def eea_run(d: DegreeSequence, rng: CounterRNG,
     n, m = d.n, d.m
     max_steps = m + n
 
-    record_A: list[int] | None = None
-    record_V: list[list[int]] | None = None
-    if record_trajectory:
-        record_A = [a]
-        record_V = [[kv[k] for k in degs]]
-
+    record_A = [a]
+    woke: list[int] = []  # per step: the woken degree, 0 for a kill
     components: list[ComponentRecord] = []
-    new_comp_steps: list[int] = []
     cur_config: dict[int, int] = {}
     cur_edges = 0
     j = 0
 
-    while True:
-        killw = a - 1 if a > 1 else 0
-        denom = s + killw
-        if denom == 0:
-            break
-        if j >= max_steps:
-            raise StateError(f"exploration exceeded the step bound m + n = {max_steps}")
-        x = rng.uniform() * denom
+    killw, denom = 0, s  # from A = 0; s > 0 since every degree is >= 1
+    for u in rng.read_ahead(max_steps):
+        x = u * denom
         if x < killw:
             a -= 2
             cur_edges += 1
+            woken = 0
         else:
             y = x - killw
             cum = 0
@@ -176,12 +172,11 @@ def eea_run(d: DegreeSequence, rng: CounterRNG,
                 cur_edges += 1
             else:
                 a = woken
-                new_comp_steps.append(j)
             cur_config[woken] = cur_config.get(woken, 0) + 1
         j += 1
         if record_trajectory:
             record_A.append(a)
-            record_V.append([kv[k] for k in degs])
+            woke.append(woken)
         if a == 0:
             components.append(ComponentRecord(
                 degree_config=dict(sorted(cur_config.items())),
@@ -189,14 +184,26 @@ def eea_run(d: DegreeSequence, rng: CounterRNG,
                 n_edges=cur_edges,
             ))
             cur_config, cur_edges = {}, 0
+        killw = a - 1 if a > 1 else 0
+        denom = s + killw
+        if denom == 0:  # checked before the next draw is taken
+            break
+    rng.skip(j)
+    if denom:
+        raise StateError(f"exploration exceeded the step bound m + n = {max_steps}")
 
-    rec = ExplorationRecord(
-        degrees=degs, n=n, m=m, n_steps=j,
-        components=components,
-        steps_A=np.array(record_A, dtype=np.int64) if record_trajectory else None,
-        steps_V=np.array(record_V, dtype=np.int64) if record_trajectory else None,
-        new_component_at=np.array(new_comp_steps, dtype=np.int64) if record_trajectory else None,
-    )
+    rec = ExplorationRecord(degrees=degs, n=n, m=m, n_steps=j, components=components)
+    if record_trajectory:
+        rec.steps_A = np.array(record_A, dtype=np.int64)
+        woken_deg = np.array(woke, dtype=np.int64)
+        wakes = np.flatnonzero(woken_deg)
+        # row 0 holds the initial counts, row i + 1 a -1 in the column woken
+        # at step i; summing down the rows in place gives V after each step
+        V = np.zeros((j + 1, len(degs)), dtype=np.int64)
+        V[0] = [counts[k] for k in degs]
+        V[wakes + 1, np.searchsorted(degs, woken_deg[wakes])] = -1
+        rec.steps_V = np.cumsum(V, axis=0, out=V)
+        rec.new_component_at = wakes[rec.steps_A[wakes] == 0]  # wakes from A = 0
     _check_conservation_totals(rec, counts)
     return rec
 

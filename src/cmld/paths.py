@@ -184,14 +184,14 @@ def minimizer_path(spec: PathSegmentSpec, grid: np.ndarray | None = None,
     zeta_k(t) = x1_k - z~_k [1 - (1 - (t - t1)/varsigma~)^{k/2}] with
     z~_k = z_k/(1 - beta^k) and varsigma~ = varsigma/(1 - beta^2); zeta_0
     and psi follow from the unit exploration pace.  Hits x1 at t1 and x2 at
-    t1 + varsigma.
+    t1 + varsigma; when varsigma = 0 the path is the single point x1 at t1.
     """
     t1, vs = spec.t1, spec.varsigma
     if vs == 0.0:
         degrees = spec.x1.degrees
-        zk = np.tile([spec.x1.mass(k) for k in degrees], (2, 1))
-        return FluidPath(grid=np.array([t1, t1 + 1e-12]), degrees=degrees,
-                         zeta0=np.full(2, spec.x1.x0), zetak=zk, psi=np.zeros(2),
+        zk = [[spec.x1.mass(k) for k in degrees]]
+        return FluidPath(grid=np.array([t1]), degrees=degrees,
+                         zeta0=np.array([spec.x1.x0]), zetak=zk, psi=np.zeros(1),
                          meta=_segment_meta(spec))
     if grid is None:
         grid = _segment_grid(t1, vs, grid_points)

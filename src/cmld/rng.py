@@ -10,6 +10,7 @@ an absorbing state see identical uniforms at identical step indices.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _STREAM_SALT = 0xD1342543DE82EF95
+_LAZY_DRAWS = 64  # read ahead one at a time: a short run never pays for a vector block
+_BLOCK_DRAWS = 1 << 16  # the largest vector block read ahead
 
 
 def _mix64(z: int) -> int:
@@ -97,9 +100,36 @@ class CounterRNG:
         return u
 
     def uniforms(self, count: int) -> np.ndarray:
-        ctrs = np.arange(self._ctr + 1, self._ctr + count + 1, dtype=np.uint64)
+        u = self._block(self._ctr, count)
         self._ctr += count
+        return u
+
+    def _block(self, start: int, count: int) -> np.ndarray:
+        """Draws start, ..., start + count - 1, without moving the counter."""
+        ctrs = np.arange(start + 1, start + count + 1, dtype=np.uint64)
         return _unit_floats(_mix64_vec(np.uint64(self._key) + ctrs * np.uint64(_GOLDEN)))
+
+    def read_ahead(self, bound: int) -> Iterator[float]:
+        """The next ``bound`` draws in order, without moving the counter.
+
+        A caller that takes the first ``used`` of them then calls
+        ``skip(used)``, which leaves the stream exactly where ``used`` calls
+        to :meth:`uniform` would.  The first 64 draws are computed one at a
+        time as they are taken, so a short run costs no more than
+        :meth:`uniform`; the rest come in vector blocks of at most 2^16
+        draws, so memory stays bounded and stopping early wastes less than
+        one block.
+        """
+        key, start, stop = self._key, self._ctr, self._ctr + bound
+        lazy = min(stop, start + _LAZY_DRAWS)
+        for c in range(start, lazy):
+            yield counter_uniform(key, c)
+        for c in range(lazy, stop, _BLOCK_DRAWS):
+            yield from self._block(c, min(_BLOCK_DRAWS, stop - c)).tolist()
+
+    def skip(self, count: int) -> None:
+        """Move the counter past ``count`` draws without computing them."""
+        self._ctr += count
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n)."""

@@ -95,6 +95,12 @@ class TestTrajectoryCommands:
         assert payload["residual"] <= 1e-6
         assert payload["cost_closed"] == pytest.approx(0.5 * math.log(2), abs=1e-12)
 
+    def test_path_between_equal_points_costs_zero(self, files, capsys):
+        assert main(["path", "--x1", files["x1"], "--x2", files["x1"]]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["varsigma"] == 0.0
+        assert payload["cost_closed"] == payload["cost_quadrature"] == 0.0
+
     def test_simulate_deterministic_under_seed(self, files, capsys):
         argv = ["simulate", "--p", files["p"], "--n", "500", "--seed", "12"]
         assert main(argv) == 0

@@ -114,6 +114,32 @@ class TestEventProbability:
             small = estimate_event_prob(d, q, eps, reps=reps, seed=seed, chunk_size=64)
             assert default.hits == small.hits == scalar
 
+    def test_matches_scalar_chain_across_draw_blocks(self):
+        # the scalar chain reads 64 draws one by one, then blocks of 2^16;
+        # this run crosses into its second block
+        d = DegreeSequence((1,) * 31000 + (3,) * 31000)
+        seed, r = 2024, 3
+        rng = CounterRNG(seed, r)
+        rec = eea_run(d, rng)
+        assert rec.n_steps > 64 + 2 ** 16
+        assert rng._ctr == rec.n_steps
+        largest = max(rec.components, key=lambda c: c.n_vertices)
+        ks = tuple(sorted(d.counts()))
+        q = {k: v / d.n for k, v in largest.degree_config.items()}
+        lo, hi, ok = _event_windows(d.n, q, 0.5 / d.n, ks)
+        assert ok
+        assert _batch_hits(d.counts(), r, r + 1, seed, lo, hi) == 1
+        # the stream continues where it would after n_steps single draws
+        small = DegreeSequence((1, 1, 2, 3, 3, 4))
+        again = eea_run(small, rng, record_trajectory=True)
+        fresh_rng = CounterRNG(seed, r)
+        fresh_rng.skip(rec.n_steps)
+        fresh = eea_run(small, fresh_rng, record_trajectory=True)
+        assert again.components == fresh.components
+        assert np.array_equal(again.steps_A, fresh.steps_A)
+        assert np.array_equal(again.steps_V, fresh.steps_V)
+        assert rng._ctr == fresh_rng._ctr == rec.n_steps + fresh.n_steps
+
     def test_largest_uniform_stays_inside_last_bucket(self):
         # Neither chain has a fallback for a wake past the last bucket: with
         # the largest uniform, y = fl(fl(u * denom) - killw) stays below

@@ -111,6 +111,12 @@ class TestExplorationRuns:
             wakes = (V[:-1] - V[1:]).sum(axis=1)
             dA = A[1:] - A[:-1]
             assert np.all((wakes == 1) | ((wakes == 0) & (dA == -2)))
+            # the column woken at a step has the degree k that moved A:
+            # A' = A + k - 2 from A > 0, A' = k from A = 0
+            woke = wakes == 1
+            k = ks[np.argmax(V[:-1] - V[1:], axis=1)][woke]
+            a0, a1 = A[:-1][woke], A[1:][woke]
+            assert np.array_equal(a1, np.where(a0 > 0, a0 + k - 2, k))
             # living-mass monotonicity
             r = np.where(A > 0, A - 1, 0) + V @ ks
             assert np.all(np.diff(r) <= 0)
