@@ -23,7 +23,6 @@ from .lln import lln_path
 from .paths import make_segment_spec, minimizer_path, path_cost, cost_closed_form
 from .rng import CounterRNG
 from .serialize import (
-    estimate_to_json_line,
     estimates_to_csv,
     fluid_path_to_csv,
     load_degree_distribution,
@@ -32,9 +31,6 @@ from .serialize import (
     load_sub_profile,
     write_sidecar,
 )
-
-SIGN_NOTE = "rate >= 0; lim (1/n) log P = -rate"
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # argparse default exits 2
@@ -125,23 +121,23 @@ def _cmd_rate(args: argparse.Namespace) -> int:
     elif args.rate_kind == "dreg":
         rate = core.rate_d_regular(args.D, args.q)
         payload = {"D": args.D, "q": args.q, "rate": rate, "limit": -rate,
-                   "sign_convention": SIGN_NOTE}
+                   "sign_convention": core.SIGN_NOTE}
         print(f"rate {rate:.7f}  limit {-rate:.7f}")
     elif args.rate_kind == "dreg-sub":
         p = load_degree_distribution(args.p)
         rate = core.rate_d_regular_subgraph(p, args.D, args.q)
         payload = {"D": args.D, "q": args.q, "rate": rate, "limit": -rate,
-                   "sign_convention": SIGN_NOTE}
+                   "sign_convention": core.SIGN_NOTE}
     elif args.rate_kind == "size":
         p = load_degree_distribution(args.p)
         rate, argmin = core.rate_component_size(p, args.r)
         payload = {"r": args.r, "rate": rate, "limit": -rate,
                    "argmin": {str(k): v for k, v in argmin.items()},
-                   "sign_convention": SIGN_NOTE}
+                   "sign_convention": core.SIGN_NOTE}
     else:  # largest-conj
         rate = core.rate_conjectured_largest(args.D, args.x)
         payload = {"D": args.D, "x": args.x, "rate": rate, "limit": -rate,
-                   "conjecture": True, "sign_convention": SIGN_NOTE}
+                   "conjecture": True, "sign_convention": core.SIGN_NOTE}
     _emit(payload, args.out)
     return 0
 
@@ -170,7 +166,7 @@ def _cmd_path(args: argparse.Namespace) -> int:
         "cost_closed": cost_closed,
         "cost_quadrature": cost_quad,
         "residual": abs(cost_quad - cost_closed),
-        "sign_convention": SIGN_NOTE,
+        "sign_convention": core.SIGN_NOTE,
     }
     if args.out:
         fluid_path_to_csv(traj, args.out)
@@ -221,7 +217,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         estimates_to_csv([res], out)
         print(f"wrote {out}", file=sys.stderr)
     else:
-        payload = {"eps": args.eps, **json.loads(estimate_to_json_line(res))}
+        payload = {"eps": args.eps, **res.as_dict()}
         line = json.dumps(payload)
         if args.out:
             with open(args.out, "a") as f:

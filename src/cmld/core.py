@@ -29,6 +29,8 @@ from .errors import DomainError, FeasibilityError
 
 PROB_TOL = 1e-12
 
+SIGN_NOTE = "rate >= 0; lim (1/n) log P = -rate"
+
 BOUND_TWO_SIDED = "two_sided"
 BOUND_LOWER_ONLY = "lower_only"
 
@@ -151,7 +153,7 @@ class RateBreakdown:
             "limit": -self.I1,
             "feasible": self.feasible,
             "bound_kind": self.bound_kind,
-            "sign_convention": "rate >= 0; lim (1/n) log P = -rate",
+            "sign_convention": SIGN_NOTE,
         }
 
 
@@ -215,26 +217,28 @@ def bisect_increasing(f, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def beta_of_q(q) -> float:
-    """The unique root beta(q) in [0,1); zero when q_1 = 0.
+def _transition_root(w: Mapping[int, float], x10: float, x20: float) -> float:
+    """The zero in [0, 1) of ``_transition_fn(w, x10, x20)``; 0 when w_1 = x20 = 0.
 
-    Requires q_1 = 0 or strictly more edge mass than twice the vertex mass.
+    Otherwise requires x10 - x20 + sum_k k w_k > 2 sum_k w_k.  A root below
+    the bracket [1e-15, 1 - 1e-15] comes back within the bisection's 1e-15.
     """
-    w = _weights_of(q)
-    if w.get(1, 0.0) == 0.0:
+    if w.get(1, 0.0) == 0.0 and x20 == 0.0:
         return 0.0
-    edge = math.fsum(k * v for k, v in w.items())
+    edge = x10 - x20 + math.fsum(k * v for k, v in w.items())
     vert = math.fsum(w.values())
     if not edge > 2.0 * vert:
-        raise FeasibilityError(
-            f"profile with q_1 > 0 violates sum k q_k > 2 sum q_k ({edge} <= {2.0 * vert})"
-        )
-    F = _transition_fn(w, 0.0, 0.0)
-    flo, fhi = F(_BISECT_LO), F(_BISECT_HI)
-    if flo > 0.0 or fhi < 0.0:
-        raise FeasibilityError(
-            f"bisection bracket invalid: F({_BISECT_LO})={flo}, F({_BISECT_HI})={fhi}")
+        raise FeasibilityError("no transition root: requires w_1 = x2_0 = 0 or "
+                               f"sum k w_k + x1_0 - x2_0 > 2 sum w_k ({edge} <= {2 * vert})")
+    F = _transition_fn(w, x10, x20)
+    if F(_BISECT_HI) <= 0.0:
+        raise FeasibilityError(f"transition root bracket failed: F({_BISECT_HI}) <= 0")
     return bisect_increasing(F, _BISECT_LO, _BISECT_HI)
+
+
+def beta_of_q(q) -> float:
+    """The unique root beta(q) in [0,1), ``_transition_root(q, 0, 0)``; 0 when q_1 = 0."""
+    return _transition_root(_weights_of(q), 0.0, 0.0)
 
 
 def _k_correction(w: Mapping[int, float], beta: float) -> float:
@@ -288,7 +292,10 @@ def rate_d_regular(D: int, qD: float) -> float:
 
 
 def rate_d_regular_subgraph(p: DegreeDistribution, D: int, qD: float) -> float:
-    """Rate for a D-regular component of size about n*qD under general p with p_1 = 0."""
+    """Rate for a D-regular component of size about n*qD under general p with p_1 = 0.
+
+    H(q) + H(p-q) - H(p) at q = {D: qD}; K = 0 because p_1 = 0 forces beta = 0.
+    """
     if p.pk(1) > 0.0:
         raise FeasibilityError("D-regular-subgraph rate requires p_1 = 0")
     if D < 3:
@@ -299,14 +306,7 @@ def rate_d_regular_subgraph(p: DegreeDistribution, D: int, qD: float) -> float:
     if not 0.0 < qD <= pD + PROB_TOL:
         raise DomainError(f"qD must lie in (0, p_{D}] = (0, {pD}], got {qD}")
     qD = min(qD, pD)
-    mu = p.mu
-
-    def xlogx(x: float) -> float:
-        return x * math.log(x) if x > 0.0 else 0.0
-
-    vertex_part = xlogx(qD) + xlogx(pD - qD) - xlogx(pD)
-    edge_part = xlogx(0.5 * D * qD) + xlogx(0.5 * (mu - D * qD)) - xlogx(0.5 * mu)
-    return vertex_part - edge_part
+    return entropy_H({D: qD}) + entropy_H({**p.weights, D: pD - qD}) - entropy_H(p)
 
 
 def rate_conjectured_largest(D: int, x: float) -> float:

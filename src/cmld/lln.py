@@ -14,6 +14,10 @@ profile zeta_k(t) = p_k y(t)^k: y = sqrt(1 - 2t/mu) until tau = mu(1-rho^2)/2
 (the giant is exhausted), then y = rho f_rho(t - tau), with f_s the inverse
 of F_s(u) = G0(s) - G0(su).  Without a giant the sentinel rho = 1 gives
 tau = 0, so the profile is p_k f_1(t)^k throughout.
+
+Up to tau, zeta_0 = sum_k k (p_k - zeta_k) - 2t by unit pace and psi = zeta_0.
+After tau there is no active mass and psi = sum_k (k - 2)(p_k rho^k - zeta_k),
+which stays zero; so zeta_0 = Gamma(psi) holds on any grid up to rounding.
 """
 
 from __future__ import annotations
@@ -111,19 +115,6 @@ def _refined_grid(T: float, grid_points: int, special: float) -> np.ndarray:
     return np.unique(np.concatenate([base[keep], fine, [special]]))
 
 
-def _psi_from_zeta(grid: np.ndarray, p: DegreeDistribution, ks: np.ndarray,
-                   zetak: np.ndarray, zeta0: np.ndarray) -> np.ndarray:
-    """psi = -2 int_0^t r0(zeta) ds + sum_k (k-2)(p_k - zeta_k(t)); trapezoid."""
-    pk = np.array([p.weights[int(k)] for k in ks])
-    r = np.maximum(zeta0, 0.0) + zetak @ ks
-    with np.errstate(invalid="ignore", divide="ignore"):
-        r0 = np.where(r > 0.0, np.maximum(zeta0, 0.0) / np.where(r > 0.0, r, 1.0), 0.0)
-    dt = np.diff(grid)
-    integral = np.concatenate([[0.0], np.cumsum(0.5 * (r0[1:] + r0[:-1]) * dt)])
-    series = (pk - zetak) @ (ks - 2.0)
-    return -2.0 * integral + series
-
-
 def lln_path(p: DegreeDistribution, T: float | None = None, grid_points: int = 1001,
              grid: np.ndarray | None = None) -> FluidPath:
     """The unique zero-cost fluid trajectory on [0, T], T >= mu/2.
@@ -157,10 +148,8 @@ def lln_path(p: DegreeDistribution, T: float | None = None, grid_points: int = 1
                   for t in grid[~before]]
     zetak = pk[None, :] * y[:, None] ** ks[None, :]
     zeta0 = np.zeros(len(grid))
-    g1y = np.array([gen_G1(p, yi) for yi in y[before]])
-    zeta0[before] = np.maximum(mu - 2.0 * grid[before] - mu * y[before] * g1y, 0.0)
-
-    psi = _psi_from_zeta(grid, p, ks, zetak, zeta0)
+    zeta0[before] = np.maximum((pk - zetak[before]) @ ks - 2.0 * grid[before], 0.0)
+    psi = np.where(before, zeta0, (pk * rho ** ks - zetak) @ (ks - 2.0))
     markers = {"tau_zeta": tau_zeta}
     if rho < 1.0:
         markers["tau"] = tau

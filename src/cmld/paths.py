@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _BISECT_HI, _BISECT_LO, _clean_weights, _transition_fn, bisect_increasing
-from .errors import DomainError, FeasibilityError, PreconditionError
+from .core import _clean_weights, _transition_root
+from .errors import DomainError, PreconditionError
 from .fluid import FluidPath
 
 _MASS_TOL = 1e-12
@@ -93,14 +93,9 @@ class PathSegmentSpec:
 
     x1: StatePoint
     x2: StatePoint
-    t1: float
     varsigma: float
     beta: float
     case: str
-
-    @property
-    def t2(self) -> float:
-        return self.t1 + self.varsigma
 
     @property
     def varsigma_tilde(self) -> float:
@@ -129,39 +124,26 @@ def _drop(x1: StatePoint, x2: StatePoint) -> dict[int, float]:
 def beta_general(x1: StatePoint, x2: StatePoint) -> tuple[float, str]:
     """Transition root for the segment x1 -> x2 and the construction case.
 
+    ``core._transition_root(z, x1_0, x2_0)`` for the drop z = x1 - x2.
     Case (i): x2_0 = 0 and z_1 = 0 give beta = 0 exactly.  Case (ii)
-    requires sum_k k z_k + z_0 > 2 sum_k z_k together with x2_0 > 0 or
-    z_1 > 0; beta is then the unique zero of the strictly increasing
-    ``core._transition_fn(z, x1_0, x2_0)``.
+    requires sum_k k z_k + z_0 > 2 sum_k z_k; beta is then the unique zero
+    of the strictly increasing ``core._transition_fn(z, x1_0, x2_0)``.
     """
     z = _drop(x1, x2)
-    z1 = z.get(1, 0.0)
-    if x2.x0 == 0.0 and z1 == 0.0:
-        return 0.0, CASE_I
-    z0 = x1.x0 - x2.x0
-    edge = z0 + math.fsum(k * v for k, v in z.items())
-    vert = math.fsum(z.values())
-    if not (edge > 2.0 * vert and (x2.x0 > 0.0 or z1 > 0.0)):
-        raise FeasibilityError(
-            "segment admits no transition root: requires x2_0 = z_1 = 0, or "
-            f"sum k z_k + z_0 > 2 sum z_k ({edge} vs {2.0 * vert}) with x2_0 > 0 or z_1 > 0"
-        )
-    F = _transition_fn(z, x1.x0, x2.x0)
-    if F(_BISECT_HI) <= 0.0:
-        raise FeasibilityError("transition root bracket failed at 1-")
-    return bisect_increasing(F, _BISECT_LO, _BISECT_HI), CASE_II
+    case = CASE_I if x2.x0 == 0.0 and z.get(1, 0.0) == 0.0 else CASE_II
+    return _transition_root(z, x1.x0, x2.x0), case
 
 
-def make_segment_spec(x1: StatePoint, x2: StatePoint, t1: float = 0.0) -> PathSegmentSpec:
+def make_segment_spec(x1: StatePoint, x2: StatePoint) -> PathSegmentSpec:
     """Validate endpoints, solve for the root, and package the segment."""
     beta, case = beta_general(x1, x2)
     vs = varsigma(x1, x2)
     if vs < -_MASS_TOL:
         raise DomainError(f"segment duration varsigma = {vs} is negative")
-    return PathSegmentSpec(x1=x1, x2=x2, t1=t1, varsigma=max(vs, 0.0), beta=beta, case=case)
+    return PathSegmentSpec(x1=x1, x2=x2, varsigma=max(vs, 0.0), beta=beta, case=case)
 
 
-def _segment_grid(t1: float, vs: float, n: int) -> np.ndarray:
+def _segment_grid(vs: float, n: int) -> np.ndarray:
     """Uniform body plus a quadratically graded tail over the last 20%.
 
     The minimizer's velocities behave like sqrt(t2 - t) at the right
@@ -170,31 +152,31 @@ def _segment_grid(t1: float, vs: float, n: int) -> np.ndarray:
     """
     n_tail = max(n // 3, 2)
     n_body = max(n - n_tail, 2)
-    split = t1 + 0.8 * vs
-    body = np.linspace(t1, split, n_body, endpoint=False)
+    split = 0.8 * vs
+    body = np.linspace(0.0, split, n_body, endpoint=False)
     w = np.linspace(1.0, 0.0, n_tail)
-    tail = t1 + vs - 0.2 * vs * w * w
+    tail = vs - 0.2 * vs * w * w
     return np.unique(np.concatenate([body, tail]))
 
 
 def minimizer_path(spec: PathSegmentSpec, grid: np.ndarray | None = None,
                    grid_points: int = 4501) -> FluidPath:
-    """The explicit minimizing trajectory of the segment on [t1, t1 + varsigma].
+    """The explicit minimizing trajectory of the segment on [0, varsigma].
 
-    zeta_k(t) = x1_k - z~_k [1 - (1 - (t - t1)/varsigma~)^{k/2}] with
+    zeta_k(t) = x1_k - z~_k [1 - (1 - t/varsigma~)^{k/2}] with
     z~_k = z_k/(1 - beta^k) and varsigma~ = varsigma/(1 - beta^2); zeta_0
-    and psi follow from the unit exploration pace.  Hits x1 at t1 and x2 at
-    t1 + varsigma; when varsigma = 0 the path is the single point x1 at t1.
+    and psi follow from the unit exploration pace.  Hits x1 at 0 and x2 at
+    varsigma; when varsigma = 0 the path is the single point x1 at 0.
     """
-    t1, vs = spec.t1, spec.varsigma
+    vs = spec.varsigma
     if vs == 0.0:
         degrees = spec.x1.degrees
         zk = [[spec.x1.mass(k) for k in degrees]]
-        return FluidPath(grid=np.array([t1]), degrees=degrees,
+        return FluidPath(grid=np.array([0.0]), degrees=degrees,
                          zeta0=np.array([spec.x1.x0]), zetak=zk, psi=np.zeros(1),
                          meta=_segment_meta(spec))
     if grid is None:
-        grid = _segment_grid(t1, vs, grid_points)
+        grid = _segment_grid(vs, grid_points)
     grid = np.asarray(grid, dtype=float)
 
     beta = spec.beta
@@ -205,12 +187,12 @@ def minimizer_path(spec: PathSegmentSpec, grid: np.ndarray | None = None,
     zk = np.array([spec.z(k) for k in degrees])
     ztil = np.where(zk > 0.0, zk / (1.0 - beta ** ks), 0.0)
 
-    u = np.clip((grid - t1) / vst, 0.0, 1.0)
+    u = np.clip(grid / vst, 0.0, 1.0)
     factor = (1.0 - u)[:, None] ** (0.5 * ks)[None, :]
     zetak = p1[None, :] - ztil[None, :] * (1.0 - factor)
     drained = (p1 - zetak) @ ks
-    zeta0 = spec.x1.x0 + drained - 2.0 * (grid - t1)
-    psi = drained - 2.0 * (grid - t1)  # psi(t1) = 0
+    zeta0 = spec.x1.x0 + drained - 2.0 * grid
+    psi = drained - 2.0 * grid  # psi(0) = 0
     return FluidPath(grid=grid, degrees=degrees, zeta0=np.maximum(zeta0, 0.0),
                      zetak=zetak, psi=psi, meta=_segment_meta(spec))
 
@@ -348,18 +330,14 @@ def _h_tilde(x0: float, xk: dict[int, float]) -> float:
 
 def cost_closed_form(x1: StatePoint, x2: StatePoint) -> float:
     """Closed-form segment cost H~(z) + H~(x2) - H~(x1) + K~(x1, x2)."""
-    beta, _ = beta_general(x1, x2)
-    vs = varsigma(x1, x2)
-    if vs < -_MASS_TOL:
-        raise DomainError(f"varsigma = {vs} is negative")
+    spec = make_segment_spec(x1, x2)
+    beta = spec.beta
     z = _drop(x1, x2)
     z0 = x1.x0 - x2.x0
     k_tilde = 0.0
     if beta > 0.0:
-        k_tilde += vs * math.log1p(-beta * beta)
+        k_tilde += spec.varsigma * math.log1p(-beta * beta)
         k_tilde -= math.fsum(v * math.log1p(-beta ** k) for k, v in z.items())
         k_tilde += x2.x0 * math.log(beta)
-    elif x2.x0 > 0.0:
-        raise FeasibilityError("x2_0 > 0 with beta = 0 has infinite cost")
     return (_h_tilde(z0, z) + _h_tilde(x2.x0, x2.xk) - _h_tilde(x1.x0, x1.xk)
             + k_tilde)

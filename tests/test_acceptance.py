@@ -156,7 +156,7 @@ def _perturbation_suite() -> float:
     base = minimizer_path(spec)
     base_cost = path_cost(base)
     grid, vs = base.grid, spec.varsigma
-    u = (grid - spec.t1) / vs
+    u = grid / vs
     z3 = base.zeta(3)
     dz3 = np.gradient(z3, grid)
     nu0 = 1.0 + dz3

@@ -110,12 +110,14 @@ class TestTransitionRoot:
         assert abs(resid) <= 1e-10
 
     def test_agrees_with_profile_root_exactly(self):
-        # dyadic weights make z = x1 - x2 exact, so both routes solve the
-        # same equation on the same bracket
-        p = {1: 0.5, 3: 0.5}
-        q = {1: 0.125, 3: 0.375}
-        x2 = StatePoint(0.0, {k: p[k] - q[k] for k in p})
-        assert beta_general(StatePoint(0.0, p), x2)[0] == beta_of_q(q)
+        # weights for which z = x1 - x2 is exactly q, so both routes solve
+        # the same equation on the same bracket; the second root lies below
+        # the bracket's 1e-15
+        for p, q in (({1: 0.5, 3: 0.5}, {1: 0.125, 3: 0.375}),
+                     ({1: 2e-20, 3: 0.5}, {1: 1e-20, 3: 0.3})):
+            x2 = StatePoint(0.0, {k: p[k] - q[k] for k in p})
+            assert {k: p[k] - x2.mass(k) for k in p} == q
+            assert beta_of_q(q) == beta_general(StatePoint(0.0, p), x2)[0]
 
     def test_neither_case_rejected(self):
         # x2_0 > 0 rules out case (i); edge drop equal to twice the vertex
@@ -189,7 +191,7 @@ class TestMinimizer:
     def test_interior_positive_active_mass(self):
         spec = make_segment_spec(X1_ACT, X2_ACT)
         mp = minimizer_path(spec)
-        interior = (mp.grid > spec.t1) & (mp.grid < spec.t2)
+        interior = (mp.grid > 0.0) & (mp.grid < spec.varsigma)
         assert np.min(mp.zeta0[interior]) > 0.0
 
     def test_unit_pace_membership(self):
