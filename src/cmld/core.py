@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .errors import DomainError, FeasibilityError
 
 PROB_TOL = 1e-12
@@ -214,6 +216,31 @@ def bisect_increasing(f, lo: float, hi: float) -> float:
             lo = mid
         else:
             hi = mid
+    return 0.5 * (lo + hi)
+
+
+def bisect_increasing_array(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """:func:`bisect_increasing` lane by lane for a vectorised f.
+
+    f maps an array of points to the array of values, lane i of the output
+    depending only on lane i of the input; the lanes are the broadcast
+    shape of lo and hi.  Each lane follows the scalar halving rule and is
+    frozen once it stops; f is still evaluated on frozen lanes, whose values
+    are ignored.  With f evaluated to the same bits as its scalar form, each
+    lane returns the same bits as :func:`bisect_increasing`.  Each halving
+    costs a few array operations, so a single root is far cheaper by the
+    scalar form.
+    """
+    lo, hi = (np.array(a, dtype=float) for a in np.broadcast_arrays(lo, hi))
+    live = np.ones(lo.shape, dtype=bool)
+    for _ in range(_BISECT_MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        live &= (hi - lo > 1e-15) & (lo < mid) & (mid < hi)
+        if not live.any():
+            break
+        below = f(mid) < 0.0
+        lo = np.where(live & below, mid, lo)
+        hi = np.where(live & ~below, mid, hi)
     return 0.5 * (lo + hi)
 
 

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .core import DegreeDistribution, bisect_increasing
+from .core import DegreeDistribution, bisect_increasing, bisect_increasing_array
 from .errors import DomainError
 from .fluid import FluidPath
 
@@ -81,19 +81,28 @@ def giant_fraction(p: DegreeDistribution) -> float:
     return 1.0 - gen_G0(p, survival_rho(p))
 
 
-def inverse_Fs(p: DegreeDistribution, s: float, t: float) -> float:
-    """f_s(t): inverse of F_s(u) = G0(s) - G0(su) for t <= G0(s), else 0."""
+def inverse_Fs(p: DegreeDistribution, s: float, t):
+    """f_s(t): inverse of F_s(u) = G0(s) - G0(su) for t <= G0(s), else 0.
+
+    t is a float or an array of times, solved together by one array
+    bisection; a float t gives a float.  Lanes with t = 0 return 1 and
+    lanes with t >= G0(s) return 0 exactly.
+    """
     if not 0.0 < s <= 1.0:
         raise DomainError(f"s must lie in (0, 1], got {s}")
-    if t < 0.0:
-        raise DomainError(f"t must be nonnegative, got {t}")
+    tt = np.asarray(t, dtype=float)
+    if np.any(tt < 0.0):
+        raise DomainError(f"t must be nonnegative, got {tt.min()}")
     g0s = gen_G0(p, s)
-    if t <= 0.0:
-        return 1.0
-    if t >= g0s:
-        return 0.0
-    target = g0s - t  # solve G0(s u) = target, increasing in u
-    return bisect_increasing(lambda u: gen_G0(p, s * u) - target, 0.0, 1.0)
+    target = g0s - tt  # solve G0(s u) = target, increasing in u
+
+    def gap(u: np.ndarray) -> np.ndarray:
+        z = s * u
+        return sum(v * z ** k for k, v in p.weights.items()) - target
+
+    u = bisect_increasing_array(gap, np.zeros(tt.shape), np.ones(tt.shape))
+    u = np.where(tt <= 0.0, 1.0, np.where(tt >= g0s, 0.0, u))
+    return float(u) if u.ndim == 0 else u
 
 
 def _refined_grid(T: float, grid_points: int, special: float) -> np.ndarray:
@@ -125,9 +134,19 @@ def lln_path(p: DegreeDistribution, T: float | None = None, grid_points: int = 1
     mu = p.mu
     if grid is not None:
         grid = np.asarray(grid, dtype=float)
+        if grid.ndim != 1 or grid.size == 0:
+            raise DomainError("grid must be a nonempty 1-D array of times")
+        if not np.all(np.isfinite(grid)):
+            raise DomainError("grid holds a non-finite time")
+        if grid[0] < 0.0:
+            raise DomainError(f"grid starts at {grid[0]} < 0")
         T = float(grid[-1])
+    elif grid_points < 2:
+        raise DomainError(f"grid_points must be at least 2, got {grid_points}")
     if T is None:
         raise DomainError("either T or an explicit grid is required")
+    if not math.isfinite(T):
+        raise DomainError(f"horizon T = {T} is not finite")
     if T < 0.5 * mu - 1e-12:
         raise DomainError(f"horizon T = {T} shorter than mu/2 = {0.5 * mu}")
 
@@ -144,8 +163,7 @@ def lln_path(p: DegreeDistribution, T: float | None = None, grid_points: int = 1
     before = grid <= tau
     y = np.empty(len(grid))
     y[before] = np.sqrt(np.maximum(1.0 - 2.0 * grid[before] / mu, 0.0))
-    y[~before] = [rho * inverse_Fs(p, rho, t - tau) if rho > 0.0 else 0.0
-                  for t in grid[~before]]
+    y[~before] = rho * inverse_Fs(p, rho, grid[~before] - tau) if rho > 0.0 else 0.0
     zetak = pk[None, :] * y[:, None] ** ks[None, :]
     zeta0 = np.zeros(len(grid))
     zeta0[before] = np.maximum((pk - zetak[before]) @ ks - 2.0 * grid[before], 0.0)

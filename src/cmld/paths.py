@@ -28,6 +28,7 @@ the closed form to 1e-6 on any valid segment.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -257,6 +258,24 @@ def _check_unit_pace(path: FluidPath) -> None:
         )
 
 
+@functools.cache
+def _tail_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the composite Gauss-Legendre rule on [0, sqrt(_TAIL_FRACTION)].
+
+    Built on first use, not at import, so that ``import cmld`` does not load
+    ``numpy.polynomial``; the arrays are read-only as every call shares them.
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(_GL_NODES)
+    panel_edges = np.linspace(0.0, math.sqrt(_TAIL_FRACTION), _GL_PANELS + 1)
+    a, b = panel_edges[:-1, None], panel_edges[1:, None]
+    s = (0.5 * (b - a) * nodes + 0.5 * (a + b)).ravel()
+    w = (0.5 * (b - a) * weights).ravel()
+    s.flags.writeable = w.flags.writeable = False
+    return s, w
+
+
 def path_cost(path: FluidPath, t1: float | None = None, t2: float | None = None) -> float:
     """Integral of the local rate along a unit-pace path segment.
 
@@ -276,8 +295,6 @@ def path_cost(path: FluidPath, t1: float | None = None, t2: float | None = None)
     seg = path.slice(t1, t2)
     _check_unit_pace(seg)
 
-    from numpy.polynomial.legendre import leggauss
-
     ks = np.array(seg.degrees, dtype=float)
     _, dzetak = seg.derivatives()
 
@@ -294,11 +311,7 @@ def path_cost(path: FluidPath, t1: float | None = None, t2: float | None = None)
 
     # tail in s = sqrt((t2 - t)/span): dt = 2 * span * s ds removes the
     # logarithmic endpoint singularity
-    nodes, weights = leggauss(_GL_NODES)
-    panel_edges = np.linspace(0.0, math.sqrt(_TAIL_FRACTION), _GL_PANELS + 1)
-    a, b = panel_edges[:-1, None], panel_edges[1:, None]
-    s = (0.5 * (b - a) * nodes + 0.5 * (a + b)).ravel()
-    w = (0.5 * (b - a) * weights).ravel()
+    s, w = _tail_rule()
 
     t_nodes = np.concatenate([mid - half * g2, mid + half * g2, t2 - span * s * s])
     w_nodes = np.concatenate([half, half, w * 2.0 * span * s])

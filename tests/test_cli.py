@@ -75,6 +75,11 @@ class TestInfeasibleInputs:
     def test_dreg_low_degree_exit_2(self, files):
         assert main(["rate", "dreg", "--D", "2", "--q", "0.5"]) == 2
 
+    @pytest.mark.parametrize("grid", ["0", "1"])
+    def test_lln_grid_below_two_exit_2(self, files, capsys, grid):
+        assert main(["lln", "--p", files["p"], "--T", "1.2", "--grid", grid]) == 2
+        assert "grid_points must be at least 2" in capsys.readouterr().err
+
 
 class TestTrajectoryCommands:
     def test_lln_writes_csv_and_sidecar(self, files, capsys):

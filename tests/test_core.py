@@ -27,8 +27,10 @@ from cmld import (
     rate_d_regular,
     rate_d_regular_subgraph,
 )
+from cmld.core import bisect_increasing, bisect_increasing_array
 
-# frozen from a 50-digit evaluation of the defining series at the exact roots
+# frozen from a 50-digit evaluation of the defining series at the exact roots;
+# scripts/frozen_constants.py regenerates them
 K_EXPECTED = 0.006066873509048356
 I1_MIXED_EXPECTED = 0.11250700879527151
 DREG_SUB_EXPECTED = 0.56269112819842929
@@ -94,6 +96,42 @@ class TestBetaRoot:
             return k * qk * (a - a ** (k - 1)) / (1 - a ** k) - q1
 
         assert F(lo) < F(hi)
+
+
+class TestBisectArray:
+    def test_lanes_match_scalar_bits(self):
+        # x*x*x - c is evaluated to the same bits by numpy and Python, so each
+        # lane must follow the scalar halvings exactly; the brackets make the
+        # lanes stop after different numbers of halvings
+        c = np.array([0.5, 1e-12, 2.0, 7.9, 1e3, 0.0, 0.3, 1e-300])
+        lo = np.array([0.0, 0.0, 1.0, 0.0, 9.0, -1.0, 0.6, 0.0])
+        hi = np.array([1.0, 1e-3, 2.0, 8.0, 11.0, 1.0, 0.6 + 1e-14, 1e-99])
+        rounds = []
+
+        def cube(x):
+            rounds.append(x)
+            return x * x * x - c
+
+        got = bisect_increasing_array(cube, lo, hi)
+        halvings = []
+        for i in range(len(c)):
+            calls = []
+
+            def f(x, i=i):
+                calls.append(x)
+                return x * x * x - c[i]
+
+            want = bisect_increasing(f, float(lo[i]), float(hi[i]))
+            assert got[i] == want
+            halvings.append(len(calls))
+        assert len(set(halvings)) >= 4
+        # the array form runs until its last lane stops, and no longer
+        assert len(rounds) == max(halvings)
+
+    def test_empty_and_single_lane(self):
+        assert bisect_increasing_array(lambda x: x, np.zeros(0), np.ones(0)).shape == (0,)
+        one = bisect_increasing_array(lambda x: x * x - 0.5, 0.0, 1.0)
+        assert one.shape == () and float(one) == bisect_increasing(lambda x: x * x - 0.5, 0.0, 1.0)
 
 
 class TestKCorrection:
@@ -330,11 +368,19 @@ class TestTypes:
         assert not SubProfile({2: 0.5}, p2).feasible
 
 
+def test_frozen_constants_reproduce_offline(frozen_constants):
+    assert frozen_constants["K_EXPECTED"] == K_EXPECTED
+    assert frozen_constants["I1_MIXED_EXPECTED"] == I1_MIXED_EXPECTED
+    assert frozen_constants["DREG_SUB_EXPECTED"] == DREG_SUB_EXPECTED
+
+
 def test_import_loads_no_scipy():
     # scipy is imported lazily, by the few routines that need it
     src = Path(cmld.__file__).resolve().parents[1]
+    # numpy.polynomial is loaded lazily too, by path_cost's first call
     code = ("import sys, cmld; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0].startswith('scipy')))")
+            "print(sorted(m for m in sys.modules if m.split('.')[0].startswith('scipy') "
+            "or m.startswith('numpy.polynomial')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert out.stdout.strip() == "[]"

@@ -17,10 +17,14 @@ from cmld import (
     path_cost,
     survival_rho,
 )
+from cmld.core import bisect_increasing
 
 P13 = DegreeDistribution({1: 0.5, 3: 0.5})
 P3 = DegreeDistribution({3: 1.0})
 P1 = DegreeDistribution({1: 1.0})
+P_MIX = DegreeDistribution({1: 0.3, 2: 0.1, 3: 0.2, 4: 0.15, 5: 0.1, 7: 0.1, 10: 0.05})
+POST_TAU_CASES = [P1, DegreeDistribution({1: 0.5, 2: 0.5}),
+                  DegreeDistribution({1: 0.6, 2: 0.3, 3: 0.1}), P13, P_MIX]
 
 
 class TestGeneratingFunctions:
@@ -105,6 +109,43 @@ class TestInverseFs:
         assert abs((gen_G0(P13, s) - gen_G0(P13, s * u)) - t) <= 1e-10
 
 
+class TestInverseFsArray:
+    """One array bisection over every post-tau point of lln_path's default grid."""
+
+    @pytest.mark.parametrize("p", POST_TAU_CASES, ids=lambda p: str(p.weights))
+    def test_array_matches_scalar_and_inverts(self, p):
+        fp = lln_path(p, T=0.5 * p.mu + 0.5)
+        rho, tau = fp.meta["rho"], fp.meta["tau"]
+        g0s = gen_G0(p, rho)
+        t = np.concatenate([fp.grid[fp.grid > tau] - tau, [0.0, g0s]])
+        u = inverse_Fs(p, rho, t)
+        assert u.shape == t.shape
+        assert u[-2] == 1.0 and u[-1] == 0.0
+        scalar = np.array([inverse_Fs(p, rho, float(x)) for x in t])
+        assert np.max(np.abs(u - scalar)) <= 1e-15
+        resid = [abs(g0s - gen_G0(p, rho * ui) - ti) for ui, ti in zip(u, t) if ti <= g0s]
+        assert max(resid) <= 1e-12
+
+    @pytest.mark.parametrize("p", POST_TAU_CASES, ids=lambda p: str(p.weights))
+    def test_lln_path_matches_per_point_reference(self, p):
+        fp = lln_path(p, T=0.5 * p.mu + 0.5)
+        mu, rho, tau = p.mu, fp.meta["rho"], fp.meta["tau"]
+        g0s = gen_G0(p, rho)
+
+        def y(t):
+            if t <= tau:
+                return math.sqrt(max(1.0 - 2.0 * t / mu, 0.0))
+            target = g0s - (t - tau)
+            if target <= 0.0:
+                return 0.0
+            return rho * bisect_increasing(lambda u: gen_G0(p, rho * u) - target, 0.0, 1.0)
+
+        ys = np.array([y(float(t)) for t in fp.grid])
+        for j, k in enumerate(p.degrees):
+            assert np.max(np.abs(fp.zetak[:, j] - p.weights[k] * ys ** k)) <= 1e-14
+        fp.check_invariants()
+
+
 class TestFluidTrajectory:
     def test_initial_conditions(self):
         fp = lln_path(P13, T=1.2)
@@ -131,8 +172,7 @@ class TestFluidTrajectory:
     def test_invariants(self):
         # zeta_0 and psi are closed forms of the profile, so zeta_0 = Gamma(psi)
         # holds at the default tolerance however coarse the grid
-        p_mix = {1: 0.3, 2: 0.1, 3: 0.2, 4: 0.15, 5: 0.1, 7: 0.1, 10: 0.05}
-        for p in (P13, P3, DegreeDistribution({1: 0.3, 4: 0.7}), DegreeDistribution(p_mix)):
+        for p in (P13, P3, DegreeDistribution({1: 0.3, 4: 0.7}), P_MIX):
             for n in (301, 4001):
                 lln_path(p, T=0.5 * p.mu + 0.5, grid_points=n).check_invariants()
 
@@ -166,6 +206,23 @@ class TestFluidTrajectory:
     def test_horizon_too_short(self):
         with pytest.raises(DomainError):
             lln_path(P13, T=0.5)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_too_few_grid_points_rejected(self, n):
+        with pytest.raises(DomainError, match="grid_points"):
+            lln_path(P13, T=1.2, grid_points=n)
+
+    @pytest.mark.parametrize("grid", [[], [0.0, math.nan, 1.2], [0.0, 0.5, math.inf],
+                                      [-0.1, 0.5, 1.2]])
+    def test_bad_explicit_grid_rejected(self, grid):
+        # [-0.1, 0.5, 1.2] is strictly increasing but gave zeta_1(-0.1) > p_1
+        with pytest.raises(DomainError, match="grid"):
+            lln_path(P13, grid=np.array(grid))
+
+    def test_non_finite_horizon_rejected(self):
+        for T in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="finite"):
+                lln_path(P13, T=T)
 
     def test_reflection_identity_exact_on_any_grid(self):
         for n in (501, 8001):

@@ -30,8 +30,9 @@ from cmld import (
 from cmld.fluid import reflect
 
 HALF_LOG2 = 0.5 * math.log(2.0)
-# frozen from a 50-digit closed-form evaluation at the exact root
-COST_ACTIVE_ENDPOINTS = 0.12669761393649971
+# frozen from a 50-digit closed-form evaluation at the exact root,
+# 0.12669761393649971420...; scripts/frozen_constants.py regenerates it
+COST_ACTIVE_ENDPOINTS = 0.126697613936499714
 
 X1_REG = StatePoint(0.0, {3: 1.0})
 X2_REG = StatePoint(0.0, {3: 0.5})
@@ -290,6 +291,9 @@ class TestClosedForm:
     def test_active_value(self):
         assert cost_closed_form(X1_ACT, X2_ACT) == pytest.approx(
             COST_ACTIVE_ENDPOINTS, abs=1e-12)
+
+    def test_active_value_reproduces_offline(self, frozen_constants):
+        assert frozen_constants["COST_ACTIVE_ENDPOINTS"] == COST_ACTIVE_ENDPOINTS
 
     def test_equals_profile_rate(self):
         p = DegreeDistribution({1: 0.5, 3: 0.5})
