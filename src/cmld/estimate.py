@@ -12,12 +12,20 @@ cannot matter.
 The inner loop is a lockstep-vectorized version of
 :func:`cmld.explore.eea_run` over blocks of replications; it reproduces
 the scalar chain decision-for-decision because both consume the uniform of
-step j from the same counter position.
+step j from the same counter position.  A replication leaves the block
+once its outcome is settled: when it hits, when its chain stops, or when
+its sleeping half-edge mass shows that no component can reach the window.
+That test is exact, since every hitting component's half-edge mass lies
+between those of the window's integer edges.  Once at most half of a
+block is still live, the live replications are gathered into smaller
+arrays.  Shards run in one process, or in a pool of at most one process
+per shard and per usable core.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -87,38 +95,68 @@ def _batch_hits(counts: dict[int, int], rep_lo: int, rep_hi: int, seed: int,
     """Event hits among replications [rep_lo, rep_hi), lockstep-vectorized.
 
     State is degree-major: row d of ``V`` holds the sleeping count of degree
-    ``degs[d]`` for every replication, so each step is a few contiguous
-    full-width operations.  ``Vstart`` is ``V`` when the current component
-    started; at a close, ``Vstart - V`` is the component's configuration.
+    ``degs[d]`` for every lane (replication), so each step is a few
+    contiguous full-width operations.  ``Vstart`` is ``V`` when the current
+    component started; at a close, ``Vstart - V`` is the component's
+    configuration.  ``lo`` and ``hi`` are inclusive per-degree windows; only
+    the integer counts inside them, and within ``[0, counts[k]]``, matter.
+
+    A lane retires once its outcome is settled: when it hits (it counts
+    once), when its chain stops, or when no component of it can reach the
+    window any more.  The last test reads one number per lane, the
+    sleeping half-edge mass ``s``.  A component's half-edge mass
+    sum_k k m_k is twice its edge count, so a hitting one has an even mass
+    of at least 2 in [L, H], the masses of the integer windows' lower and
+    upper edges (L rounded up and H down to even).  A later component is
+    drawn from mass ``s``, so it needs ``s >= L``; the current one started
+    from mass ``s0`` and has taken ``s0 - s`` so far, so it needs
+    ``s0 - s <= H`` and ``s0 >= L``.  These are necessary for a hit, so
+    retiring on them drops none and the test is exact.  Each close folds
+    them into one threshold ``need``, fixed until the next close: a lane
+    is live while ``s >= need``, and a stopped chain (``s = 0`` after its
+    last close) fails it.  Retired lanes keep stepping, unread, until at
+    most half the width is live: their ``s`` only falls and their ``need``
+    no longer moves, so they stay retired.  Then the live lanes are
+    gathered into smaller arrays, and the loop ends when none is left.  A
+    lane draws the uniform of step j from its own key, so gathering moves
+    no draw.
     """
     degs = np.array(sorted(counts), dtype=np.int64)
+    size = np.array([counts[int(k)] for k in degs], dtype=np.int64)
     D = len(degs)
     R = rep_hi - rep_lo
     n = sum(counts.values())
     m = sum(k * c for k, c in counts.items()) // 2
 
-    V = np.repeat(np.array([[counts[int(k)]] for k in degs], dtype=np.int64), R, axis=1)
+    lo = np.maximum(np.ceil(lo), 0.0)
+    hi = np.minimum(np.floor(hi), size)
+    if not np.all(lo <= hi):  # no integer count fits, or an edge is NaN
+        return 0
+    lo, hi = lo.astype(np.int64), hi.astype(np.int64)
+    L, H = int(degs @ lo), int(degs @ hi)
+    L, H = max(L + L % 2, 2), H - H % 2  # a component's mass is even and >= 2
+    retired = 2 * m + 1  # a need that no s reaches
+    lo, hi = lo[:, None], hi[:, None]
+
+    V = np.repeat(size[:, None], R, axis=1)
     Vstart = V.copy()
     A = np.zeros(R, dtype=np.int64)
     s = np.full(R, 2 * m, dtype=np.int64)
-    hit = np.zeros(R, dtype=bool)
+    need = np.full(R, min(L, 2 * m - H), dtype=np.int64)
     keys = stream_keys(seed, np.arange(rep_lo, rep_hi, dtype=np.uint64))
     cols = np.arange(D)[:, None]
-    lo, hi = lo[:, None], hi[:, None]
+    hits = 0
 
     for j in range(m + n):
         killw = np.maximum(A - 1, 0)
-        denom = s + killw
-        active = denom > 0
-        if not active.any():
-            break
         # y < 0 (exactly when x = u * denom < killw) kills, else the bucket
         # holding y wakes; u < 1 keeps y below s, the last cumulative
         # weight, so the last bucket needs no test
+        denom = s + killw
         y = counter_uniforms(keys, j) * denom - killw
-        wakes = active & (y >= 0)
-        cum = np.zeros(R, dtype=np.int64)
-        b = np.zeros(R, dtype=np.int64)
+        wakes = y >= 0
+        cum = np.zeros(len(s), dtype=np.int64)
+        b = np.zeros(len(s), dtype=np.int64)
         for d in range(D - 1):
             cum += degs[d] * V[d]
             b += cum <= y
@@ -129,13 +167,35 @@ def _batch_hits(counts: dict[int, int], rep_lo: int, rep_hi: int, seed: int,
         busy = A > 0  # a kill and a wake from A > 0 both spend two half-edges
         A += woken - 2 * busy
 
-        closed = busy & (A == 0)
-        if closed.any():
-            idx = np.nonzero(closed)[0]
+        idx = np.flatnonzero(busy & (A == 0))
+        if idx.size:
+            # a hitting component ends with s >= s0 - H >= need, so a lane
+            # below its need is retired or can no longer hit
+            idx = idx[s[idx] >= need[idx]]
             conf = Vstart[:, idx] - V[:, idx]
-            hit[idx[np.all((conf >= lo) & (conf <= hi), axis=0)]] = True
+            hit = np.all((conf >= lo) & (conf <= hi), axis=0)
+            hits += int(np.count_nonzero(hit))
+            s0 = s[idx]
+            need[idx] = np.where(hit | (s0 < L), retired, np.minimum(L, s0 - H))
             Vstart[:, idx] = V[:, idx]
-    return int(hit.sum())
+
+        live = s >= need
+        left = int(np.count_nonzero(live))
+        if 2 * left <= len(s):
+            if left == 0:
+                break
+            keep = np.flatnonzero(live)
+            V, Vstart, A, s, need, keys = (V[:, keep], Vstart[:, keep], A[keep],
+                                           s[keep], need[keep], keys[keep])
+    return hits
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on (all of them where affinity is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _resolve_input(p_or_d, n: int | None) -> tuple[DegreeSequence, dict[int, int]]:
@@ -153,11 +213,20 @@ def _resolve_input(p_or_d, n: int | None) -> tuple[DegreeSequence, dict[int, int
 def estimate_event_prob(p_or_d, q, eps: float, reps: int, seed: int,
                         n: int | None = None, workers: int = 1,
                         chunk_size: int = _DEFAULT_CHUNK) -> EstimateResult:
-    """Probability that some component's degree configuration is eps-close to n*q."""
+    """Probability that some component's degree configuration is eps-close to n*q.
+
+    Replications run in shards of ``chunk_size``; a pool starts only for
+    more than one shard, with ``min(workers, shards, usable cores)``
+    processes, since a fork pool starts all its processes up front.
+    """
     if reps <= 0:
         raise DomainError(f"reps must be positive, got {reps}")
-    if eps <= 0.0:
+    if not eps > 0.0:  # also rejects NaN
         raise DomainError(f"eps must be positive, got {eps}")
+    if workers < 1:
+        raise DomainError(f"workers must be at least 1, got {workers}")
+    if chunk_size < 1:
+        raise DomainError(f"chunk_size must be at least 1, got {chunk_size}")
     d, counts = _resolve_input(p_or_d, n)
     n_actual = d.n
     qw = q.weights if isinstance(q, SubProfile) else {int(k): float(v) for k, v in q.items()}
@@ -166,11 +235,12 @@ def estimate_event_prob(p_or_d, q, eps: float, reps: int, seed: int,
     hits = 0
     if possible:
         shards = [(a, min(a + chunk_size, reps)) for a in range(0, reps, chunk_size)]
-        if workers <= 1 or len(shards) == 1:
+        procs = min(workers, len(shards), _usable_cores())
+        if procs == 1:
             for a, b in shards:
                 hits += _batch_hits(counts, a, b, seed, lo, hi)
         else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=procs) as pool:
                 futs = [pool.submit(_batch_hits, counts, a, b, seed, lo, hi)
                         for a, b in shards]
                 hits = sum(f.result() for f in futs)

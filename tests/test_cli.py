@@ -72,6 +72,16 @@ class TestInfeasibleInputs:
         assert code == 2
         assert "q <= p" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--eps", "nan"], "eps must be positive"),
+        (["--eps", "0.05", "--workers", "0"], "workers must be at least 1"),
+    ])
+    def test_estimate_bad_argument_exit_2(self, files, capsys, extra, message):
+        code = main(["estimate", "--p", files["p"], "--q", files["q"], "--n", "100",
+                     "--reps", "10", "--seed", "1", *extra])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_dreg_low_degree_exit_2(self, files):
         assert main(["rate", "dreg", "--D", "2", "--q", "0.5"]) == 2
 

@@ -20,6 +20,18 @@ from cmld import (
 from cmld.estimate import _batch_hits, _event_windows, clopper_pearson
 
 
+def _scalar_hits(d, seed, reps, lo, hi):
+    """(replications with a hitting component, hitting components) from
+    per-replication eea_run runs, the kernel's oracle."""
+    ks = sorted(d.counts())
+    per_rep = []
+    for r in range(reps):
+        configs = np.array([[c.degree_config.get(k, 0) for k in ks]
+                            for c in eea_run(d, CounterRNG(seed, r)).components])
+        per_rep.append(int(np.count_nonzero(np.all((configs >= lo) & (configs <= hi), axis=1))))
+    return sum(h > 0 for h in per_rep), sum(per_rep)
+
+
 class TestEventProbability:
     def test_certain_event(self):
         res = estimate_event_prob((1, 1), {1: 1.0}, eps=0.1, reps=500, seed=3)
@@ -36,6 +48,44 @@ class TestEventProbability:
     def test_zero_reps_rejected(self):
         with pytest.raises(DomainError):
             estimate_event_prob((1, 1), {1: 1.0}, eps=0.1, reps=0, seed=3)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"eps": math.nan}, "eps must be positive"),
+        ({"eps": 0.0}, "eps must be positive"),
+        ({"workers": 0}, "workers must be at least 1"),
+        ({"workers": -2}, "workers must be at least 1"),
+        ({"chunk_size": 0}, "chunk_size must be at least 1"),
+        ({"chunk_size": -64}, "chunk_size must be at least 1"),
+    ])
+    def test_bad_arguments_rejected(self, kwargs, message):
+        args = {"eps": 0.1, "reps": 100, "seed": 3, **kwargs}
+        with pytest.raises(DomainError, match=message):
+            estimate_event_prob((1, 1), {1: 1.0}, **args)
+
+    def test_infinite_eps_hits_every_replication(self):
+        res = estimate_event_prob((3,) * 12, {3: 0.5}, eps=math.inf, reps=300, seed=5)
+        assert res.hits == res.reps and res.p_hat == 1.0
+
+    def test_pool_capped_at_shards_and_cores(self, monkeypatch):
+        import cmld.estimate as est
+
+        started = []
+
+        class Recording(est.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(est, "ProcessPoolExecutor", Recording)
+        p = DegreeDistribution({3: 1.0})
+        args = dict(q={3: 0.5}, eps=0.25, reps=3000, seed=12, n=12, chunk_size=1000)
+        many = estimate_event_prob(p, workers=64, **args)
+        cores = est._usable_cores()
+        assert started == ([min(3, cores)] if cores > 1 else [])
+        monkeypatch.setattr(est, "_usable_cores", lambda: 1)
+        assert estimate_event_prob(p, workers=64, **args) == many
+        assert len(started) == (cores > 1)  # one usable core starts no pool
+        assert estimate_event_prob(p, workers=1, **args) == many
 
     def test_sequence_length_must_match_n(self):
         seq = (1, 1, 3, 3)
@@ -113,6 +163,40 @@ class TestEventProbability:
             default = estimate_event_prob(d, q, eps, reps=reps, seed=seed)
             small = estimate_event_prob(d, q, eps, reps=reps, seed=seed, chunk_size=64)
             assert default.hits == small.hits == scalar
+
+    def test_matches_scalar_chain_on_rare_regular(self):
+        # criterion 6's shape: an 8-vertex component of a 16-vertex 3-regular
+        # graph; a lane whose first component is small goes on to hit with a
+        # later one, so its threshold must restart at each close
+        d = DegreeSequence((3,) * 16)
+        lo, hi, ok = _event_windows(16, {3: 0.5}, 1 / 16, (3,))
+        assert ok
+        reps, seed = 12000, 61
+        scalar, _ = _scalar_hits(d, seed, reps, lo, hi)
+        assert scalar >= 5
+        assert _batch_hits(d.counts(), 0, reps, seed, lo, hi) == scalar
+
+    def test_lane_with_several_hitting_components_counts_once(self):
+        # a hit is a single edge between two leaves, so many lanes hit more
+        # than once and must still count once
+        d = DegreeSequence((1,) * 8 + (2,) * 8)
+        lo, hi, ok = _event_windows(16, {1: 2 / 16}, 0.5 / 16, (1, 2))
+        assert ok
+        reps, seed = 2000, 17
+        scalar, components = _scalar_hits(d, seed, reps, lo, hi)
+        assert 0 < scalar < reps < components
+        assert _batch_hits(d.counts(), 0, reps, seed, lo, hi) == scalar
+
+    def test_window_with_negative_and_integer_edges(self):
+        # m_1 <= 2, m_2 <= 1, m_3 = 2, so a hit has half-edge mass 6 to 10;
+        # lanes that sit exactly on the live test's edge go on to hit
+        d = DegreeSequence((1, 1, 1, 1, 2, 2, 3, 3, 3, 3))
+        lo = np.array([-1.0, 0.0, 2.0])
+        hi = np.array([2.0, 1.0, 2.0])
+        reps, seed = 6000, 29
+        scalar, _ = _scalar_hits(d, seed, reps, lo, hi)
+        assert 0 < scalar < reps
+        assert _batch_hits(d.counts(), 0, reps, seed, lo, hi) == scalar
 
     def test_matches_scalar_chain_across_draw_blocks(self):
         # the scalar chain reads 64 draws one by one, then blocks of 2^16;
