@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DegreeDistribution, SubProfile
+from .core import DegreeDistribution, SubProfile, bisect_increasing
 from .errors import DomainError, FitError
 from .explore import DegreeSequence, eea_run, empirical_path, extract_components
 from .lln import lln_path
@@ -67,13 +67,134 @@ class EstimateResult:
         }
 
 
-def clopper_pearson(hits: int, reps: int) -> tuple[float, float]:
-    """Exact 95% binomial confidence interval."""
-    from scipy.stats import beta as beta_dist
+_CI_TAIL = 0.025  # mass of each tail outside the 95% interval
+_LOG_X_MIN = -745.0  # about the log of the smallest positive double
+_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# Stirling series of log Gamma(x) - (x - 1/2) log x + x - log sqrt(2 pi),
+# coefficients of 1/x, 1/x^3, ..., 1/x^15
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
+             1 / 156, -3617 / 122400)
 
-    alpha = 0.05
-    lo = 0.0 if hits == 0 else float(beta_dist.ppf(alpha / 2.0, hits, reps - hits + 1))
-    hi = 1.0 if hits == reps else float(beta_dist.ppf(1.0 - alpha / 2.0, hits + 1, reps - hits))
+
+def _stirling_remainder(x: float) -> float:
+    """log Gamma(x) - (x - 1/2) log x + x - log sqrt(2 pi) for x >= 10.
+
+    The first omitted term of the series is below 2e-18 at x = 10.
+    """
+    r = 1.0 / (x * x)
+    s = 0.0
+    for c in reversed(_STIRLING):
+        s = s * r + c
+    return s / x
+
+
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b) for a, b > 0.
+
+    Once the larger argument q reaches 10, lgamma(a) + lgamma(b) -
+    lgamma(a + b) cancels (to about 1e-8 relative at q = 1e9).  There the
+    leading Stirling terms are combined by hand, as R's ``lbeta`` does, and
+    only the remainders are added.
+    """
+    p, q = min(a, b), max(a, b)
+    if q < 10.0:
+        return math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
+    s = p + q
+    corr = _stirling_remainder(q) - _stirling_remainder(s)
+    if p < 10.0:
+        return math.lgamma(p) + corr + p - p * math.log(s) + (q - 0.5) * math.log1p(-p / s)
+    return (_LN_SQRT_2PI - 0.5 * math.log(q) + corr + _stirling_remainder(p)
+            + (p - 0.5) * math.log(p / s) + q * math.log1p(-p / s))
+
+
+def _beta_fraction(a: int, b: int, x: float, y: float, lam: float) -> float:
+    """I_x(a, b) B(a, b) / (x^a y^b) for integers a, b >= 1, y = 1 - x.
+
+    The continued fraction BFRAC of Didonato and Morris (ACM TOMS 708),
+    summed by modified Lentz.  It takes y and lam = (a + b) y - b as given,
+    so no term is a difference of numbers near 1; the textbook fraction in
+    x alone loses about half its digits when y is within 1e-8 of 1, as it
+    is for an upper bound near 1e-9.  With lam > -1 every partial
+    numerator is >= 0 and every denominator > 0, so Lentz needs no guard;
+    the numerator vanishes at n = b, so the fraction ends there at the
+    latest.
+    """
+    c = lam + 1.0
+    c0 = b / a
+    c1 = 1.0 + 1.0 / a
+    yp1 = 1.0 + y
+    f = C = c / c1
+    D = 0.0
+    p = 1.0
+    s = a + 1.0
+    for n in range(1, b + 1):
+        t = n / a
+        w = n * (b - n) * x
+        e = a / s
+        alpha = p * (p + c0) * e * e * (w * x)
+        e = (t + 1.0) / (c1 + t + t)
+        beta = n + w / s + e * (c + n * yp1)
+        p = t + 1.0
+        s += 2.0
+        D = 1.0 / (beta + alpha * D)
+        C = beta + alpha / C
+        step = C * D
+        f *= step
+        if -1e-15 <= step - 1.0 <= 1e-15:
+            break
+    return 1.0 / f
+
+
+def _beta_tails(t: float, a: int, b: int, log_beta: float) -> tuple[float, float]:
+    """(I_x(a, b), 1 - I_x(a, b)) at x = e^t, t < 0, for integers a, b >= 1.
+
+    ``log_beta`` is log B(a, b), passed in because a root search holds a
+    and b fixed.  The fraction gives the lower tail below the switch
+    x = (a+1)/(a+b+2) and the upper tail, as I_y(b, a), at or above it;
+    the other tail is 1 minus that one.  Neither tail is small at the
+    switch, so whichever tail is small is summed directly.  log y is
+    log1p(-x) for x < 1/2, which keeps the digits of a small x.
+    """
+    x = math.exp(t)
+    y = -math.expm1(t)
+    log_y = math.log1p(-x) if x < 0.5 else math.log(y)
+    front = math.exp(a * t + b * log_y - log_beta)  # x^a y^b / B(a, b)
+    lam = (a + b) * y - b if a > b else a - (a + b) * x
+    if x < (a + 1.0) / (a + b + 2.0):
+        lower = front * _beta_fraction(a, b, x, y, lam) if front else 0.0
+        return lower, 1.0 - lower
+    upper = front * _beta_fraction(b, a, y, x, -lam) if front else 0.0
+    return 1.0 - upper, upper
+
+
+def _beta_quantile(a: int, b: int, upper: bool) -> float:
+    """The x at which the lower (or, if ``upper``, the upper) tail of
+    Beta(a, b) holds mass _CI_TAIL."""
+    lb = _log_beta(a, b)
+    if upper:
+        def f(t):
+            return _CI_TAIL - _beta_tails(t, a, b, lb)[1]
+    else:
+        def f(t):
+            return _beta_tails(t, a, b, lb)[0] - _CI_TAIL
+    return math.exp(bisect_increasing(f, _LOG_X_MIN, 0.0))
+
+
+def clopper_pearson(hits: int, reps: int) -> tuple[float, float]:
+    """Exact 95% binomial confidence interval.
+
+    The bounds are beta quantiles: lo solves I_lo(hits, reps - hits + 1) =
+    0.025 and hi solves 1 - I_hi(hits + 1, reps - hits) = 0.025, from the
+    upper tail itself.  Each is found by :func:`core.bisect_increasing` in
+    t = log x over [-745, 0], where its absolute stop is a relative one in
+    x.  The bounds match the exact binomial quantiles to 1e-12 relative
+    for reps up to 1e9.
+    """
+    if reps < 1 or not 0 <= hits <= reps:
+        raise DomainError(f"need reps >= 1 and 0 <= hits <= reps, got hits = {hits}, "
+                          f"reps = {reps}")
+    lo = 0.0 if hits == 0 else _beta_quantile(hits, reps - hits + 1, upper=False)
+    hi = 1.0 if hits == reps else _beta_quantile(hits + 1, reps - hits, upper=True)
     return lo, hi
 
 
@@ -230,6 +351,9 @@ def estimate_event_prob(p_or_d, q, eps: float, reps: int, seed: int,
     d, counts = _resolve_input(p_or_d, n)
     n_actual = d.n
     qw = q.weights if isinstance(q, SubProfile) else {int(k): float(v) for k, v in q.items()}
+    for k, v in qw.items():
+        if not math.isfinite(v):
+            raise DomainError(f"q weight at degree {k} must be finite, got {v}")
 
     lo, hi, possible = _event_windows(n_actual, qw, eps, tuple(sorted(counts)))
     hits = 0

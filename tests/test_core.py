@@ -375,12 +375,24 @@ def test_frozen_constants_reproduce_offline(frozen_constants):
 
 
 def test_import_loads_no_scipy():
-    # scipy is imported lazily, by the few routines that need it
+    # no module of the package imports scipy
     src = Path(cmld.__file__).resolve().parents[1]
     # numpy.polynomial is loaded lazily too, by path_cost's first call
     code = ("import sys, cmld; "
             "print(sorted(m for m in sys.modules if m.split('.')[0].startswith('scipy') "
             "or m.startswith('numpy.polynomial')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"
+
+
+def test_estimate_loads_no_scipy():
+    # an estimate with 0 < hits < reps computes both interval bounds
+    src = Path(cmld.__file__).resolve().parents[1]
+    code = ("import sys, cmld; "
+            "r = cmld.estimate_event_prob((3,) * 12, {3: 0.5}, eps=0.1, reps=4000, seed=1); "
+            "assert 0 < r.hits < r.reps and 0 < r.ci_low < r.p_hat < r.ci_high < 1, r; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0].startswith('scipy')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert out.stdout.strip() == "[]"

@@ -32,6 +32,33 @@ def _scalar_hits(d, seed, reps, lo, hi):
     return sum(h > 0 for h in per_rep), sum(per_rep)
 
 
+def _exact_rel_err(x: float, k: int, n: int, level: float) -> float:
+    """Relative error of x as the root of P(Bin(n, x) >= k) = level.
+
+    One Newton step on the binomial tail, summed at 40 digits over its
+    shorter side, with d/dx P(Bin(n, x) >= k) = n C(n-1, k-1) x^(k-1)
+    (1-x)^(n-k).  The Clopper-Pearson bounds are these roots: the lower at
+    k = hits and level 0.025, the upper at k = hits + 1 and level 0.975.
+    """
+    import mpmath as mp
+
+    with mp.workdps(40):
+        x = mp.mpf(x)
+        j0, j1 = (k, n) if n - k < k else (0, k - 1)
+        term = mp.binomial(n, j0) * x ** j0 * (1 - x) ** (n - j0)
+        total = term
+        for j in range(j0 + 1, j1 + 1):
+            term *= (n - j + 1) * x / (j * (1 - x))
+            total += term
+        tail = total if j0 == k else 1 - total
+        slope = n * mp.binomial(n - 1, k - 1) * x ** (k - 1) * (1 - x) ** (n - k)
+        return float((tail - level) / slope / x)
+
+
+_CP_REPS = (10, 200, 2**19, 2**20, 20000, 10**6, 10**9)
+_CP_CASES = sorted({(h, r) for r in _CP_REPS for h in (0, 1, 2, 10, 1000, r - 1, r) if h <= r})
+
+
 class TestEventProbability:
     def test_certain_event(self):
         res = estimate_event_prob((1, 1), {1: 1.0}, eps=0.1, reps=500, seed=3)
@@ -61,6 +88,11 @@ class TestEventProbability:
         args = {"eps": 0.1, "reps": 100, "seed": 3, **kwargs}
         with pytest.raises(DomainError, match=message):
             estimate_event_prob((1, 1), {1: 1.0}, **args)
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_non_finite_q_rejected(self, weight):
+        with pytest.raises(DomainError, match="q weight at degree 3 must be finite"):
+            estimate_event_prob((3,) * 12, {3: weight}, eps=0.1, reps=100, seed=1)
 
     def test_infinite_eps_hits_every_replication(self):
         res = estimate_event_prob((3,) * 12, {3: 0.5}, eps=math.inf, reps=300, seed=5)
@@ -321,6 +353,32 @@ class TestConfidenceIntervals:
             lo, hi = clopper_pearson(hits, reps)
             covered += lo <= p_true <= hi
         assert covered >= 930
+
+    @pytest.mark.parametrize("hits, reps", [(-1, 10), (11, 10), (0, 0), (1, 0), (0, -5)])
+    def test_invalid_counts_rejected(self, hits, reps):
+        with pytest.raises(DomainError, match="0 <= hits <= reps"):
+            clopper_pearson(hits, reps)
+
+    @pytest.mark.parametrize("hits, reps", _CP_CASES)
+    def test_matches_scipy_and_exact_quantiles(self, hits, reps):
+        # Both bounds lie within 1e-12 relative of the exact binomial
+        # quantile, and of scipy.stats.beta.ppf wherever scipy is itself
+        # within 1e-12 of it.  scipy 1.17.1 is not on a few upper bounds
+        # with hits <= 10 and reps >= 2^19 (by up to 9e-9 at reps = 1e9),
+        # nor on the lower bound at hits = 1000, reps = 1e9, where it
+        # returns 1.9e-6 for 9.4e-7.
+        from scipy.stats import beta
+
+        lo, hi = clopper_pearson(hits, reps)
+        bounds = []
+        if hits > 0:
+            bounds.append((lo, float(beta.ppf(0.025, hits, reps - hits + 1)), hits, 0.025))
+        if hits < reps:
+            bounds.append((hi, float(beta.ppf(0.975, hits + 1, reps - hits)), hits + 1, 0.975))
+        for ours, ref, k, level in bounds:
+            assert abs(_exact_rel_err(ours, k, reps, level)) <= 1e-12
+            if abs(ours - ref) > 1e-12 * ref:
+                assert abs(_exact_rel_err(ref, k, reps, level)) > 1e-12
 
 
 class TestRateFit:
