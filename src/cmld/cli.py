@@ -79,7 +79,9 @@ def _build_parser() -> _Parser:
     path = sub.add_parser("path", help="minimizing segment trajectory and cost")
     path.add_argument("--x1", required=True, help="start state JSON")
     path.add_argument("--x2", required=True, help="end state JSON")
-    path.add_argument("--grid", type=int, default=4501)
+    path.add_argument("--grid", type=int, default=4501,
+                      help="points of the trajectory written to --out; the cost is "
+                           "integrated in closed form and does not depend on it")
     path.add_argument("--out", default=None, help="trajectory CSV (cost JSON alongside)")
 
     sim = sub.add_parser("simulate", help="one exploration run")

@@ -22,6 +22,7 @@ vertex identity is never needed.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,10 +59,8 @@ class DegreeSequence:
         return sum(self.degrees) // 2
 
     def counts(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for d in self.degrees:
-            out[d] = out.get(d, 0) + 1
-        return dict(sorted(out.items()))
+        """Vertex count of each degree, in increasing degree order."""
+        return dict(sorted(Counter(self.degrees).items()))
 
     @classmethod
     def from_counts(cls, counts: dict[int, int], parity_fix: dict | None = None) -> "DegreeSequence":

@@ -55,14 +55,19 @@ def _check_triple_agreement() -> CheckResult:
 
 
 def _segment_battery(fast: bool) -> list[PathSegmentSpec]:
-    """Four hand-written segments, then (unless ``fast``) random feasible
-    ones from generator seed 20240810 up to 25.  Other seeds of this
-    generator can exceed the 1e-6 quadrature tolerance (1.15e-6 at 278)."""
+    """Five hand-written segments, then (unless ``fast``) random feasible
+    ones from generator seed 20240810 up to 25.  Over seeds 1-400 of this
+    generator (21 segments each) ``path_cost`` of a minimizer stays within
+    2.4e-11 of the closed form; integrating the same paths from their grids
+    reached 1.15e-6 at seed 278, above the 1e-6 tolerance."""
     cases = [
         (StatePoint(0.0, {3: 1.0}), StatePoint(0.0, {3: 0.5})),        # case (i)
         (StatePoint(1.0, {3: 1.0}), StatePoint(0.5, {3: 0.5})),        # beta ~ 0.522
         (StatePoint(0.0, {1: 0.5, 3: 0.5}), StatePoint(0.0, {1: 0.4, 3: 0.2})),
         (StatePoint(0.0, {4: 1.0}), StatePoint(0.0, {4: 0.25})),
+        # beta ~ 0.9944 (generator seed 103)
+        (StatePoint(0.17811420009550638, {1: 0.5949995265441596, 4: 0.13006241668863816}),
+         StatePoint(0.0, {1: 0.36991778168318323, 4: 0.10607848419395322})),
     ]
     specs = [make_segment_spec(x1, x2) for x1, x2 in cases]
     rng = np.random.default_rng(20240810)

@@ -110,6 +110,16 @@ class TestTrajectoryCommands:
         assert payload["residual"] <= 1e-6
         assert payload["cost_closed"] == pytest.approx(0.5 * math.log(2), abs=1e-12)
 
+    def test_path_grid_sets_only_the_csv(self, files, capsys):
+        reports = []
+        for grid in ("101", "4501"):
+            out = str(files["tmp"] / f"seg{grid}.csv")
+            assert main(["path", "--x1", files["x1"], "--x2", files["x2"],
+                         "--grid", grid, "--out", out]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+            assert len(fluid_path_from_csv(out).grid) == int(grid)
+        assert reports[0] == reports[1]
+
     def test_path_between_equal_points_costs_zero(self, files, capsys):
         assert main(["path", "--x1", files["x1"], "--x2", files["x1"]]) == 0
         payload = json.loads(capsys.readouterr().out)

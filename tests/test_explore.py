@@ -32,6 +32,17 @@ class TestDegreeSequence:
         assert d.counts() == {1: 50, 3: 50}
         assert d.parity_fix is None
 
+    def test_counts_sorted_by_degree(self):
+        rng = np.random.default_rng(5)
+        degs = [int(k) for k in rng.integers(1, 12, size=2001)]
+        degs.append(2 - sum(degs) % 2)
+        reference: dict[int, int] = {}
+        for k in degs:
+            reference[k] = reference.get(k, 0) + 1
+        counts = DegreeSequence(tuple(degs)).counts()
+        assert type(counts) is dict
+        assert list(counts.items()) == sorted(reference.items())
+
     def test_parity_fix_reported(self):
         p = DegreeDistribution({3: 1.0})
         d = DegreeSequence.from_distribution(p, 101)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -28,6 +29,8 @@ from cmld import (
     varsigma,
 )
 from cmld.fluid import reflect
+from cmld.paths import _segment_state
+from cmld.verify import _segment_battery
 
 HALF_LOG2 = 0.5 * math.log(2.0)
 # frozen from a 50-digit closed-form evaluation at the exact root,
@@ -38,6 +41,37 @@ X1_REG = StatePoint(0.0, {3: 1.0})
 X2_REG = StatePoint(0.0, {3: 0.5})
 X1_ACT = StatePoint(1.0, {3: 1.0})
 X2_ACT = StatePoint(0.5, {3: 0.5})
+# case (i) with an untouched degree-one mass
+X1_LEAF = StatePoint(0.0, {1: 0.2, 3: 1.0})
+X2_LEAF = StatePoint(0.0, {1: 0.2, 3: 0.5})
+# segments 2, 8 and 18 of the battery generator at seeds 67, 103 and 246:
+# case (ii), x2_0 = 0, beta = 0.9747, 0.9944 and 0.9755
+BETA_NEAR_ONE = [
+    (StatePoint(0.2622554002808585, {1: 0.4912128746542553, 5: 0.10694336451634415}),
+     StatePoint(0.0, {1: 0.08793639512810121, 5: 0.05770419083167288})),
+    (StatePoint(0.17811420009550638, {1: 0.5949995265441596, 4: 0.13006241668863816}),
+     StatePoint(0.0, {1: 0.36991778168318323, 4: 0.10607848419395322})),
+    (StatePoint(0.1545532305717372, {1: 0.3011395217637244, 5: 0.07825216987848999}),
+     StatePoint(0.0, {1: 0.08085869457853032, 5: 0.05507361243466088})),
+]
+
+
+def _plain(path):
+    """The path's grid arrays without its segment: path_cost takes the grid route."""
+    return FluidPath(grid=path.grid, degrees=path.degrees, zeta0=path.zeta0,
+                     zetak=path.zetak, psi=path.psi)
+
+
+def _forward_form(spec, grid):
+    """The minimizer zeta_k(t) = x1_k - z~_k [1 - (1 - t/varsigma~)^{k/2}]
+    evaluated forward in t, as written, on ``grid``."""
+    ks = np.array(spec.degrees, dtype=float)
+    x1 = np.array([spec.x1.mass(k) for k in spec.degrees])
+    ztil = np.array([spec.z(k) for k in spec.degrees]) / (1.0 - spec.beta ** ks)
+    zetak = x1 - ztil * (1.0 - (1.0 - grid / spec.varsigma_tilde)[:, None] ** (0.5 * ks))
+    psi = (x1 - zetak) @ ks - 2.0 * grid
+    return FluidPath(grid=grid, degrees=spec.degrees, zeta0=np.maximum(spec.x1.x0 + psi, 0.0),
+                     zetak=zetak, psi=psi)
 
 
 class TestSkorokhod:
@@ -282,6 +316,91 @@ class TestPathCost:
         tau = fp.tau_markers["tau"]
         t2 = float(fp.grid[fp.grid <= tau + 1e-12][-1])
         assert path_cost(fp, 0.0, t2) <= 1e-5
+
+
+class TestClosedFormRoute:
+    @pytest.mark.parametrize("x1, x2", BETA_NEAR_ONE)
+    def test_beta_near_one_finite(self, x1, x2):
+        # each was inf when path_cost differenced the minimizer's grid
+        cost = path_cost(minimizer_path(make_segment_spec(x1, x2)))
+        assert abs(cost - cost_closed_form(x1, x2)) <= 1e-7
+
+    def test_battery_to_1e_11_and_1e_10(self):
+        # over generator seeds 1-400 the worst are 3.3e-12 and 2.4e-11; with
+        # the 1e-8 velocity floor case (i) reaches 1.8e-11 on this battery
+        worst = {CASE_I: 0.0, CASE_II: 0.0}
+        for spec in _segment_battery(fast=False):
+            err = abs(path_cost(minimizer_path(spec)) - cost_closed_form(spec.x1, spec.x2))
+            worst[spec.case] = max(worst[spec.case], err)
+        assert 0.0 < worst[CASE_I] <= 1e-11
+        assert 0.0 < worst[CASE_II] <= 1e-10
+
+    @pytest.mark.parametrize("x1, x2", [(X1_REG, X2_REG), (X1_ACT, X2_ACT), (X1_LEAF, X2_LEAF)]
+                             + BETA_NEAR_ONE)
+    def test_subinterval_costs_closed_form_between_its_states(self, x1, x2):
+        # a piece of a minimizer is the minimizer between its own endpoints
+        spec = make_segment_spec(x1, x2)
+        mp = minimizer_path(spec)
+        ts = np.array([0.0, 0.3, 0.7, 1.0]) * spec.varsigma
+        zeta0, zetak, _ = _segment_state(spec, spec.varsigma - ts)
+        states = [StatePoint(max(z0, 0.0), dict(zip(spec.degrees, row)))
+                  for z0, row in zip(zeta0, zetak)]
+        pieces = [path_cost(mp, a, b) for a, b in zip(ts, ts[1:])]
+        for piece, a, b in zip(pieces, states, states[1:]):
+            assert piece == pytest.approx(cost_closed_form(a, b), abs=1e-11)
+        assert math.fsum(pieces) == pytest.approx(path_cost(mp), abs=1e-11)
+
+    def test_interval_checked(self):
+        mp = minimizer_path(make_segment_spec(X1_REG, X2_REG))
+        with pytest.raises(DomainError):
+            path_cost(mp, 0.5, 0.25)
+        with pytest.raises(DomainError):
+            path_cost(mp, 0.0, 0.8)  # varsigma = 0.75
+        with pytest.raises(DomainError):
+            path_cost(mp, -0.1, 0.5)
+
+    def test_state_matches_forward_form(self):
+        for x1, x2 in [(X1_REG, X2_REG), (X1_ACT, X2_ACT), (X1_LEAF, X2_LEAF)] + BETA_NEAR_ONE:
+            mp = minimizer_path(make_segment_spec(x1, x2))
+            fwd = _forward_form(mp.spec, mp.grid)
+            assert np.max(np.abs(mp.zetak - fwd.zetak)) <= 1e-14
+            assert np.max(np.abs(mp.zeta0 - fwd.zeta0)) <= 1e-14
+            assert np.max(np.abs(mp.psi - fwd.psi)) <= 1e-14
+
+    def test_velocity_is_derivative_of_state(self):
+        spec = make_segment_spec(*BETA_NEAR_ONE[1])
+        t = np.linspace(0.1, 0.9, 9) * spec.varsigma
+        h = 1e-6 * spec.varsigma
+        _, ahead, _ = _segment_state(spec, spec.varsigma - (t + h))
+        _, behind, _ = _segment_state(spec, spec.varsigma - (t - h))
+        _, _, dzetak = _segment_state(spec, spec.varsigma - t)
+        assert np.max(np.abs((ahead - behind) / (2.0 * h) - dzetak)) <= 1e-7
+
+    def test_spec_travels_outside_meta(self):
+        spec = make_segment_spec(X1_ACT, X2_ACT)
+        mp = minimizer_path(spec)
+        assert mp.spec is spec
+        assert list(mp.meta) == ["varsigma", "varsigma_tilde", "beta", "case"]
+        json.dumps(mp.meta)
+        assert not hasattr(mp.slice(0.0, float(mp.grid[-1])), "spec")
+
+
+class TestGridRoute:
+    def test_minimizer_grid_arrays_match(self):
+        # minimizer_path's grid arrays, which the closed-form route never reads
+        for spec in _segment_battery(fast=True):
+            cost = path_cost(_plain(minimizer_path(spec)))
+            assert abs(cost - cost_closed_form(spec.x1, spec.x2)) <= 1e-6
+
+    @pytest.mark.parametrize("x1, x2", BETA_NEAR_ONE)
+    def test_velocity_noise_at_endpoint_tolerated(self, x1, x2):
+        # the forward form loses digits as t -> varsigma; its differenced
+        # velocities overshoot sum_k nu_k = 1 at x2 by more than 1e-8
+        spec = make_segment_spec(x1, x2)
+        fwd = _forward_form(spec, minimizer_path(spec).grid)
+        _, dzetak = fwd.derivatives()
+        assert np.max(-dzetak.sum(axis=1)) - 1.0 > 1e-8
+        assert abs(path_cost(fwd) - cost_closed_form(x1, x2)) <= 1e-6
 
 
 class TestClosedForm:
