@@ -111,16 +111,19 @@ class ExplorationRecord:
     new_component_at: np.ndarray | None = None  # step indices of fresh wakes
 
 
-def sample_multigraph(d: DegreeSequence, rng: CounterRNG) -> list[tuple[int, int]]:
+def sample_multigraph(d: DegreeSequence, rng: CounterRNG) -> np.ndarray:
     """Uniform matching of the 2m half-edges into m edges.
 
-    Realized by a Fisher-Yates shuffle of the half-edge array followed by
-    consecutive pairing; multi-edges and self-loops are retained.
+    Realized by a Fisher-Yates shuffle of the half-edge array
+    (:meth:`CounterRNG.shuffle`, 2m - 1 draws) followed by consecutive
+    pairing; multi-edges and self-loops are retained.  Returns an (m, 2)
+    int64 array whose row e holds the vertices of shuffled half-edges 2e
+    and 2e + 1.
     """
     half = np.repeat(np.arange(d.n, dtype=np.int64),
                      np.array(d.degrees, dtype=np.int64))
     rng.shuffle(half)
-    return list(zip(half[0::2].tolist(), half[1::2].tolist()))
+    return half.reshape(-1, 2)
 
 
 def eea_run(d: DegreeSequence, rng: CounterRNG,

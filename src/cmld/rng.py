@@ -20,6 +20,10 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _STREAM_SALT = 0xD1342543DE82EF95
+# the same constants as uint64 scalars, built once: numpy re-converts a
+# Python int or a fresh np.uint64 on every call, a fixed cost per block
+_U_GOLDEN, _U_MIX1, _U_MIX2 = np.uint64(_GOLDEN), np.uint64(_MIX1), np.uint64(_MIX2)
+_U11, _U27, _U30, _U31 = (np.uint64(s) for s in (11, 27, 30, 31))
 _LAZY_DRAWS = 64  # read ahead one at a time: a short run never pays for a vector block
 _BLOCK_DRAWS = 1 << 16  # the largest vector block read ahead
 
@@ -35,11 +39,11 @@ def _mix64(z: int) -> int:
 def _mix64_vec(z: np.ndarray) -> np.ndarray:
     # uint64 arithmetic wraps; identical bit-for-bit to _mix64.  The first
     # line makes a fresh array, which the rest updates in place.
-    z = z ^ (z >> np.uint64(30))
-    z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
+    z = z ^ (z >> _U30)
+    z *= _U_MIX1
+    z ^= z >> _U27
+    z *= _U_MIX2
+    z ^= z >> _U31
     return z
 
 
@@ -66,7 +70,7 @@ def counter_uniform(key: int, counter: int) -> float:
 def _unit_floats(words: np.ndarray) -> np.ndarray:
     """Top 53 bits of each word as a [0,1) float, as in :func:`counter_uniform`;
     ``words`` is consumed."""
-    words >>= np.uint64(11)
+    words >>= _U11
     u = words.astype(np.float64)
     u *= 1.0 / 9007199254740992.0
     return u
@@ -107,7 +111,9 @@ class CounterRNG:
     def _block(self, start: int, count: int) -> np.ndarray:
         """Draws start, ..., start + count - 1, without moving the counter."""
         ctrs = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-        return _unit_floats(_mix64_vec(np.uint64(self._key) + ctrs * np.uint64(_GOLDEN)))
+        ctrs *= _U_GOLDEN
+        ctrs += np.uint64(self._key)
+        return _unit_floats(_mix64_vec(ctrs))
 
     def read_ahead(self, bound: int) -> Iterator[float]:
         """The next ``bound`` draws in order, without moving the counter.
@@ -136,14 +142,69 @@ class CounterRNG:
         return int(self.uniform() * n)
 
     def shuffle(self, arr: np.ndarray) -> None:
-        """In-place Fisher-Yates shuffle.
+        """In-place Fisher-Yates shuffle, without a loop over the swaps.
 
-        Position i = L-1, ..., 1 swaps with ``j = randrange(i + 1)``; the
-        L - 1 draws are taken at once, with the same product and truncation.
+        Step i = L-1, ..., 1 swaps positions i and ``j_i = randrange(i + 1)``;
+        the L - 1 draws are taken at once, with the same product and
+        truncation, and the result is the swap loop's exactly.  Three facts
+        resolve the swaps:
+
+        - position i is final after step i, and takes what position j_i
+          holds just before it;
+        - before step i, a position p <= i holds what the smallest step
+          i' > i with j_i' = p wrote there, or its original entry if there
+          is none;
+        - that write carries what position i' held just before step i',
+          which resolves by the same rule.
+
+        So with the steps sorted by (j, i), step i receives what its
+        successor i'' in its group held just before step i'', or the
+        original entry at j_i if it is last.  What a position p holds just
+        before step p (and what position 0 ends with) follows a chain of
+        group-first steps p -> i' -> ..., each larger than the last,
+        resolved by pointer jumping in about log2 of its length rounds.  A
+        step with j_p = p heads group p, so the chain of p stops at p
+        itself; no step reads it, since step p takes what its successor
+        held like any other step.  Everything is integer indexing (int32
+        below 2^31 entries), so the result is bitwise the loop's for every
+        length and dtype.
         """
         L = len(arr)
-        js = (self.uniforms(max(L - 1, 0)) * np.arange(L, 1, -1)).astype(np.int64).tolist()
-        a = arr.tolist()
-        for i, j in zip(range(L - 1, 0, -1), js):
-            a[i], a[j] = a[j], a[i]
-        arr[:] = a
+        idx = np.int32 if L < 1 << 31 else np.int64
+        u = self.uniforms(max(L - 1, 0))
+        u *= np.arange(L, 1, -1)
+        keys = u.astype(np.int64)  # j_i for i = L-1, ..., 1
+        del u
+        # one sort of j * L + i groups the steps by target, ascending i in each group
+        keys *= L
+        keys += np.arange(L - 1, 0, -1)
+        keys.sort()
+        sj, si = np.divmod(keys, L)
+        del keys
+        sj = sj.astype(idx)
+        si = si.astype(idx)
+        cont = sj[1:] == sj[:-1]  # step k's successor in its group is step k + 1
+        first = np.empty(len(sj), dtype=bool)
+        first[:1] = True
+        np.logical_not(cont, out=first[1:])
+        # src[p] starts as the smallest step writing into p, the last write
+        # before step p; jumped to its fixed point it is the position whose
+        # original entry p holds just before step p
+        src = np.arange(L, dtype=idx)
+        src.put(sj.compress(first), si.compress(first))
+        del first
+        # pointers never decrease, so the sum stops changing exactly at the fixed point
+        nxt = np.empty_like(src)
+        total = np.add.reduce(src)
+        while True:
+            src.take(src, out=nxt, mode="clip")  # indices are in range by construction
+            s = np.add.reduce(nxt)
+            src, nxt = nxt, src
+            if s == total:
+                break
+            total = s
+        del nxt
+        # step si[k] takes what its group successor held, else the entry at sj[k]
+        np.copyto(sj[:-1], src.take(si[1:]), where=cont)
+        src.put(si, sj)
+        arr[:] = arr[src]

@@ -49,12 +49,6 @@ def load_degree_input(path: str | Path) -> DegreeDistribution | DegreeSequence:
     return DegreeDistribution(_degree_weights(data, path))
 
 
-def dump_degree_distribution(p: DegreeDistribution, path: str | Path) -> None:
-    with open(path, "w") as f:
-        json.dump({"degrees": {str(k): v for k, v in p.weights.items()}}, f, indent=2)
-        f.write("\n")
-
-
 def load_sub_profile(path: str | Path, reference: DegreeDistribution) -> SubProfile:
     """Sub-profiles share the degree-file schema {"degrees": {...}}."""
     with open(path) as f:
@@ -68,12 +62,6 @@ def load_state_point(path: str | Path) -> StatePoint:
     if not isinstance(data, dict) or "x0" not in data or "xk" not in data:
         raise DomainError(f"{path}: expected an object with 'x0' and 'xk'")
     return StatePoint(float(data["x0"]), {int(k): float(v) for k, v in data["xk"].items()})
-
-
-def dump_state_point(x: StatePoint, path: str | Path) -> None:
-    with open(path, "w") as f:
-        json.dump({"x0": x.x0, "xk": {str(k): v for k, v in x.xk.items()}}, f, indent=2)
-        f.write("\n")
 
 
 def fluid_path_to_csv(path_obj: FluidPath, path: str | Path) -> None:
@@ -115,16 +103,6 @@ def write_sidecar(meta: dict, path: str | Path) -> None:
 
 def estimate_to_json_line(res: EstimateResult) -> str:
     return json.dumps(res.as_dict())
-
-
-def estimate_from_json_line(line: str) -> EstimateResult:
-    d = json.loads(line)
-    rate = d["per_n_rate"]
-    return EstimateResult(
-        p_hat=d["p_hat"], ci_low=d["ci_low"], ci_high=d["ci_high"],
-        reps=d["reps"], hits=d["hits"], n=d["n"], seed=d["seed"],
-        per_n_rate=float("inf") if rate is None else rate,
-    )
 
 
 def estimates_to_csv(results: list[EstimateResult], path: str | Path) -> None:

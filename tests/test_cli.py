@@ -7,8 +7,6 @@ import pytest
 from cmld import DegreeDistribution, StatePoint, lln_path
 from cmld.cli import main
 from cmld.serialize import (
-    dump_degree_distribution,
-    dump_state_point,
     fluid_path_from_csv,
     fluid_path_to_csv,
     load_degree_distribution,
@@ -90,6 +88,14 @@ class TestInfeasibleInputs:
         assert main(["lln", "--p", files["p"], "--T", "1.2", "--grid", grid]) == 2
         assert "grid_points must be at least 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", ["0", "1"])
+    def test_path_grid_below_two_exit_2(self, files, capsys, grid):
+        out = files["tmp"] / "seg.csv"
+        assert main(["path", "--x1", files["x1"], "--x2", files["x2"],
+                     "--grid", grid, "--out", str(out)]) == 2
+        assert "grid_points must be at least 2" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrajectoryCommands:
     def test_lln_writes_csv_and_sidecar(self, files, capsys):
@@ -146,13 +152,13 @@ class TestRoundTrip:
     def test_degree_distribution_roundtrip(self, tmp_path):
         p = DegreeDistribution({2: 0.125, 7: 0.875})
         f = tmp_path / "p.json"
-        dump_degree_distribution(p, f)
+        f.write_text(json.dumps({"degrees": {str(k): v for k, v in p.weights.items()}}))
         assert load_degree_distribution(f).weights == p.weights
 
     def test_state_point_roundtrip(self, tmp_path):
         x = StatePoint(0.7071067811865476, {3: 1.0 / 3.0})
         f = tmp_path / "x.json"
-        dump_state_point(x, f)
+        f.write_text(json.dumps({"x0": x.x0, "xk": {str(k): v for k, v in x.xk.items()}}))
         back = load_state_point(f)
         assert back.x0 == x.x0
         assert back.xk == x.xk
@@ -173,11 +179,12 @@ class TestRoundTrip:
                 assert np.array_equal(back.zeta(k), fp.zeta(k))
 
     def test_estimate_json_line_roundtrip(self):
-        from cmld import estimate_event_prob
-        from cmld.serialize import estimate_from_json_line, estimate_to_json_line
+        from cmld import EstimateResult, estimate_event_prob
+        from cmld.serialize import estimate_to_json_line
 
         res = estimate_event_prob((1, 1, 3, 3), {3: 0.5}, eps=0.3, reps=300, seed=9)
-        assert estimate_from_json_line(estimate_to_json_line(res)) == res
+        assert math.isfinite(res.per_n_rate)
+        assert EstimateResult(**json.loads(estimate_to_json_line(res))) == res
 
 
 class TestDegreeSequenceInput:

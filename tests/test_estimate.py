@@ -312,7 +312,7 @@ class TestEventProbability:
                     a = parent[a]
                 return a
 
-            for u, v in edges:
+            for u, v in edges.tolist():
                 ru, rv = find(u), find(v)
                 if ru != rv:
                     parent[ru] = rv

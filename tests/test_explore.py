@@ -54,7 +54,7 @@ class TestDegreeSequence:
 class TestMatching:
     def test_self_loop_forced(self):
         edges = sample_multigraph(DegreeSequence((2,)), CounterRNG(1, 0))
-        assert edges == [(0, 0)]
+        assert edges.tolist() == [[0, 0]]
 
     def test_single_edge_forced(self):
         edges = sample_multigraph(DegreeSequence((1, 1)), CounterRNG(1, 0))
@@ -68,24 +68,47 @@ class TestMatching:
         counts = Counter()
         for s in range(30000):
             edges = sample_multigraph(d, CounterRNG(424242, s))
-            counts[tuple(sorted(tuple(sorted(e)) for e in edges))] += 1
+            counts[tuple(sorted(tuple(sorted(e)) for e in edges.tolist()))] += 1
         assert len(counts) == 3
         stat = chisquare(list(counts.values()))
         assert stat.pvalue > 0.001
 
+    @staticmethod
+    def _loop_shuffle(seed, stream, items):
+        # the reference: Fisher-Yates one swap at a time, one randrange per step
+        rng = CounterRNG(seed, stream)
+        ref = list(items)
+        for i in range(len(ref) - 1, 0, -1):
+            j = rng.randrange(i + 1)
+            ref[i], ref[j] = ref[j], ref[i]
+        return ref, rng._ctr
+
     def test_shuffle_matches_randrange_loop(self):
-        for length in (0, 1, 2, 7, 1000):
+        for length in (0, 1, 2, 3, 7, 64, 1000, 65537):
             for seed in (3, 2024):
-                ref_rng = CounterRNG(seed, 5)
-                ref = list(range(length))
-                for i in range(length - 1, 0, -1):
-                    j = ref_rng.randrange(i + 1)
-                    ref[i], ref[j] = ref[j], ref[i]
+                ref, ref_ctr = self._loop_shuffle(seed, 5, range(length))
                 rng = CounterRNG(seed, 5)
                 arr = np.arange(length, dtype=np.int64)
                 rng.shuffle(arr)
                 assert arr.tolist() == ref
-                assert rng._ctr == ref_rng._ctr == max(length - 1, 0)
+                assert rng._ctr == ref_ctr == max(length - 1, 0)
+        values = np.random.default_rng(8).standard_normal(501)
+        ref, _ = self._loop_shuffle(17, 2, values.tolist())
+        arr = values.copy()
+        CounterRNG(17, 2).shuffle(arr)
+        assert arr.dtype == np.float64 and arr.tolist() == ref
+
+    def test_multigraph_pairs_the_reference_shuffle(self):
+        p = DegreeDistribution({1: 0.3, 2: 0.1, 3: 0.2, 4: 0.15, 5: 0.1, 7: 0.1, 10: 0.05})
+        d = DegreeSequence.from_distribution(p, 2000)
+        half = np.repeat(np.arange(d.n), d.degrees).tolist()
+        for seed in (1, 9):
+            ref, ref_ctr = self._loop_shuffle(seed, 1, half)
+            rng = CounterRNG(seed, 1)
+            edges = sample_multigraph(d, rng)
+            assert edges.shape == (d.m, 2) and edges.dtype == np.int64
+            assert edges.tolist() == [ref[k:k + 2] for k in range(0, 2 * d.m, 2)]
+            assert rng._ctr == ref_ctr == 2 * d.m - 1
 
 
 class TestExplorationRuns:
