@@ -26,7 +26,7 @@ from .errors import (
     PreconditionError,
     StateError,
 )
-from .estimate import EstimateResult, estimate_event_prob, lln_check, rate_fit
+from .estimate import EstimateResult, estimate_event_prob, rate_fit
 from .explore import (
     ComponentRecord,
     DegreeSequence,
@@ -61,5 +61,6 @@ from .paths import (
     varsigma,
 )
 from .rng import CounterRNG
+from .verify import lln_check
 
 __version__ = "0.1.0"

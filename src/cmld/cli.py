@@ -31,6 +31,7 @@ from .serialize import (
     load_sub_profile,
     write_sidecar,
 )
+from .verify import print_table, run_battery
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # argparse default exits 2
@@ -80,8 +81,8 @@ def _build_parser() -> _Parser:
     path.add_argument("--x1", required=True, help="start state JSON")
     path.add_argument("--x2", required=True, help="end state JSON")
     path.add_argument("--grid", type=int, default=4501,
-                      help="points of the trajectory written to --out; the cost is "
-                           "integrated in closed form and does not depend on it")
+                      help="points of the trajectory written to --out, at least 4; the "
+                           "cost is integrated in closed form and does not depend on it")
     path.add_argument("--out", default=None, help="trajectory CSV (cost JSON alongside)")
 
     sim = sub.add_parser("simulate", help="one exploration run")
@@ -229,10 +230,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .verify import print_table, run_battery
-
-    results = run_battery(fast=args.fast)
-    return 0 if print_table(results) else 1
+    return 0 if print_table(run_battery(fast=args.fast)) else 1
 
 
 _HANDLERS = {

@@ -3,11 +3,12 @@
 The target event: some component's degree configuration (m_k) satisfies
 n(q_k - eps) <= m_k <= n(q_k + eps) for every degree k simultaneously
 (degrees absent from the graph contribute m_k = 0 and therefore require
-q_k <= eps).  Replications are exploration-chain runs; replication r draws
-from the stream keyed by (master_seed, r), so the estimate is a pure
-function of (input, seed, reps) and is bitwise identical for any worker
-count or shard schedule.  Hits accumulate as integers, so summation order
-cannot matter.
+q_k <= eps).  Only :func:`_event_windows` turns (q, eps) into integer
+windows; when no count fits, no chain is stepped and no pool started.
+Replication r draws from the stream keyed by (master_seed, r), so the
+estimate is a pure function of (input, seed, reps) and is bitwise
+identical for any worker count or shard schedule.  Hits accumulate as
+integers, so summation order cannot matter.
 
 The inner loop is a lockstep-vectorized version of
 :func:`cmld.explore.eea_run` over blocks of replications; it reproduces
@@ -34,9 +35,8 @@ import numpy as np
 
 from .core import DegreeDistribution, SubProfile, bisect_increasing
 from .errors import DomainError, FitError
-from .explore import DegreeSequence, eea_run, empirical_path, extract_components
-from .lln import lln_path
-from .rng import CounterRNG, counter_uniforms, stream_keys
+from .explore import DegreeSequence
+from .rng import counter_uniforms, stream_keys
 
 _DEFAULT_CHUNK = 1 << 16
 
@@ -198,17 +198,29 @@ def clopper_pearson(hits: int, reps: int) -> tuple[float, float]:
     return lo, hi
 
 
-def _event_windows(n: int, q: dict[int, float], eps: float,
-                   graph_degrees: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Per-degree inclusive count windows over the graph's degree columns.
+def _event_windows(counts: dict[int, int], q, eps: float
+                   ) -> tuple[np.ndarray, np.ndarray] | None:
+    """The event as inclusive integer windows (lo, hi), or None if nothing can hit.
 
-    Returns (lo, hi, possible); ``possible`` is False when a degree carrying
-    q-mass does not occur in the graph and q_k > eps.
+    ``q`` is a :class:`SubProfile` or a {degree: weight} dict.  Column d is
+    degree ``sorted(counts)[d]``: the integers m in [n(q_k - eps), n(q_k +
+    eps)] and [0, counts[k]].  None also when a degree absent from the
+    graph (m_k = 0) has q_k > eps.
     """
-    lo = np.array([n * (q.get(k, 0.0) - eps) for k in graph_degrees])
-    hi = np.array([n * (q.get(k, 0.0) + eps) for k in graph_degrees])
-    possible = all(q[k] <= eps for k in q if k not in graph_degrees)
-    return lo, hi, possible
+    qw = q.weights if isinstance(q, SubProfile) else {int(k): float(v) for k, v in q.items()}
+    for k, v in qw.items():
+        if not math.isfinite(v):
+            raise DomainError(f"q weight at degree {k} must be finite, got {v}")
+    if any(v > eps for k, v in qw.items() if k not in counts):
+        return None
+    n = sum(counts.values())
+    degs = sorted(counts)
+    qk = np.array([qw.get(k, 0.0) for k in degs])
+    lo = np.maximum(np.ceil(n * (qk - eps)), 0.0)
+    hi = np.minimum(np.floor(n * (qk + eps)), [counts[k] for k in degs])
+    if not np.all(lo <= hi):
+        return None
+    return lo.astype(np.int64), hi.astype(np.int64)
 
 
 def _batch_hits(counts: dict[int, int], rep_lo: int, rep_hi: int, seed: int,
@@ -219,8 +231,8 @@ def _batch_hits(counts: dict[int, int], rep_lo: int, rep_hi: int, seed: int,
     ``degs[d]`` for every lane (replication), so each step is a few
     contiguous full-width operations.  ``Vstart`` is ``V`` when the current
     component started; at a close, ``Vstart - V`` is the component's
-    configuration.  ``lo`` and ``hi`` are inclusive per-degree windows; only
-    the integer counts inside them, and within ``[0, counts[k]]``, matter.
+    configuration.  ``lo`` and ``hi`` are the event's integer windows from
+    :func:`_event_windows`.
 
     A lane retires once its outcome is settled: when it hits (it counts
     once), when its chain stops, or when no component of it can reach the
@@ -248,12 +260,6 @@ def _batch_hits(counts: dict[int, int], rep_lo: int, rep_hi: int, seed: int,
     R = rep_hi - rep_lo
     n = sum(counts.values())
     m = sum(k * c for k, c in counts.items()) // 2
-
-    lo = np.maximum(np.ceil(lo), 0.0)
-    hi = np.minimum(np.floor(hi), size)
-    if not np.all(lo <= hi):  # no integer count fits, or an edge is NaN
-        return 0
-    lo, hi = lo.astype(np.int64), hi.astype(np.int64)
     L, H = int(degs @ lo), int(degs @ hi)
     L, H = max(L + L % 2, 2), H - H % 2  # a component's mass is even and >= 2
     retired = 2 * m + 1  # a need that no s reaches
@@ -338,7 +344,8 @@ def estimate_event_prob(p_or_d, q, eps: float, reps: int, seed: int,
 
     Replications run in shards of ``chunk_size``; a pool starts only for
     more than one shard, with ``min(workers, shards, usable cores)``
-    processes, since a fork pool starts all its processes up front.
+    processes, since a fork pool starts all its processes up front.  An
+    event that no count can hit returns 0 hits with no shard run.
     """
     if reps <= 0:
         raise DomainError(f"reps must be positive, got {reps}")
@@ -349,31 +356,25 @@ def estimate_event_prob(p_or_d, q, eps: float, reps: int, seed: int,
     if chunk_size < 1:
         raise DomainError(f"chunk_size must be at least 1, got {chunk_size}")
     d, counts = _resolve_input(p_or_d, n)
-    n_actual = d.n
-    qw = q.weights if isinstance(q, SubProfile) else {int(k): float(v) for k, v in q.items()}
-    for k, v in qw.items():
-        if not math.isfinite(v):
-            raise DomainError(f"q weight at degree {k} must be finite, got {v}")
-
-    lo, hi, possible = _event_windows(n_actual, qw, eps, tuple(sorted(counts)))
+    event = _event_windows(counts, q, eps)
     hits = 0
-    if possible:
+    if event is not None:
         shards = [(a, min(a + chunk_size, reps)) for a in range(0, reps, chunk_size)]
         procs = min(workers, len(shards), _usable_cores())
         if procs == 1:
             for a, b in shards:
-                hits += _batch_hits(counts, a, b, seed, lo, hi)
+                hits += _batch_hits(counts, a, b, seed, *event)
         else:
             with ProcessPoolExecutor(max_workers=procs) as pool:
-                futs = [pool.submit(_batch_hits, counts, a, b, seed, lo, hi)
+                futs = [pool.submit(_batch_hits, counts, a, b, seed, *event)
                         for a, b in shards]
                 hits = sum(f.result() for f in futs)
 
     p_hat = hits / reps
     ci_lo, ci_hi = clopper_pearson(hits, reps)
-    rate = -math.log(p_hat) / n_actual if p_hat > 0.0 else math.inf
+    rate = -math.log(p_hat) / d.n if p_hat > 0.0 else math.inf
     return EstimateResult(p_hat=p_hat, ci_low=ci_lo, ci_high=ci_hi, reps=reps,
-                          hits=hits, n=n_actual, seed=seed, per_n_rate=rate)
+                          hits=hits, n=d.n, seed=seed, per_n_rate=rate)
 
 
 def rate_fit(results: list[EstimateResult]) -> tuple[float, float]:
@@ -391,25 +392,3 @@ def rate_fit(results: list[EstimateResult]) -> tuple[float, float]:
     slope, intercept = np.polyfit(x, y, 1)
     return float(slope), float(intercept)
 
-
-def lln_check(p: DegreeDistribution, n: int, seed: int,
-              grid_points: int = 401) -> tuple[float, float]:
-    """One trajectory-recorded run against the zero-cost fluid limit.
-
-    Returns (largest component vertex fraction, sup over the grid and over
-    degrees k <= max_degree of |empirical zeta_k - fluid zeta_k|).
-    """
-    if n < 1000:
-        raise DomainError(f"n >= 1000 required for a meaningful check, got {n}")
-    d = DegreeSequence.from_distribution(p, n)
-    rec = eea_run(d, CounterRNG(seed, 0), record_trajectory=True)
-    largest, _, _ = extract_components(rec)
-
-    T = max(rec.n_steps / d.n, 0.5 * p.mu + 1e-9)
-    grid = np.linspace(0.0, T, grid_points)
-    emp = empirical_path(rec, d.n, grid)
-    fluid = lln_path(p, grid=grid)
-    sup = 0.0
-    for k in range(0, p.max_degree + 1):
-        sup = max(sup, float(np.max(np.abs(emp.zeta(k) - fluid.zeta(k)))))
-    return largest, sup

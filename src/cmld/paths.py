@@ -236,11 +236,11 @@ def minimizer_path(spec: PathSegmentSpec, grid: np.ndarray | None = None,
     points of :func:`_segment_grid`), whose times are clipped to
     [0, varsigma]; psi = zeta_0 - x1_0 and zeta_0 is clamped at 0.  Hits x2
     at varsigma exactly and x1 at 0 to rounding; when varsigma = 0 the path
-    is the single point x1 at 0.  Without ``grid``, ``grid_points`` below 2
-    raises :class:`DomainError`, as in :func:`cmld.lln.lln_path`.
+    is the single point x1 at 0.  Without ``grid``, ``grid_points`` below 4
+    (two body and two tail points) raises :class:`DomainError`.
     """
-    if grid is None and grid_points < 2:
-        raise DomainError(f"grid_points must be at least 2, got {grid_points}")
+    if grid is None and grid_points < 4:
+        raise DomainError(f"grid_points must be at least 4, got {grid_points}")
     if spec.varsigma == 0.0:
         degrees = spec.x1.degrees
         zk = [[spec.x1.mass(k) for k in degrees]]

@@ -3,15 +3,15 @@
 Each check exercises two independent routes to the same quantity
 (quadrature vs closed form, profile rate vs segment cost, simulation vs
 conservation law) and reports pass/fail with the observed discrepancy.
-The acceptance criteria call these same checks, so ``cmld verify`` runs
-them at the criteria's tolerances.
+The acceptance criteria and tests call these checks, so ``cmld verify``
+runs them at the criteria's tolerances.  :func:`lln_check` returns one
+run's deviations from the fluid limit, which criterion 4 bounds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -21,8 +21,8 @@ from .core import (
     rate_component_degree,
     rate_d_regular,
 )
-from .errors import FeasibilityError
-from .explore import DegreeSequence, eea_run
+from .errors import DomainError, FeasibilityError
+from .explore import DegreeSequence, eea_run, empirical_path, extract_components
 from .fluid import reflect
 from .lln import giant_fraction, lln_path, survival_rho
 from .paths import (
@@ -128,20 +128,24 @@ def _check_conservation(fast: bool) -> CheckResult:
             degs[0] += 1
         d = DegreeSequence(tuple(int(x) for x in degs))
         rec = eea_run(d, CounterRNG(1234, i), record_trajectory=True)
-        if rec.n_steps > d.m + d.n:
-            return CheckResult("exploration conservation", False,
-                               f"step bound violated on sequence {i}")
         A, V = rec.steps_A, rec.steps_V
         ks = np.array(rec.degrees)
-        wake = (V[:-1] - V[1:]).sum(axis=1)
-        kills = (A[1:] - A[:-1] == -2) & (wake == 0)
-        if not np.all((wake == 1) | kills):
-            return CheckResult("exploration conservation", False,
-                               f"non-conservative step on sequence {i}")
+        drop = V[:-1] - V[1:]
+        woken = drop.sum(axis=1)
+        wake = woken == 1
+        kill = (A[1:] - A[:-1] == -2) & (woken == 0)
+        # waking degree k takes A to A + k - 2 from A > 0, and to k from A = 0
+        a0, a1, k = A[:-1], A[1:], ks[np.argmax(drop, axis=1)]
         r = np.where(A > 0, A - 1, 0) + V @ ks
-        if np.any(np.diff(r) > 0):
-            return CheckResult("exploration conservation", False,
-                               f"r increased on sequence {i}")
+        faults = {
+            "step bound violated": rec.n_steps > d.m + d.n,
+            "non-conservative step": not np.all(wake | kill),
+            "woken degree off A": np.any(wake & (a1 != np.where(a0 > 0, a0 + k - 2, k))),
+            "r increased": np.any(np.diff(r) > 0),
+        }
+        fault = next((f for f, bad in faults.items() if bad), None)
+        if fault:
+            return CheckResult("exploration conservation", False, f"{fault} on sequence {i}")
     return CheckResult("exploration conservation", True,
                        f"{n_seq} randomized degree sequences")
 
@@ -152,6 +156,28 @@ def _check_survival() -> CheckResult:
     e_gf = abs(giant_fraction(p) - 22.0 / 27.0)
     return CheckResult("survival root and giant fraction", e_rho <= 1e-10 and e_gf <= 1e-12,
                        f"rho dev {e_rho:.1e}, giant dev {e_gf:.1e}")
+
+
+def lln_check(p: DegreeDistribution, n: int, seed: int,
+              grid_points: int = 401) -> tuple[float, float]:
+    """One trajectory-recorded run against the zero-cost fluid limit.
+
+    Returns (largest component vertex fraction, sup over the grid and over
+    degrees k <= max_degree of |empirical zeta_k - fluid zeta_k|).
+    """
+    if n < 1000:
+        raise DomainError(f"n >= 1000 required for a meaningful check, got {n}")
+    d = DegreeSequence.from_distribution(p, n)
+    rec = eea_run(d, CounterRNG(seed, 0), record_trajectory=True)
+    largest, _, _ = extract_components(rec)
+
+    T = max(rec.n_steps / d.n, 0.5 * p.mu + 1e-9)
+    grid = np.linspace(0.0, T, grid_points)
+    emp = empirical_path(rec, d.n, grid)
+    fluid = lln_path(p, grid=grid)
+    sup = max(float(np.max(np.abs(emp.zeta(k) - fluid.zeta(k))))
+              for k in range(p.max_degree + 1))
+    return largest, sup
 
 
 def _check_reflection() -> CheckResult:
@@ -172,16 +198,9 @@ def _check_reflection() -> CheckResult:
 
 
 def run_battery(fast: bool = False) -> list[CheckResult]:
-    checks: list[Callable[[], CheckResult]] = [
-        _check_triple_agreement,
-        lambda: _check_quadrature(fast),
-        _check_profile_vs_segment,
-        _check_lln_zero_cost,
-        lambda: _check_conservation(fast),
-        _check_survival,
-        _check_reflection,
-    ]
-    return [c() for c in checks]
+    return [_check_triple_agreement(), _check_quadrature(fast), _check_profile_vs_segment(),
+            _check_lln_zero_cost(), _check_conservation(fast), _check_survival(),
+            _check_reflection()]
 
 
 def print_table(results: list[CheckResult]) -> bool:

