@@ -13,7 +13,10 @@ integers, so summation order cannot matter.
 The inner loop is a lockstep-vectorized version of
 :func:`cmld.explore.eea_run` over blocks of replications; it reproduces
 the scalar chain decision-for-decision because both consume the uniform of
-step j from the same counter position.  A replication leaves the block
+step j from the same counter position.  Its state is each replication's
+cumulative sleeping half-edge mass by degree, int32 whenever the graph's
+2m + 1 fits, so a step finds the woken degree with one compare and
+removes it with one broadcast subtract.  A replication leaves the block
 once its outcome is settled: when it hits, when its chain stops, or when
 its sleeping half-edge mass shows that no component can reach the window.
 That test is exact, since every hitting component's half-edge mass lies
@@ -227,12 +230,18 @@ def _batch_hits(counts: dict[int, int], rep_lo: int, rep_hi: int, seed: int,
                 lo: np.ndarray, hi: np.ndarray) -> int:
     """Event hits among replications [rep_lo, rep_hi), lockstep-vectorized.
 
-    State is degree-major: row d of ``V`` holds the sleeping count of degree
-    ``degs[d]`` for every lane (replication), so each step is a few
-    contiguous full-width operations.  ``Vstart`` is ``V`` when the current
-    component started; at a close, ``Vstart - V`` is the component's
-    configuration.  ``lo`` and ``hi`` are the event's integer windows from
-    :func:`_event_windows`.
+    State is degree-major and cumulative: row d of ``C`` holds, for every
+    lane (replication), the sleeping half-edge mass of the degrees up to
+    ``degs[d]``, sum_{d' <= d} degs[d'] V[d'], so its last row is the
+    whole sleeping mass ``s``.  The bucket a wake falls in is then one
+    compare of ``C`` against the lane's target and one narrow sum, and
+    waking degree ``degs[b]`` is one broadcast subtract from rows b and
+    up.  ``C``, ``Cstart``, ``A`` and ``need`` are int32 whenever 2m + 1
+    fits, since none exceeds it, and int64 otherwise.  ``Cstart`` is
+    ``C`` when the current component started; at a close, ``Cstart - C``
+    differenced along the degree axis and divided by the degrees is the
+    component's configuration.  ``lo`` and ``hi`` are the event's integer
+    windows from :func:`_event_windows`.
 
     A lane retires once its outcome is settled: when it hits (it counts
     once), when its chain stops, or when no component of it can reach the
@@ -263,48 +272,52 @@ def _batch_hits(counts: dict[int, int], rep_lo: int, rep_hi: int, seed: int,
     L, H = int(degs @ lo), int(degs @ hi)
     L, H = max(L + L % 2, 2), H - H % 2  # a component's mass is even and >= 2
     retired = 2 * m + 1  # a need that no s reaches
-    lo, hi = lo[:, None], hi[:, None]
+    lo, hi = np.asarray(lo)[:, None], np.asarray(hi)[:, None]
+    # no mass, A or need exceeds 2m + 1; the bucket index is below D
+    idt = np.int32 if retired < 1 << 31 else np.int64
+    bdt = np.int8 if D < 128 else np.intp
+    k = degs.astype(idt)
 
-    V = np.repeat(size[:, None], R, axis=1)
-    Vstart = V.copy()
-    A = np.zeros(R, dtype=np.int64)
-    s = np.full(R, 2 * m, dtype=np.int64)
-    need = np.full(R, min(L, 2 * m - H), dtype=np.int64)
+    C = np.repeat(np.cumsum(degs * size).astype(idt)[:, None], R, axis=1)
+    Cstart = C.copy()
+    s = C[-1]
+    A = np.zeros(R, dtype=idt)
+    need = np.full(R, min(L, 2 * m - H), dtype=idt)
     keys = stream_keys(seed, np.arange(rep_lo, rep_hi, dtype=np.uint64))
-    cols = np.arange(D)[:, None]
+    cols = np.arange(D, dtype=bdt)[:, None]
     hits = 0
 
     for j in range(m + n):
-        killw = np.maximum(A - 1, 0)
-        # y < 0 (exactly when x = u * denom < killw) kills, else the bucket
-        # holding y wakes; u < 1 keeps y below s, the last cumulative
-        # weight, so the last bucket needs no test
-        denom = s + killw
-        y = counter_uniforms(keys, j) * denom - killw
-        wakes = y >= 0
-        cum = np.zeros(len(s), dtype=np.int64)
-        b = np.zeros(len(s), dtype=np.int64)
-        for d in range(D - 1):
-            cum += degs[d] * V[d]
-            b += cum <= y
-
-        woken = degs[b] * wakes
-        V -= (b == cols) & wakes
-        s -= woken
         busy = A > 0  # a kill and a wake from A > 0 both spend two half-edges
-        A += woken - 2 * busy
+        killw = A - busy  # max(A - 1, 0)
+        # y < 0 (exactly when x = u * denom < killw) kills, else the bucket
+        # holding y wakes: b counts the cumulative masses C[d] <= y, and u < 1
+        # keeps y below s = C[-1], so the last row needs no compare
+        y = counter_uniforms(keys, j)
+        y *= s + killw
+        y -= killw
+        wakes = y >= 0
+        b = (C[:-1] <= y).sum(axis=0, dtype=bdt)
+
+        woken = k.take(b)
+        woken *= wakes
+        C -= (cols >= b) * woken  # rows b and up lose the woken degree; s with them
+        A += woken
+        A -= busy
+        A -= busy
 
         idx = np.flatnonzero(busy & (A == 0))
         if idx.size:
             # a hitting component ends with s >= s0 - H >= need, so a lane
             # below its need is retired or can no longer hit
             idx = idx[s[idx] >= need[idx]]
-            conf = Vstart[:, idx] - V[:, idx]
+            taken = np.diff(Cstart[:, idx] - C[:, idx], axis=0, prepend=0)
+            conf = taken // k[:, None]  # each row's mass is a multiple of its degree
             hit = np.all((conf >= lo) & (conf <= hi), axis=0)
             hits += int(np.count_nonzero(hit))
             s0 = s[idx]
             need[idx] = np.where(hit | (s0 < L), retired, np.minimum(L, s0 - H))
-            Vstart[:, idx] = V[:, idx]
+            Cstart[:, idx] = C[:, idx]
 
         live = s >= need
         left = int(np.count_nonzero(live))
@@ -312,8 +325,9 @@ def _batch_hits(counts: dict[int, int], rep_lo: int, rep_hi: int, seed: int,
             if left == 0:
                 break
             keep = np.flatnonzero(live)
-            V, Vstart, A, s, need, keys = (V[:, keep], Vstart[:, keep], A[keep],
-                                           s[keep], need[keep], keys[keep])
+            C, Cstart, A, need, keys = (C[:, keep], Cstart[:, keep], A[keep],
+                                        need[keep], keys[keep])
+            s = C[-1]
     return hits
 
 

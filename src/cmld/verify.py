@@ -21,7 +21,7 @@ from .core import (
     rate_component_degree,
     rate_d_regular,
 )
-from .errors import DomainError, FeasibilityError
+from .errors import DomainError, FeasibilityError, StateError
 from .explore import DegreeSequence, eea_run, empirical_path, extract_components
 from .fluid import reflect
 from .lln import giant_fraction, lln_path, survival_rho
@@ -127,7 +127,10 @@ def _check_conservation(fast: bool) -> CheckResult:
         if degs.sum() % 2 == 1:
             degs[0] += 1
         d = DegreeSequence(tuple(int(x) for x in degs))
-        rec = eea_run(d, CounterRNG(1234, i), record_trajectory=True)
+        try:
+            rec = eea_run(d, CounterRNG(1234, i), record_trajectory=True)
+        except StateError as exc:  # past the step bound, or totals off the histogram
+            return CheckResult("exploration conservation", False, f"{exc} on sequence {i}")
         A, V = rec.steps_A, rec.steps_V
         ks = np.array(rec.degrees)
         drop = V[:-1] - V[1:]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cmld import DegreeDistribution, StatePoint, lln_path
+from cmld import DegreeDistribution, StatePoint, StateError, lln_path
 from cmld.cli import main
 from cmld.serialize import (
     fluid_path_from_csv,
@@ -273,3 +273,20 @@ class TestVerifyCommand:
         assert main(["verify", "--fast"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
+
+    def test_broken_chain_is_a_failed_row(self, monkeypatch, capsys):
+        # a chain that breaks its own invariants fails the conservation row
+        # and exits 1, not 2 as if the input were infeasible
+        import cmld.verify
+
+        def broken(*args, **kwargs):
+            raise StateError("exploration exceeded the step bound m + n = 9")
+
+        monkeypatch.setattr(cmld.verify, "eea_run", broken)
+        row = cmld.verify._check_conservation(fast=True)
+        assert not row.passed
+        assert row.detail == "exploration exceeded the step bound m + n = 9 on sequence 0"
+        assert main(["verify", "--fast"]) == 1
+        out = capsys.readouterr().out
+        row_line, = [ln for ln in out.splitlines() if ln.startswith("exploration conservation")]
+        assert row_line.endswith("  FAIL  " + row.detail)

@@ -246,6 +246,27 @@ class TestEventProbability:
         assert scalar >= 5
         assert _batch_hits(d.counts(), 0, reps, seed, *event) == scalar
 
+    @pytest.mark.parametrize("leaves", [1, 41])
+    def test_matches_scalar_chain_past_int8_buckets(self, leaves):
+        # degrees 1..130 once each and leaves for parity: 130 columns, so
+        # the bucket index no longer fits int8.  With one extra leaf every
+        # lane is one component; with 41, two leaves sometimes pair off
+        d = DegreeSequence((1,) * leaves + tuple(range(1, 131)))
+        assert len(d.counts()) == 130
+        reps, seed = 40, 130
+        comps = [c for r in range(reps) for c in eea_run(d, CounterRNG(seed, r)).components]
+        smallest = min(comps, key=lambda c: c.n_vertices)
+        event = _event(d, {k: v / d.n for k, v in smallest.degree_config.items()}, 0.5 / d.n)
+        scalar, _ = _scalar_hits(d, seed, reps, event)
+        assert scalar == reps if leaves == 1 else 0 < scalar < reps
+        assert _batch_hits(d.counts(), 0, reps, seed, *event) == scalar
+
+    def test_int64_state_when_masses_pass_int32(self):
+        # 2^31 leaves: 2m + 1 does not fit int32.  Every component is one
+        # edge, so the lane hits at its second step and the loop ends there;
+        # no scalar chain of this size can run as the oracle
+        assert _batch_hits({1: 2**31}, 0, 1, 5, [2], [2]) == 1
+
     def test_lane_with_several_hitting_components_counts_once(self):
         # a hit is a single edge between two leaves, so many lanes hit more
         # than once and must still count once
