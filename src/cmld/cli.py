@@ -74,7 +74,10 @@ def _build_parser() -> _Parser:
     lln = sub.add_parser("lln", help="zero-cost fluid trajectory")
     lln.add_argument("--p", required=True)
     lln.add_argument("--T", type=float, required=True)
-    lln.add_argument("--grid", type=int, default=1001)
+    lln.add_argument("--grid", type=int, default=1001,
+                     help="uniform points of the trajectory, at least 2; the grid is refined "
+                          "around tau, so more rows may be written (1032 at 1001 for "
+                          "p = {1: .5, 3: .5})")
     lln.add_argument("--out", default=None, help="trajectory CSV (sidecar JSON alongside)")
 
     path = sub.add_parser("path", help="minimizing segment trajectory and cost")

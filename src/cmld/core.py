@@ -42,13 +42,25 @@ _BISECT_MAX_ITER = 200
 _SIZE_SCAN_POINTS = 16  # scan of the component-size root bracket
 
 
+def _degree(k, what: str) -> int:
+    """``k`` as an int; DomainError unless it is a positive integer (2.5 is
+    not truncated to 2)."""
+    try:
+        kk = int(k)
+    except (TypeError, ValueError, OverflowError):  # NaN, inf, a non-number
+        kk = 0
+    if kk < 1 or kk != k:
+        raise DomainError(f"{what}: degree {k!r} is not a positive integer")
+    return kk
+
+
 def _clean_weights(weights: Mapping[int, float], what: str) -> dict[int, float]:
     out: dict[int, float] = {}
     for k, v in weights.items():
-        kk = int(k)
-        if kk < 1 or kk != float(k):
-            raise DomainError(f"{what}: degree {k!r} is not a positive integer")
+        kk = _degree(k, what)
         v = float(v)
+        if not math.isfinite(v):
+            raise DomainError(f"{what}: weight {v} at degree {kk} is not finite")
         if v < -PROB_TOL:
             raise DomainError(f"{what}: negative weight {v} at degree {kk}")
         if v > 0.0:

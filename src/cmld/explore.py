@@ -43,7 +43,14 @@ class DegreeSequence:
     def __post_init__(self) -> None:
         if len(self.degrees) == 0:
             raise DomainError("degree sequence is empty")
-        degs = tuple(int(d) for d in self.degrees)
+        raw = tuple(self.degrees)
+        try:
+            degs = tuple(map(int, raw))
+        except (TypeError, ValueError, OverflowError) as exc:  # NaN, inf, a non-number
+            raise DomainError(f"degrees must be integers: {exc}") from None
+        if degs != raw:  # one C-level pass, also over 1e5 vertices; 2.5 != int(2.5)
+            bad = next(d for d, e in zip(raw, degs) if d != e)
+            raise DomainError(f"degree {bad!r} is not an integer")
         if any(d < 1 for d in degs):
             raise DomainError("all degrees must be >= 1")
         if sum(degs) % 2 != 0:

@@ -128,8 +128,12 @@ def lln_path(p: DegreeDistribution, T: float | None = None, grid_points: int = 1
              grid: np.ndarray | None = None) -> FluidPath:
     """The unique zero-cost fluid trajectory on [0, T], T >= mu/2.
 
-    The returned path carries tau markers and summary scalars (mu, nu, rho,
-    tau, giant fraction) in ``meta``.
+    Without ``grid``, the grid is ``grid_points`` uniform points with four
+    times the density within five spacings of tau, and tau itself
+    (:func:`_refined_grid`); when 0 < tau < T it therefore holds more points
+    than asked, 1032 for p = {1: .5, 3: .5} at 1001.  The returned path
+    carries tau markers and summary scalars (mu, nu, rho, tau, giant
+    fraction) in ``meta``.
     """
     mu = p.mu
     if grid is not None:

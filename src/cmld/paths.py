@@ -23,11 +23,12 @@ trajectory and its closed-form cost
     H~(z) + H~(x2) - H~(x1) + K~(x1, x2)
 
 are implemented below.  :func:`path_cost` integrates the local rate on two
-routes: in closed form for paths from :func:`minimizer_path`, which carry
-their segment, and from the grid by finite differences for any other path.
-On 8400 random valid segments the first agrees with the closed-form cost
-to 2.4e-11; the second, given the same minimizers on their default
-4501-point grids, to 1.15e-6 (median 8e-9).
+routes, with one quadrature rule each: in closed form for paths from
+:func:`minimizer_path`, which carry their segment, and from the grid by
+finite differences for any other path.  On 8400 random valid segments the
+first agrees with the closed-form cost to 2.2e-12; the second, given the
+same minimizers on their default 4501-point grids, to 1.16e-6 (median
+8.4e-9).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _clean_weights, _transition_root
+from .core import _clean_weights, _degree, _transition_root
 from .errors import DomainError, PreconditionError
 from .fluid import FluidPath
 
@@ -48,13 +49,9 @@ CASE_I = "case_i"
 CASE_II = "case_ii"
 
 J2_TOLERANCE = 1e-6  # admits grid discretization error at ~1e3 points
-_TAIL_FRACTION = 0.05
-_GL_NODES = 64  # grid route: tail panels of 64 points
-_GL_PANELS = 4
-_SEG_NODES = 10  # closed-form route: panels of 10 points,
-_SEG_BODY_PANELS = 16  # 16 on the body
-_SEG_TAIL_PANELS = 13  # and 13 on the tail,
-_SEG_GRADING = 0.2  # each a fifth of the next toward t2
+_SEG_NODES = 10  # closed-form route: 29 panels of 10 points in s,
+_SEG_PANELS = 29
+_SEG_GRADING = 0.5  # halving in width toward t2
 _NU_FLOOR = 1e-8  # below this a velocity entry is treated as exactly zero
 
 
@@ -66,6 +63,8 @@ class StatePoint:
     xk: dict[int, float]
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.x0):
+            raise DomainError(f"x0 must be finite, got {self.x0}")
         if self.x0 < -_MASS_TOL:
             raise DomainError(f"x0 must be nonnegative, got {self.x0}")
         object.__setattr__(self, "x0", max(float(self.x0), 0.0))
@@ -90,8 +89,7 @@ class LocalVelocity:
 
     def __post_init__(self) -> None:
         for k, v in self.betak.items():
-            if int(k) < 1:
-                raise DomainError(f"degree {k!r} is not a positive integer")
+            _degree(k, "LocalVelocity")
             if not -1.0 - _MASS_TOL <= v <= _MASS_TOL:
                 raise DomainError(f"beta_{k} = {v} outside [-1, 0]")
 
@@ -319,22 +317,18 @@ def _check_unit_pace(path: FluidPath) -> None:
 
 
 @functools.cache
-def _gl_rule(nodes: int, panels: int, length: float,
-             grading: float) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes and weights on [0, length].
+def _gl_rule(nodes: int, panels: int, grading: float) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes and weights on [0, 1].
 
-    ``panels`` panels of ``nodes`` points: equal panels when ``grading`` is
-    1, else panel edges length * grading^j, j = panels - 1, ..., 0, after 0.
-    Built on first use, not at import, so that ``import cmld`` does not load
-    ``numpy.polynomial``; the arrays are read-only as every call shares them.
+    ``panels`` panels of ``nodes`` points, with edges grading^j,
+    j = panels - 1, ..., 0, after 0.  Built on first use, not at import, so
+    that ``import cmld`` does not load ``numpy.polynomial``; the arrays are
+    read-only as every call shares them.
     """
     from numpy.polynomial.legendre import leggauss
 
     x, wx = leggauss(nodes)
-    if grading == 1.0:
-        edges = np.linspace(0.0, length, panels + 1)
-    else:
-        edges = np.append(0.0, length * grading ** np.arange(panels - 1.0, -1.0, -1.0))
+    edges = np.append(0.0, grading ** np.arange(panels - 1.0, -1.0, -1.0))
     a, b = edges[:-1, None], edges[1:, None]
     s = (0.5 * (b - a) * x + 0.5 * (a + b)).ravel()
     w = (0.5 * (b - a) * wx).ravel()
@@ -345,16 +339,15 @@ def _gl_rule(nodes: int, panels: int, length: float,
 def path_cost(path: FluidPath, t1: float | None = None, t2: float | None = None) -> float:
     """Integral of the local rate along a unit-pace path segment.
 
-    Two routes.  A path from :func:`minimizer_path` carries its segment:
-    its state and velocity are evaluated in closed form
-    (:func:`_segment_state`) at fixed composite Gauss-Legendre nodes, and
-    [t1, t2] may be any subinterval of [0, varsigma].  Any other path
-    (``lln_path``, a CSV, a user-built grid) is integrated from its grid by
-    finite differences and interpolation, and t1, t2 must be grid points.
-    On both routes the final 5% of the interval is integrated in the
-    variable s = sqrt((t2 - t)/(t2 - t1)), which removes the integrable
-    logarithmic singularity that appears when the active mass vanishes at
-    the right endpoint.
+    Two routes, one quadrature rule each.  A path from
+    :func:`minimizer_path` carries its segment: its state and velocity are
+    evaluated in closed form (:func:`_segment_state`) at the nodes of one
+    composite Gauss-Legendre rule in s = sqrt((t2 - t)/(t2 - t1)), which
+    removes the integrable logarithmic singularity that appears when the
+    active mass vanishes at t2, and [t1, t2] may be any subinterval of
+    [0, varsigma].  Any other path (``lln_path``, a CSV, a user-built grid)
+    is integrated from its grid by 2-point Gauss on every grid interval,
+    with velocities from finite differences, and t1, t2 must be grid points.
     """
     if t1 is None:
         t1 = float(path.grid[0])
@@ -376,51 +369,42 @@ def _integrate(weights: np.ndarray, vals: np.ndarray) -> float:
 
 
 def _segment_cost(spec: PathSegmentSpec, t1: float, t2: float) -> float:
-    """Closed-form route.  Body: 16 panels of 10 Gauss-Legendre nodes.
-    Tail, in s: 13 panels of 10, each a fifth of the next toward t2.  Every
-    node is placed by its time left before t2, so none rounds onto t2."""
+    """Closed-form route: 29 panels of 10 Gauss-Legendre nodes in s, halving
+    in width toward t2.  Every node is placed by its time left before t2,
+    so none rounds onto t2."""
     tol = 1e-9 * max(1.0, spec.varsigma)
     if t1 < -tol or t2 > spec.varsigma + tol:
         raise DomainError(f"[{t1}, {t2}] is not inside [0, {spec.varsigma}]")
     t2 = min(t2, spec.varsigma)
     span = t2 - min(max(t1, 0.0), t2)
-    b, wb = _gl_rule(_SEG_NODES, _SEG_BODY_PANELS, 1.0 - _TAIL_FRACTION, 1.0)
-    s, ws = _gl_rule(_SEG_NODES, _SEG_TAIL_PANELS, math.sqrt(_TAIL_FRACTION), _SEG_GRADING)
-    before_t2 = span * np.concatenate([1.0 - b, s * s])
-    zeta0, zetak, dzetak = _segment_state(spec, (spec.varsigma - t2) + before_t2)
+    s, w = _gl_rule(_SEG_NODES, _SEG_PANELS, _SEG_GRADING)
+    zeta0, zetak, dzetak = _segment_state(spec, (spec.varsigma - t2) + span * s * s)
     # exact velocities need no noise floor: at the 1e-8 default, dropping
-    # a small wake rate near t2 costs up to 3e-11 in case (i)
+    # a small wake rate near t2 costs up to 6e-11 in case (i) on 8400
+    # random segments
     vals = _rate_integrand(zeta0, zetak.T, dzetak.T, np.array(spec.degrees, dtype=float),
                            floor=0.0)
-    return _integrate(span * np.concatenate([wb, 2.0 * s * ws]), vals)
+    return _integrate(2.0 * span * s * w, vals)
 
 
 def _grid_cost(path: FluidPath, t1: float, t2: float) -> float:
     """Grid route: central-difference velocities, interpolated to 2-point
-    Gauss nodes per grid interval on the body and 4 panels of 64 on the tail."""
+    Gauss nodes on every grid interval.  The nodes are strictly interior, so
+    a mass vanishing exactly at a grid point never enters a logarithm."""
     seg = path.slice(t1, t2)
     _check_unit_pace(seg)
     _, dzetak = seg.derivatives()
-
-    # body on [t1, t_split]: nodes are strictly interior, so a mass
-    # vanishing exactly at an endpoint never enters a logarithm
-    span = t2 - t1
-    t_split = t2 - _TAIL_FRACTION * span
-    edges = np.append(seg.grid[seg.grid < t_split - 1e-15], t_split)
-    left, right = edges[:-1], edges[1:]
-    half = 0.5 * (right - left)
-    mid = 0.5 * (right + left)
+    half = 0.5 * np.diff(seg.grid)
+    mid = seg.grid[:-1] + half
     g2 = 1.0 / math.sqrt(3.0)
-    s, w = _gl_rule(_GL_NODES, _GL_PANELS, math.sqrt(_TAIL_FRACTION), 1.0)
-
-    t_nodes = np.concatenate([mid - half * g2, mid + half * g2, t2 - span * s * s])
+    t_nodes = np.concatenate([mid - half * g2, mid + half * g2])
     stacked = np.vstack([seg.zeta0, seg.zetak.T, dzetak.T, _wake_error(dzetak)])
     vals = np.array([np.interp(t_nodes, seg.grid, row) for row in stacked])
     d = len(seg.degrees)
     ks = np.array(seg.degrees, dtype=float)
     rates = _rate_integrand(vals[0], vals[1:d + 1], vals[d + 1:-1], ks,
                             slack=np.maximum(vals[-1], _NU_FLOOR))
-    return _integrate(np.concatenate([half, half, w * 2.0 * span * s]), rates)
+    return _integrate(np.concatenate([half, half]), rates)
 
 
 def _wake_error(dzetak: np.ndarray) -> np.ndarray:

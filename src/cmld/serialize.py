@@ -45,7 +45,7 @@ def load_degree_input(path: str | Path) -> DegreeDistribution | DegreeSequence:
     with open(path) as f:
         data = json.load(f)
     if isinstance(data, list):
-        return DegreeSequence(tuple(int(x) for x in data))
+        return DegreeSequence(tuple(data))
     return DegreeDistribution(_degree_weights(data, path))
 
 

@@ -58,8 +58,8 @@ def _segment_battery(fast: bool) -> list[PathSegmentSpec]:
     """Five hand-written segments, then (unless ``fast``) random feasible
     ones from generator seed 20240810 up to 25.  Over seeds 1-400 of this
     generator (21 segments each) ``path_cost`` of a minimizer stays within
-    2.4e-11 of the closed form; integrating the same paths from their grids
-    reached 1.15e-6 at seed 278, above the 1e-6 tolerance."""
+    2.2e-12 of the closed form; integrating the same paths from their grids
+    reached 1.16e-6 at seed 278, above the 1e-6 tolerance."""
     cases = [
         (StatePoint(0.0, {3: 1.0}), StatePoint(0.0, {3: 0.5})),        # case (i)
         (StatePoint(1.0, {3: 1.0}), StatePoint(0.5, {3: 0.5})),        # beta ~ 0.522

@@ -80,6 +80,14 @@ class TestRateCommands:
     def test_missing_file_exit_1(self, files):
         assert main(["rate", "degree", "--p", "/nonexistent.json", "--q", files["q"]]) == 1
 
+    @pytest.mark.parametrize("argv", [[], ["rate", "dreg", "--D", "x", "--q", "0.5"]])
+    def test_bad_arguments_exit_1(self, argv, capsys):
+        # argparse itself would exit 2, the code for infeasible input
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "error: " in capsys.readouterr().err
+
 
 class TestInfeasibleInputs:
     def test_estimate_q_above_p_exit_2(self, files, capsys):
@@ -107,7 +115,7 @@ class TestInfeasibleInputs:
         assert "grid_points must be at least 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("grid", ["0", "1", "2", "3"])
-    def test_path_grid_below_two_exit_2(self, files, capsys, grid):
+    def test_path_grid_below_four_exit_2(self, files, capsys, grid):
         # the segment grid keeps two body and two tail points, so fewer than
         # four would write a 4-row CSV
         out = files["tmp"] / "seg.csv"
@@ -115,6 +123,20 @@ class TestInfeasibleInputs:
                      "--grid", grid, "--out", str(out)]) == 2
         assert "grid_points must be at least 4" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("payload, argv", [
+        ('{"degrees": {"3": NaN}}', ["estimate", "--p", "P", "--q", "F", "--n", "16",
+                                     "--eps", "0.1", "--reps", "100", "--seed", "1"]),
+        ('{"degrees": {"3": 1.0, "4": NaN}}', ["lln", "--p", "F", "--T", "2"]),
+        ('{"x0": NaN, "xk": {"3": 1.0}}', ["path", "--x1", "F", "--x2", "X2"]),
+    ], ids=["estimate-q", "lln-p", "path-x0"])
+    def test_non_finite_input_exit_2(self, files, capsys, payload, argv):
+        # JSON NaN reads as a float; each of these once ran and exited 0
+        f = files["tmp"] / "nan.json"
+        f.write_text(payload)
+        names = {"F": str(f), "P": files["p"], "X2": files["x2"]}
+        assert main([names.get(a, a) for a in argv]) == 2
+        assert "finite" in capsys.readouterr().err
 
 
 class TestTrajectoryCommands:
@@ -261,6 +283,13 @@ class TestDegreeSequenceInput:
         assert main(["simulate", "--p", str(f), "--n", "6", "--seed", "3"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["n"] == 6 and payload["m"] == 6
+
+    def test_simulate_non_integral_degree_exit_2(self, tmp_path, capsys):
+        # [2.5, 2.5] once ran as the 2-regular sequence (2, 2)
+        f = tmp_path / "seq.json"
+        f.write_text(json.dumps([2.5, 2.5]))
+        assert main(["simulate", "--p", str(f), "--n", "2", "--seed", "3"]) == 2
+        assert "degree 2.5 is not an integer" in capsys.readouterr().err
 
     def test_simulate_array_length_mismatch_exit_1(self, tmp_path):
         f = tmp_path / "seq.json"

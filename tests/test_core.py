@@ -362,6 +362,16 @@ class TestTypes:
         with pytest.raises(DomainError):
             SubProfile({3: 1.1}, DegreeDistribution({3: 1.0}))
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_non_finite_weight_rejected(self, weight):
+        # a NaN weight was dropped, so the rest of the profile was rated
+        p = DegreeDistribution({1: 0.5, 3: 0.5})
+        for build in (lambda: DegreeDistribution({3: 1.0, 4: weight}),
+                      lambda: SubProfile({3: weight}, p),
+                      lambda: rate_component_degree(p, {1: weight, 3: 0.3})):
+            with pytest.raises(DomainError, match="is not finite"):
+                build()
+
     def test_feasibility_flag(self):
         assert SubProfile({3: 0.5}, DegreeDistribution({3: 1.0})).feasible
         p2 = DegreeDistribution({2: 1.0})

@@ -104,6 +104,11 @@ class TestEventProbability:
         with pytest.raises(DomainError, match="q weight at degree 3 must be finite"):
             estimate_event_prob((3,) * 12, {3: weight}, eps=0.1, reps=100, seed=1)
 
+    def test_non_integral_q_degree_rejected(self):
+        # not truncated to a window on degree 3
+        with pytest.raises(DomainError, match="degree 3.7 is not a positive integer"):
+            estimate_event_prob((3,) * 12, {3.7: 0.5}, eps=0.1, reps=100, seed=1)
+
     def test_infinite_eps_hits_every_replication(self):
         res = estimate_event_prob((3,) * 12, {3: 0.5}, eps=math.inf, reps=300, seed=5)
         assert res.hits == res.reps and res.p_hat == 1.0

@@ -27,6 +27,16 @@ class TestDegreeSequence:
         with pytest.raises(DomainError):
             DegreeSequence((0, 2))
 
+    @pytest.mark.parametrize("degrees", [(2.5, 2.5), (2, float("nan")), (2, "2")])
+    def test_non_integral_degree_rejected(self, degrees):
+        # 2.5 was truncated to 2
+        with pytest.raises(DomainError, match="integer"):
+            DegreeSequence(degrees)
+
+    def test_integral_values_stored_as_int(self):
+        degs = DegreeSequence((2.0, np.int64(2))).degrees
+        assert degs == (2, 2) and all(type(d) is int for d in degs)
+
     def test_from_distribution_counts(self):
         p = DegreeDistribution({1: 0.5, 3: 0.5})
         d = DegreeSequence.from_distribution(p, 100)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -108,6 +109,20 @@ class TestSkorokhod:
         psi2 = np.concatenate([[0.0], np.cumsum(b[:m])])
         lhs = np.max(np.abs(reflect(psi1) - reflect(psi2)))
         assert lhs <= 2.0 * np.max(np.abs(psi1 - psi2)) + 1e-12
+
+
+class TestFluidPathInvariants:
+    @pytest.mark.parametrize("zeta0, zeta3, message", [
+        ([0.0, 0.0, 0.0], [0.0, -0.1, -0.2], "zeta_k < 0 on the grid"),
+        ([0.0, 0.0, 0.0], [0.5, 0.6, 0.7], "some zeta_k increases along the grid"),
+        ([0.0, 0.5, 1.0], [1.0, 1.0, 1.0], "r(zeta) increases along the grid"),
+        ([0.0, 0.5, 0.0], [1.0, 0.5, 0.0], "zeta_0 deviates from the reflection of psi"),
+    ])
+    def test_each_failure_names_its_invariant(self, zeta0, zeta3, message):
+        path = FluidPath(grid=np.arange(3.0), degrees=(3,), zeta0=zeta0,
+                         zetak=np.array(zeta3)[:, None], psi=np.zeros(3))
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            path.check_invariants()
 
 
 class TestVarsigma:
@@ -283,6 +298,16 @@ class TestLocalRate:
         with pytest.raises(DomainError):
             StatePoint(0.0, {2.5: 0.1})  # not truncated to degree 2
 
+    def test_non_integral_velocity_degree_rejected(self):
+        with pytest.raises(DomainError, match="positive integer"):
+            LocalVelocity({2.5: -0.1})
+
+    @pytest.mark.parametrize("x0", [math.nan, math.inf])
+    def test_non_finite_x0_rejected(self, x0):
+        # a NaN x0 passed the sign check and gave a NaN varsigma
+        with pytest.raises(DomainError, match="x0 must be finite"):
+            StatePoint(x0, {3: 1.0})
+
 
 class TestPathCost:
     def test_regular_quadrature_matches(self):
@@ -350,8 +375,8 @@ class TestClosedFormRoute:
         assert abs(cost - cost_closed_form(x1, x2)) <= 1e-7
 
     def test_battery_to_1e_11_and_1e_10(self):
-        # over generator seeds 1-400 the worst are 3.3e-12 and 2.4e-11; with
-        # the 1e-8 velocity floor case (i) reaches 1.8e-11 on this battery
+        # over generator seeds 1-400 the worst are 2.2e-12 and 2.2e-12; with
+        # the 1e-8 velocity floor case (i) reaches 1.1e-11 on this battery
         worst = {CASE_I: 0.0, CASE_II: 0.0}
         for spec in _segment_battery(fast=False):
             err = abs(path_cost(minimizer_path(spec)) - cost_closed_form(spec.x1, spec.x2))
