@@ -49,11 +49,11 @@ def main():
     results = []
     with open(args.out, "w") as f:
         for n in args.sizes:
-            res = estimate_event_prob(p, q, eps=args.eps_vertices / n,
-                                      reps=args.reps, seed=args.seed, n=n,
-                                      workers=args.workers)
+            eps = args.eps_vertices / n
+            res = estimate_event_prob(p, q, eps=eps, reps=args.reps, seed=args.seed,
+                                      n=n, workers=args.workers)
             results.append(res)
-            f.write(estimate_to_json_line(res) + "\n")
+            f.write(estimate_to_json_line(res, eps) + "\n")
             rate = f"{res.per_n_rate:.4f}" if math.isfinite(res.per_n_rate) else "inf"
             print(f"n={n:4d}  hits={res.hits:7d}  p_hat={res.p_hat:.3e}  "
                   f"CI [{res.ci_low:.3e}, {res.ci_high:.3e}]  -log(p)/n={rate}")

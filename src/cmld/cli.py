@@ -2,8 +2,9 @@
 
 Commands: rate {degree|dreg|dreg-sub|size|largest-conj}, lln, path,
 simulate, estimate, verify.  Exit codes: 0 success, 1 validation failure
-(bad arguments or files), 2 infeasible mathematical input (the message
-names the violated condition).
+(bad arguments; a file missing, malformed or holding a non-number), 2
+infeasible mathematical input such as a non-integral or non-positive degree
+or a non-finite weight (the message names the violated condition).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .lln import lln_path
 from .paths import make_segment_spec, minimizer_path, path_cost, cost_closed_form
 from .rng import CounterRNG
 from .serialize import (
+    estimate_to_json_line,
     estimates_to_csv,
     fluid_path_to_csv,
     load_degree_distribution,
@@ -113,10 +115,9 @@ def _build_parser() -> _Parser:
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2)
     if out:
-        Path(out).write_text(text + "\n")
-    print(text)
+        write_sidecar(payload, out)
+    print(json.dumps(payload, indent=2))
 
 
 def _cmd_rate(args: argparse.Namespace) -> int:
@@ -153,7 +154,8 @@ def _cmd_lln(args: argparse.Namespace) -> int:
     fp = lln_path(p, T=args.T, grid_points=args.grid)
     if args.out:
         fluid_path_to_csv(fp, args.out)
-        write_sidecar(fp.meta, Path(args.out).with_suffix(".meta.json"))
+        write_sidecar({**fp.meta, "grid_points": args.grid, "rows": len(fp.grid)},
+                      Path(args.out).with_suffix(".meta.json"))
         print(f"wrote {args.out}", file=sys.stderr)
     else:
         _emit(fp.meta, None)
@@ -183,13 +185,11 @@ def _cmd_path(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    loaded = load_degree_input(args.p)
-    if isinstance(loaded, DegreeSequence):
-        if args.n != loaded.n:
-            raise ValueError(f"--n {args.n} does not match the {loaded.n}-vertex sequence")
-        d = loaded
-    else:
-        d = DegreeSequence.from_distribution(loaded, args.n)
+    d = load_degree_input(args.p)
+    if not isinstance(d, DegreeSequence):
+        d = DegreeSequence.from_distribution(d, args.n)
+    elif args.n != d.n:
+        raise ValueError(f"--n {args.n} does not match the {d.n}-vertex sequence")
     rec = eea_run(d, CounterRNG(args.seed, 0), record_trajectory=args.trajectory)
     largest, n_comp, comps = extract_components(rec)
     payload = {
@@ -223,8 +223,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         estimates_to_csv([res], out)
         print(f"wrote {out}", file=sys.stderr)
     else:
-        payload = {"eps": args.eps, **res.as_dict()}
-        line = json.dumps(payload)
+        line = estimate_to_json_line(res, args.eps)
         if args.out:
             with open(args.out, "a") as f:
                 f.write(line + "\n")
@@ -254,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
     except CmldError as exc:
         print(f"infeasible input: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -76,7 +76,10 @@ class DegreeDistribution:
 
     def __post_init__(self) -> None:
         w = _clean_weights(self.weights, "DegreeDistribution")
-        total = math.fsum(w.values())
+        try:
+            total = math.fsum(w.values())
+        except OverflowError:  # finite weights whose sum passes the double range
+            total = math.inf
         if abs(total - 1.0) > PROB_TOL:
             raise DomainError(f"DegreeDistribution: weights sum to {total}, not 1")
         object.__setattr__(self, "weights", w)

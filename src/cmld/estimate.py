@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DegreeDistribution, SubProfile, _degree, bisect_increasing
+from .core import DegreeDistribution, SubProfile, _clean_weights, bisect_increasing
 from .errors import DomainError, FitError
 from .explore import DegreeSequence
 from .rng import counter_uniforms, stream_keys
@@ -210,11 +210,7 @@ def _event_windows(counts: dict[int, int], q, eps: float
     eps)] and [0, counts[k]].  None also when a degree absent from the
     graph (m_k = 0) has q_k > eps.
     """
-    qw = q.weights if isinstance(q, SubProfile) else {_degree(k, "q"): float(v)
-                                                      for k, v in q.items()}
-    for k, v in qw.items():
-        if not math.isfinite(v):
-            raise DomainError(f"q weight at degree {k} must be finite, got {v}")
+    qw = q.weights if isinstance(q, SubProfile) else _clean_weights(q, "q")
     if any(v > eps for k, v in qw.items() if k not in counts):
         return None
     n = sum(counts.values())

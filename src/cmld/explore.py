@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DegreeDistribution
+from .core import DegreeDistribution, _degree
 from .errors import DomainError, ParityError, StateError
 from .fluid import FluidPath
 from .rng import CounterRNG
@@ -43,16 +43,9 @@ class DegreeSequence:
     def __post_init__(self) -> None:
         if len(self.degrees) == 0:
             raise DomainError("degree sequence is empty")
-        raw = tuple(self.degrees)
-        try:
-            degs = tuple(map(int, raw))
-        except (TypeError, ValueError, OverflowError) as exc:  # NaN, inf, a non-number
-            raise DomainError(f"degrees must be integers: {exc}") from None
-        if degs != raw:  # one C-level pass, also over 1e5 vertices; 2.5 != int(2.5)
-            bad = next(d for d, e in zip(raw, degs) if d != e)
-            raise DomainError(f"degree {bad!r} is not an integer")
-        if any(d < 1 for d in degs):
-            raise DomainError("all degrees must be >= 1")
+        for k in set(self.degrees):  # judged once per distinct value
+            _degree(k, "DegreeSequence")
+        degs = tuple(map(int, self.degrees))
         if sum(degs) % 2 != 0:
             raise ParityError(f"half-edge total {sum(degs)} is odd")
         object.__setattr__(self, "degrees", degs)
@@ -157,15 +150,13 @@ def eea_run(d: DegreeSequence, rng: CounterRNG,
     woke: list[int] = []  # per step: the woken degree, 0 for a kill
     components: list[ComponentRecord] = []
     cur_config: dict[int, int] = {}
-    cur_edges = 0
-    j = 0
+    j = start = 0  # start: the step that opened the current component
 
     killw, denom = 0, s  # from A = 0; s > 0 since every degree is >= 1
     for u in rng.read_ahead(max_steps):
         x = u * denom
         if x < killw:
             a -= 2
-            cur_edges += 1
             woken = 0
         else:
             y = x - killw
@@ -176,11 +167,7 @@ def eea_run(d: DegreeSequence, rng: CounterRNG,
                     break
             kv[woken] -= 1
             s -= woken
-            if a > 0:
-                a += woken - 2
-                cur_edges += 1
-            else:
-                a = woken
+            a = a + woken - 2 if a > 0 else woken
             cur_config[woken] = cur_config.get(woken, 0) + 1
         j += 1
         if record_trajectory:
@@ -190,9 +177,9 @@ def eea_run(d: DegreeSequence, rng: CounterRNG,
             components.append(ComponentRecord(
                 degree_config=dict(sorted(cur_config.items())),
                 n_vertices=sum(cur_config.values()),
-                n_edges=cur_edges,
+                n_edges=j - start - 1,
             ))
-            cur_config, cur_edges = {}, 0
+            cur_config, start = {}, j
         killw = a - 1 if a > 1 else 0
         denom = s + killw
         if denom == 0:  # checked before the next draw is taken

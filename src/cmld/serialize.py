@@ -1,5 +1,10 @@
 """File formats: JSON degree/state inputs, CSV trajectories, JSONL estimates.
 
+Every JSON input passes one reader, which checks only its shape: a missing
+field, a list where a map belongs or a value that is not a number is a
+ValueError naming the file.  Degrees and weights are judged by the objects
+built from them, through ``core._degree`` and ``core._clean_weights``.
+
 CSV values use 17 significant digits so that every emitted file re-parses
 into the originating values exactly.  Trajectory columns are t, zeta_0,
 zeta_k for each tracked degree k in the path's order, then psi; the header
@@ -26,42 +31,51 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _degree_weights(data, path: str | Path) -> dict[int, float]:
-    """The {k: w_k} map of a parsed {"degrees": {"k": w_k}} object."""
-    if not isinstance(data, dict) or "degrees" not in data:
-        raise DomainError(f"{path}: expected an object with a 'degrees' map")
-    return {int(k): float(v) for k, v in data["degrees"].items()}
+def _read_json(path: str | Path):
+    """The JSON value in ``path``, every number in it read as a float."""
+    with open(path) as f:
+        return json.load(f, parse_int=float)
+
+
+def _weights(data, key: str, path: str | Path) -> dict[float, float]:
+    """data[key], a map of numbers, with its keys read as the numbers they spell."""
+    m = data.get(key) if isinstance(data, dict) else None
+    try:
+        if isinstance(m, dict) and all(isinstance(v, float) for v in m.values()):
+            return {float(k): v for k, v in m.items()}
+    except ValueError:  # a key that spells no number
+        pass
+    raise ValueError(f"{path}: expected an object whose '{key}' maps degrees to numbers")
 
 
 def load_degree_distribution(path: str | Path) -> DegreeDistribution:
     """Read {"degrees": {"k": p_k}} from JSON."""
-    with open(path) as f:
-        return DegreeDistribution(_degree_weights(json.load(f), path))
+    return DegreeDistribution(_weights(_read_json(path), "degrees", path))
 
 
 def load_degree_input(path: str | Path) -> DegreeDistribution | DegreeSequence:
     """A degree file holds either a distribution {"degrees": {...}} or a
     plain JSON array of per-vertex degrees (an explicit sequence)."""
-    with open(path) as f:
-        data = json.load(f)
-    if isinstance(data, list):
-        return DegreeSequence(tuple(data))
-    return DegreeDistribution(_degree_weights(data, path))
+    data = _read_json(path)
+    if not isinstance(data, list):
+        return DegreeDistribution(_weights(data, "degrees", path))
+    if not all(isinstance(d, float) for d in data):
+        raise ValueError(f"{path}: expected a degree sequence of numbers only")
+    return DegreeSequence(tuple(data))
 
 
 def load_sub_profile(path: str | Path, reference: DegreeDistribution) -> SubProfile:
     """Sub-profiles share the degree-file schema {"degrees": {...}}."""
-    with open(path) as f:
-        return SubProfile(_degree_weights(json.load(f), path), reference)
+    return SubProfile(_weights(_read_json(path), "degrees", path), reference)
 
 
 def load_state_point(path: str | Path) -> StatePoint:
     """Read {"x0": real, "xk": {"k": x_k}} from JSON."""
-    with open(path) as f:
-        data = json.load(f)
-    if not isinstance(data, dict) or "x0" not in data or "xk" not in data:
-        raise DomainError(f"{path}: expected an object with 'x0' and 'xk'")
-    return StatePoint(float(data["x0"]), {int(k): float(v) for k, v in data["xk"].items()})
+    data = _read_json(path)
+    xk = _weights(data, "xk", path)  # data is an object from here on
+    if not isinstance(data.get("x0"), float):
+        raise ValueError(f"{path}: expected an object whose 'x0' is a number")
+    return StatePoint(data["x0"], xk)
 
 
 def fluid_path_to_csv(path_obj: FluidPath, path: str | Path) -> None:
@@ -101,8 +115,8 @@ def write_sidecar(meta: dict, path: str | Path) -> None:
         f.write("\n")
 
 
-def estimate_to_json_line(res: EstimateResult) -> str:
-    return json.dumps(res.as_dict())
+def estimate_to_json_line(res: EstimateResult, eps: float) -> str:
+    return json.dumps({"eps": eps, **res.as_dict()})
 
 
 def estimates_to_csv(results: list[EstimateResult], path: str | Path) -> None:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cmld import DegreeDistribution, StatePoint, StateError, lln_path
 from cmld.cli import main
@@ -11,7 +13,9 @@ from cmld.serialize import (
     fluid_path_from_csv,
     fluid_path_to_csv,
     load_degree_distribution,
+    load_degree_input,
     load_state_point,
+    load_sub_profile,
 )
 
 P13 = {"degrees": {"1": 0.5, "3": 0.5}}
@@ -139,6 +143,46 @@ class TestInfeasibleInputs:
         assert "finite" in capsys.readouterr().err
 
 
+class TestMalformedInputs:
+    """A file of the wrong shape, or with a value that is not a number, is exit 1
+    and names the file; a number that is no degree is exit 2, wherever it is."""
+
+    @pytest.mark.parametrize("payload, argv", [
+        ('{"degrees": {"3": null}}', ["lln", "--p", "F", "--T", "2"]),
+        ('{"degrees": {"3": "1.0"}}', ["lln", "--p", "F", "--T", "2"]),
+        ('{"degrees": {"3": true}}', ["lln", "--p", "F", "--T", "2"]),
+        ('{"degrees": {"three": 1.0}}', ["lln", "--p", "F", "--T", "2"]),
+        ('{"degrees": [3, 3]}', ["lln", "--p", "F", "--T", "2"]),
+        ('[3, 3]', ["lln", "--p", "F", "--T", "2"]),
+        ('{"x0": null, "xk": {"3": 1}}', ["path", "--x1", "F", "--x2", "X2"]),
+        ('{"x0": 0, "xk": [1]}', ["path", "--x1", "F", "--x2", "X2"]),
+        ('{"x0": 0.0}', ["path", "--x1", "F", "--x2", "X2"]),
+        ('[3, 3, "a"]', ["simulate", "--p", "F", "--n", "3", "--seed", "1"]),
+        ('[[3], [3]]', ["simulate", "--p", "F", "--n", "2", "--seed", "1"]),
+    ])
+    def test_malformed_file_exit_1(self, files, capsys, payload, argv):
+        f = files["tmp"] / "bad.json"
+        f.write_text(payload)
+        names = {"F": str(f), "X2": files["x2"]}
+        assert main([names.get(a, a) for a in argv]) == 1
+        assert str(f) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload, argv", [
+        ('{"degrees": {"3.7": 1.0}}', ["lln", "--p", "F", "--T", "2"]),
+        ('{"degrees": {"3.7": 1.0}}', ["rate", "degree", "--p", "P", "--q", "F"]),
+        ('{"degrees": {"3.7": 1.0}}', ["estimate", "--p", "F", "--q", "Q", "--n", "16",
+                                       "--eps", "0.1", "--reps", "10", "--seed", "1"]),
+        ('{"x0": 0, "xk": {"3.7": 1}}', ["path", "--x1", "F", "--x2", "X2"]),
+    ])
+    def test_non_integral_degree_exit_2(self, files, capsys, payload, argv):
+        # a key once exited 1 with int()'s message while an array entry exited 2
+        f = files["tmp"] / "deg.json"
+        f.write_text(payload)
+        names = {"F": str(f), "P": files["p"], "Q": files["q"], "X2": files["x2"]}
+        assert main([names.get(a, a) for a in argv]) == 2
+        assert "degree 3.7 is not a positive integer" in capsys.readouterr().err
+
+
 class TestTrajectoryCommands:
     def test_lln_writes_csv_and_sidecar(self, files, capsys):
         out = str(files["tmp"] / "lln.csv")
@@ -149,6 +193,17 @@ class TestTrajectoryCommands:
         assert meta["giant_fraction"] == pytest.approx(22.0 / 27.0, abs=1e-9)
         fp = fluid_path_from_csv(out)
         assert fp.grid[0] == 0.0
+
+    def test_lln_sidecar_reports_grid_and_rows(self, files, capsys):
+        # the grid is refined around tau, so more rows are written than asked for
+        out = files["tmp"] / "lln.csv"
+        assert main(["lln", "--p", files["p"], "--T", "1.2", "--grid", "1001",
+                     "--out", str(out)]) == 0
+        meta = json.loads(out.with_suffix(".meta.json").read_text())
+        with open(out, newline="") as f:
+            rows = sum(1 for row in csv.reader(f) if row) - 1  # less the header
+        assert meta["grid_points"] == 1001
+        assert meta["rows"] == rows == 1032
 
     def test_lln_without_out_prints_meta(self, files, capsys):
         assert main(["lln", "--p", files["p"], "--T", "1.2", "--grid", "101"]) == 0
@@ -273,7 +328,44 @@ class TestRoundTrip:
 
         res = estimate_event_prob((1, 1, 3, 3), {3: 0.5}, eps=0.3, reps=300, seed=9)
         assert math.isfinite(res.per_n_rate)
-        assert EstimateResult(**json.loads(estimate_to_json_line(res))) == res
+        payload = json.loads(estimate_to_json_line(res, 0.3))
+        assert payload.pop("eps") == 0.3
+        assert EstimateResult(**payload) == res
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-(10**400), 10**400) | st.floats()
+                 | st.text(max_size=4))
+_DEGREE_KEYS = st.integers(-1, 8).map(str) | st.floats().map(repr) | st.text(max_size=3)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["degrees", "x0", "xk"]) | _DEGREE_KEYS, inner, max_size=4),
+    max_leaves=12,
+)
+_DEGREE_MAPS = st.dictionaries(_DEGREE_KEYS, _JSON_SCALARS, max_size=4)
+# arbitrary JSON, and objects of the loaders' own shapes with arbitrary contents
+_JSON_INPUTS = (_JSON_VALUES | st.fixed_dictionaries({"degrees": _DEGREE_MAPS})
+                | st.fixed_dictionaries({"x0": _JSON_SCALARS, "xk": _DEGREE_MAPS}))
+
+
+class TestLoaders:
+    @given(value=_JSON_INPUTS)
+    @example(value={"degrees": {"1": 1e308, "2": 1e308}})  # a sum past the double range
+    @example(value={"x0": 10**400, "xk": {"NaN": 10**400}})
+    @example(value=[1e300, 1e300])
+    @settings(max_examples=300, deadline=None)
+    def test_any_json_value_loads_or_raises_value_error(self, tmp_path_factory, value):
+        # NaN, infinities and integers past the double range included; every
+        # CmldError a loader raises is a ValueError
+        f = tmp_path_factory.mktemp("json") / "input.json"
+        f.write_text(json.dumps(value))
+        p = DegreeDistribution({1: 0.5, 3: 0.5})
+        for load in (load_degree_distribution, load_degree_input, load_state_point,
+                     lambda path: load_sub_profile(path, p)):
+            try:
+                assert load(f) is not None
+            except ValueError:
+                pass
 
 
 class TestDegreeSequenceInput:
@@ -289,7 +381,7 @@ class TestDegreeSequenceInput:
         f = tmp_path / "seq.json"
         f.write_text(json.dumps([2.5, 2.5]))
         assert main(["simulate", "--p", str(f), "--n", "2", "--seed", "3"]) == 2
-        assert "degree 2.5 is not an integer" in capsys.readouterr().err
+        assert "degree 2.5 is not a positive integer" in capsys.readouterr().err
 
     def test_simulate_array_length_mismatch_exit_1(self, tmp_path):
         f = tmp_path / "seq.json"

@@ -101,8 +101,13 @@ class TestEventProbability:
 
     @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
     def test_non_finite_q_rejected(self, weight):
-        with pytest.raises(DomainError, match="q weight at degree 3 must be finite"):
+        with pytest.raises(DomainError, match=f"weight {weight} at degree 3 is not finite"):
             estimate_event_prob((3,) * 12, {3: weight}, eps=0.1, reps=100, seed=1)
+
+    def test_negative_q_rejected(self):
+        # a plain-dict q is judged by the same rules as a SubProfile's weights
+        with pytest.raises(DomainError, match="negative weight -0.05 at degree 3"):
+            estimate_event_prob((3,) * 12, {3: -0.05}, eps=0.1, reps=100, seed=1)
 
     def test_non_integral_q_degree_rejected(self):
         # not truncated to a window on degree 3
