@@ -52,13 +52,11 @@ from .paths import (
     LocalVelocity,
     PathSegmentSpec,
     StatePoint,
-    beta_general,
     cost_closed_form,
     local_rate_L,
     make_segment_spec,
     minimizer_path,
     path_cost,
-    varsigma,
 )
 from .rng import CounterRNG
 from .verify import lln_check

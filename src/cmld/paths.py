@@ -96,62 +96,49 @@ class LocalVelocity:
 
 @dataclass(frozen=True)
 class PathSegmentSpec:
-    """A validated endpoint pair with its transition root and duration."""
+    """A validated endpoint pair with its drop, transition root and duration.
+
+    ``z`` holds the positive entries of the drop x1_k - x2_k, and
+    ``degrees`` the sorted union of both endpoints' degrees.
+    """
 
     x1: StatePoint
     x2: StatePoint
     varsigma: float
     beta: float
     case: str
+    z: dict[int, float]
+    degrees: tuple[int, ...]
 
     @property
     def varsigma_tilde(self) -> float:
         return self.varsigma / (1.0 - self.beta * self.beta)
 
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.x1.degrees) | set(self.x2.degrees)))
 
-    def z(self, k: int) -> float:
-        return self.x1.mass(k) - self.x2.mass(k)
+def make_segment_spec(x1: StatePoint, x2: StatePoint) -> PathSegmentSpec:
+    """Validate endpoints and decide the segment once: its drop z = x1 - x2,
+    transition root, case and duration varsigma = (r(x1) - r(x2))/2.
 
-
-def varsigma(x1: StatePoint, x2: StatePoint) -> float:
-    """Normalized segment duration (r(x1) - r(x2)) / 2."""
-    return 0.5 * (x1.r() - x2.r())
-
-
-def _drop(x1: StatePoint, x2: StatePoint) -> dict[int, float]:
+    The root is ``core._transition_root(z, x1_0, x2_0)``.  Case (i):
+    x2_0 = 0 and z_1 = 0 give beta = 0 exactly.  Case (ii) requires
+    sum_k k z_k + z_0 > 2 sum_k z_k; beta is then the unique zero of the
+    strictly increasing ``core._transition_fn(z, x1_0, x2_0)``.
+    """
+    degrees = tuple(sorted(set(x1.degrees) | set(x2.degrees)))
     z = {}
-    for k in sorted(set(x1.degrees) | set(x2.degrees)):
+    for k in degrees:
         d = x1.mass(k) - x2.mass(k)
         if d < -_MASS_TOL:
             raise DomainError(f"x2 exceeds x1 at degree {k}: drop {d} < 0")
         if d > 0.0:
             z[k] = d
-    return z
-
-
-def beta_general(x1: StatePoint, x2: StatePoint) -> tuple[float, str]:
-    """Transition root for the segment x1 -> x2 and the construction case.
-
-    ``core._transition_root(z, x1_0, x2_0)`` for the drop z = x1 - x2.
-    Case (i): x2_0 = 0 and z_1 = 0 give beta = 0 exactly.  Case (ii)
-    requires sum_k k z_k + z_0 > 2 sum_k z_k; beta is then the unique zero
-    of the strictly increasing ``core._transition_fn(z, x1_0, x2_0)``.
-    """
-    z = _drop(x1, x2)
+    beta = _transition_root(z, x1.x0, x2.x0)
     case = CASE_I if x2.x0 == 0.0 and z.get(1, 0.0) == 0.0 else CASE_II
-    return _transition_root(z, x1.x0, x2.x0), case
-
-
-def make_segment_spec(x1: StatePoint, x2: StatePoint) -> PathSegmentSpec:
-    """Validate endpoints, solve for the root, and package the segment."""
-    beta, case = beta_general(x1, x2)
-    vs = varsigma(x1, x2)
+    vs = 0.5 * (x1.r() - x2.r())
     if vs < -_MASS_TOL:
         raise DomainError(f"segment duration varsigma = {vs} is negative")
-    return PathSegmentSpec(x1=x1, x2=x2, varsigma=max(vs, 0.0), beta=beta, case=case)
+    return PathSegmentSpec(x1=x1, x2=x2, varsigma=max(vs, 0.0), beta=beta, case=case,
+                           z=z, degrees=degrees)
 
 
 def _segment_grid(vs: float, n: int) -> np.ndarray:
@@ -194,7 +181,7 @@ def _segment_state(spec: PathSegmentSpec,
     ks = np.array(spec.degrees, dtype=float)
     half = 0.5 * ks
     x2 = np.array([spec.x2.mass(k) for k in spec.degrees])
-    z = np.maximum([spec.z(k) for k in spec.degrees], 0.0)  # as _drop counts it
+    z = np.array([spec.z.get(k, 0.0) for k in spec.degrees])
     vs, beta = spec.varsigma, spec.beta
     rest = np.clip(rest, 0.0, vs)
     x = (rest / vs)[:, None]
@@ -226,18 +213,16 @@ class SegmentPath(FluidPath):
     spec: PathSegmentSpec = field(kw_only=True)
 
 
-def minimizer_path(spec: PathSegmentSpec, grid: np.ndarray | None = None,
-                   grid_points: int = 4501) -> SegmentPath:
+def minimizer_path(spec: PathSegmentSpec, grid_points: int = 4501) -> SegmentPath:
     """The explicit minimizing trajectory of the segment on [0, varsigma].
 
-    Samples :func:`_segment_state` on ``grid`` (default: ``grid_points``
-    points of :func:`_segment_grid`), whose times are clipped to
-    [0, varsigma]; psi = zeta_0 - x1_0 and zeta_0 is clamped at 0.  Hits x2
-    at varsigma exactly and x1 at 0 to rounding; when varsigma = 0 the path
-    is the single point x1 at 0.  Without ``grid``, ``grid_points`` below 4
-    (two body and two tail points) raises :class:`DomainError`.
+    Samples :func:`_segment_state` on ``grid_points`` points of
+    :func:`_segment_grid`; psi = zeta_0 - x1_0 and zeta_0 is clamped at 0.
+    Hits x2 at varsigma exactly and x1 at 0 to rounding; when varsigma = 0
+    the path is the single point x1 at 0.  ``grid_points`` below 4 (two
+    body and two tail points) raises :class:`DomainError`.
     """
-    if grid is None and grid_points < 4:
+    if grid_points < 4:
         raise DomainError(f"grid_points must be at least 4, got {grid_points}")
     if spec.varsigma == 0.0:
         degrees = spec.x1.degrees
@@ -245,9 +230,7 @@ def minimizer_path(spec: PathSegmentSpec, grid: np.ndarray | None = None,
         return SegmentPath(grid=np.array([0.0]), degrees=degrees,
                            zeta0=np.array([spec.x1.x0]), zetak=zk, psi=np.zeros(1),
                            meta=_segment_meta(spec), spec=spec)
-    if grid is None:
-        grid = _segment_grid(spec.varsigma, grid_points)
-    grid = np.asarray(grid, dtype=float)
+    grid = _segment_grid(spec.varsigma, grid_points)
     zeta0, zetak, _ = _segment_state(spec, spec.varsigma - grid)
     return SegmentPath(grid=grid, degrees=spec.degrees, zeta0=np.maximum(zeta0, 0.0),
                        zetak=zetak, psi=zeta0 - spec.x1.x0, meta=_segment_meta(spec),
@@ -317,18 +300,18 @@ def _check_unit_pace(path: FluidPath) -> None:
 
 
 @functools.cache
-def _gl_rule(nodes: int, panels: int, grading: float) -> tuple[np.ndarray, np.ndarray]:
+def _gl_rule() -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes and weights on [0, 1].
 
-    ``panels`` panels of ``nodes`` points, with edges grading^j,
-    j = panels - 1, ..., 0, after 0.  Built on first use, not at import, so
-    that ``import cmld`` does not load ``numpy.polynomial``; the arrays are
-    read-only as every call shares them.
+    ``_SEG_PANELS`` panels of ``_SEG_NODES`` points, with edges
+    ``_SEG_GRADING``^j, j = panels - 1, ..., 0, after 0.  Built on first
+    use, not at import, so that ``import cmld`` does not load
+    ``numpy.polynomial``; the arrays are read-only as every call shares them.
     """
     from numpy.polynomial.legendre import leggauss
 
-    x, wx = leggauss(nodes)
-    edges = np.append(0.0, grading ** np.arange(panels - 1.0, -1.0, -1.0))
+    x, wx = leggauss(_SEG_NODES)
+    edges = np.append(0.0, _SEG_GRADING ** np.arange(_SEG_PANELS - 1.0, -1.0, -1.0))
     a, b = edges[:-1, None], edges[1:, None]
     s = (0.5 * (b - a) * x + 0.5 * (a + b)).ravel()
     w = (0.5 * (b - a) * wx).ravel()
@@ -377,7 +360,7 @@ def _segment_cost(spec: PathSegmentSpec, t1: float, t2: float) -> float:
         raise DomainError(f"[{t1}, {t2}] is not inside [0, {spec.varsigma}]")
     t2 = min(t2, spec.varsigma)
     span = t2 - min(max(t1, 0.0), t2)
-    s, w = _gl_rule(_SEG_NODES, _SEG_PANELS, _SEG_GRADING)
+    s, w = _gl_rule()
     zeta0, zetak, dzetak = _segment_state(spec, (spec.varsigma - t2) + span * s * s)
     # exact velocities need no noise floor: at the 1e-8 default, dropping
     # a small wake rate near t2 costs up to 6e-11 in case (i) on 8400
@@ -423,10 +406,11 @@ def _wake_error(dzetak: np.ndarray) -> np.ndarray:
 
 
 def _h_tilde(x0: float, xk: dict[int, float]) -> float:
-    """H~(x) = sum x_k log x_k - (s/2) log(s/2), s = x0 + sum k x_k."""
+    """H~(x) = sum x_k log x_k - (s/2) log(s/2), s = x0 + sum k x_k.
+
+    s/2 >= varsigma >= -1e-12 for a drop that :func:`make_segment_spec`
+    accepted, and s <= 0 adds no term."""
     s = 0.5 * (x0 + math.fsum(k * v for k, v in xk.items()))
-    if s < -_MASS_TOL:
-        raise DomainError("H~ requires x0 + sum k x_k >= 0")
     total = math.fsum(v * math.log(v) for v in xk.values() if v > 0.0)
     if s > 0.0:
         total -= s * math.log(s)
@@ -437,12 +421,11 @@ def cost_closed_form(x1: StatePoint, x2: StatePoint) -> float:
     """Closed-form segment cost H~(z) + H~(x2) - H~(x1) + K~(x1, x2)."""
     spec = make_segment_spec(x1, x2)
     beta = spec.beta
-    z = _drop(x1, x2)
     z0 = x1.x0 - x2.x0
     k_tilde = 0.0
     if beta > 0.0:
         k_tilde += spec.varsigma * math.log1p(-beta * beta)
-        k_tilde -= math.fsum(v * math.log1p(-beta ** k) for k, v in z.items())
+        k_tilde -= math.fsum(v * math.log1p(-beta ** k) for k, v in spec.z.items())
         k_tilde += x2.x0 * math.log(beta)
-    return (_h_tilde(z0, z) + _h_tilde(x2.x0, x2.xk) - _h_tilde(x1.x0, x1.xk)
+    return (_h_tilde(z0, spec.z) + _h_tilde(x2.x0, x2.xk) - _h_tilde(x1.x0, x1.xk)
             + k_tilde)

@@ -1,30 +1,38 @@
 """File formats: JSON degree/state inputs, CSV trajectories, JSONL estimates.
 
 Every JSON input passes one reader, which checks only its shape: a missing
-field, a list where a map belongs or a value that is not a number is a
-ValueError naming the file.  Degrees and weights are judged by the objects
-built from them, through ``core._degree`` and ``core._clean_weights``.
+field, a list where a map belongs, a value that is not a number or a key
+that does not spell a number in JSON's grammar, with ASCII digits and
+leading zeros allowed (``"03"``, ``"3.0"`` and ``"1e0"`` pass; ``"1_0"``,
+``" 3 "`` and ``"inf"`` do not), is a ValueError naming the file.  Degrees
+and weights are judged by the objects built from them, through
+``core._degree`` and ``core._clean_weights``.
 
 CSV values use 17 significant digits so that every emitted file re-parses
 into the originating values exactly.  Trajectory columns are t, zeta_0,
 zeta_k for each tracked degree k in the path's order, then psi; the header
-names the tracked degrees.
+names the tracked degrees.  A trajectory CSV that is empty, has another
+header, a ragged row or a value that is not a number is, like a malformed
+JSON file, a ValueError naming the file.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 
 from .core import DegreeDistribution, SubProfile
-from .errors import DomainError
 from .estimate import EstimateResult
 from .explore import DegreeSequence
 from .fluid import FluidPath
 from .paths import StatePoint
+
+
+_NUMBER_KEY = re.compile(r"-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?")
 
 
 def _fmt(x: float) -> str:
@@ -38,13 +46,11 @@ def _read_json(path: str | Path):
 
 
 def _weights(data, key: str, path: str | Path) -> dict[float, float]:
-    """data[key], a map of numbers, with its keys read as the numbers they spell."""
+    """data[key], a map of numbers, with its keys read as the JSON numbers they spell."""
     m = data.get(key) if isinstance(data, dict) else None
-    try:
-        if isinstance(m, dict) and all(isinstance(v, float) for v in m.values()):
-            return {float(k): v for k, v in m.items()}
-    except ValueError:  # a key that spells no number
-        pass
+    if (isinstance(m, dict) and all(isinstance(v, float) for v in m.values())
+            and all(_NUMBER_KEY.fullmatch(k) for k in m)):
+        return {float(k): v for k, v in m.items()}
     raise ValueError(f"{path}: expected an object whose '{key}' maps degrees to numbers")
 
 
@@ -90,14 +96,19 @@ def fluid_path_to_csv(path_obj: FluidPath, path: str | Path) -> None:
 
 def fluid_path_from_csv(path: str | Path) -> FluidPath:
     with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        rows = [[float(x) for x in row] for row in reader if row]
+        rows = [row for row in csv.reader(f) if row]
+    header = rows[0] if rows else []
     names = header[2:-1]
-    if (header[:2] != ["t", "zeta_0"] or header[-1] != "psi"
+    if (header[:2] != ["t", "zeta_0"] or header[-1:] != ["psi"]
             or not all(h.startswith("zeta_") and h[5:].isdecimal() for h in names)):
-        raise DomainError(f"{path}: not a trajectory CSV")
-    data = np.array(rows).reshape(-1, len(header))
+        raise ValueError(f"{path}: not a trajectory CSV")
+    for row in rows[1:]:
+        if len(row) != len(header):
+            raise ValueError(f"{path}: a row of {len(row)} values under {len(header)} columns")
+    try:
+        data = np.array([[float(x) for x in row] for row in rows[1:]]).reshape(-1, len(header))
+    except ValueError as exc:  # a value that is not a number
+        raise ValueError(f"{path}: {exc}") from None
     return FluidPath(
         grid=data[:, 0],
         degrees=tuple(int(h[5:]) for h in names),

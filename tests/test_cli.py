@@ -1,13 +1,14 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cmld import DegreeDistribution, StatePoint, StateError, lln_path
+from cmld import CmldError, DegreeDistribution, StatePoint, StateError, lln_path
 from cmld.cli import main
 from cmld.serialize import (
     fluid_path_from_csv,
@@ -128,6 +129,13 @@ class TestInfeasibleInputs:
         assert "grid_points must be at least 4" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_path_x2_above_x1_exit_2(self, tmp_path, capsys):
+        x1, x2 = tmp_path / "x1.json", tmp_path / "x2.json"
+        x1.write_text('{"x0": 0, "xk": {"3": 0.5}}')
+        x2.write_text('{"x0": 0, "xk": {"3": 1.0}}')
+        assert main(["path", "--x1", str(x1), "--x2", str(x2)]) == 2
+        assert "x2 exceeds x1 at degree 3" in capsys.readouterr().err
+
     @pytest.mark.parametrize("payload, argv", [
         ('{"degrees": {"3": NaN}}', ["estimate", "--p", "P", "--q", "F", "--n", "16",
                                      "--eps", "0.1", "--reps", "100", "--seed", "1"]),
@@ -159,6 +167,13 @@ class TestMalformedInputs:
         ('{"x0": 0.0}', ["path", "--x1", "F", "--x2", "X2"]),
         ('[3, 3, "a"]', ["simulate", "--p", "F", "--n", "3", "--seed", "1"]),
         ('[[3], [3]]', ["simulate", "--p", "F", "--n", "2", "--seed", "1"]),
+        # keys that float() reads but that are no JSON number
+        ('{"degrees": {"1_0": 1.0}}', ["rate", "size", "--p", "F", "--r", "0.5"]),
+        ('{"degrees": {"1_0": 1.0}}', ["lln", "--p", "F", "--T", "2"]),
+        ('{"degrees": {" 3 ": 1.0}}', ["lln", "--p", "F", "--T", "2"]),
+        ('{"degrees": {"\\u0663": 1.0}}', ["lln", "--p", "F", "--T", "2"]),  # Arabic-Indic 3
+        ('{"degrees": {"inf": 1.0}}', ["lln", "--p", "F", "--T", "2"]),
+        ('{"x0": 0, "xk": {" 3 ": 1}}', ["path", "--x1", "F", "--x2", "X2"]),
     ])
     def test_malformed_file_exit_1(self, files, capsys, payload, argv):
         f = files["tmp"] / "bad.json"
@@ -181,6 +196,23 @@ class TestMalformedInputs:
         names = {"F": str(f), "P": files["p"], "Q": files["q"], "X2": files["x2"]}
         assert main([names.get(a, a) for a in argv]) == 2
         assert "degree 3.7 is not a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["-3", "0", "1e999"])
+    def test_number_key_that_is_no_degree_exit_2(self, files, capsys, key):
+        f = files["tmp"] / "deg.json"
+        f.write_text(f'{{"degrees": {{"{key}": 1.0}}}}')
+        assert main(["lln", "--p", str(f), "--T", "2"]) == 2
+        assert f"degree {float(key)!r} is not a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("payload", ['{"degrees": {"1e0": 0.5, "03": 0.5}}',
+                                         '{"degrees": {"1": 0.5, "3.0": 0.5}}'])
+    def test_number_keys_spell_their_degree(self, files, capsys, payload):
+        f = files["tmp"] / "deg.json"
+        f.write_text(payload)
+        assert main(["lln", "--p", str(f), "--T", "2"]) == 0
+        got = capsys.readouterr().out
+        assert main(["lln", "--p", files["p"], "--T", "2"]) == 0
+        assert got == capsys.readouterr().out
 
 
 class TestTrajectoryCommands:
@@ -321,6 +353,20 @@ class TestRoundTrip:
             assert np.array_equal(back.zeta0, fp.zeta0)
             for k in fp.degrees:
                 assert np.array_equal(back.zeta(k), fp.zeta(k))
+
+    @pytest.mark.parametrize("text", [
+        "t,zeta_0,zeta_x,psi\n0,0,1,0\n",
+        "t,zeta_0,zeta_3,psi\n0,0,1,0\n0.1,0.2\n",
+        "t,zeta_0,zeta_3,psi\n0,0,one,0\n",
+        "",
+    ], ids=["header", "ragged", "not-a-number", "empty"])
+    def test_malformed_trajectory_csv_is_a_value_error(self, tmp_path, text):
+        # the exit-1 class, as for a malformed JSON file: not a CmldError
+        f = tmp_path / "bad.csv"
+        f.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(str(f))) as info:
+            fluid_path_from_csv(f)
+        assert not isinstance(info.value, CmldError)
 
     def test_estimate_json_line_roundtrip(self):
         from cmld import EstimateResult, estimate_event_prob

@@ -18,7 +18,6 @@ from cmld import (
     PreconditionError,
     StatePoint,
     SubProfile,
-    beta_general,
     beta_of_q,
     cost_closed_form,
     lln_path,
@@ -28,7 +27,6 @@ from cmld import (
     path_cost,
     rate_component_degree,
     survival_rho,
-    varsigma,
 )
 from cmld.fluid import reflect
 from cmld.paths import _segment_state
@@ -69,11 +67,17 @@ def _forward_form(spec, grid):
     evaluated forward in t, as written, on ``grid``."""
     ks = np.array(spec.degrees, dtype=float)
     x1 = np.array([spec.x1.mass(k) for k in spec.degrees])
-    ztil = np.array([spec.z(k) for k in spec.degrees]) / (1.0 - spec.beta ** ks)
+    ztil = np.array([spec.z.get(k, 0.0) for k in spec.degrees]) / (1.0 - spec.beta ** ks)
     zetak = x1 - ztil * (1.0 - (1.0 - grid / spec.varsigma_tilde)[:, None] ** (0.5 * ks))
     psi = (x1 - zetak) @ ks - 2.0 * grid
     return FluidPath(grid=grid, degrees=spec.degrees, zeta0=np.maximum(spec.x1.x0 + psi, 0.0),
                      zetak=zetak, psi=psi)
+
+
+def _root(x1, x2):
+    """The segment's transition root and case."""
+    spec = make_segment_spec(x1, x2)
+    return spec.beta, spec.case
 
 
 class TestSkorokhod:
@@ -127,34 +131,39 @@ class TestFluidPathInvariants:
 
 class TestVarsigma:
     def test_regular_drop(self):
-        assert varsigma(X1_REG, X2_REG) == 0.75
+        assert make_segment_spec(X1_REG, X2_REG).varsigma == 0.75
 
     def test_identical_states(self):
-        assert varsigma(X1_REG, X1_REG) == 0.0
+        assert make_segment_spec(X1_REG, X1_REG).varsigma == 0.0
 
     def test_profile_drop_is_half_edge_mass(self):
         p = {1: 0.5, 3: 0.5}
         q = {1: 0.1, 3: 0.3}
         x1 = StatePoint(0.0, p)
         x2 = StatePoint(0.0, {k: p[k] - q[k] for k in p})
-        assert varsigma(x1, x2) == pytest.approx(
+        assert make_segment_spec(x1, x2).varsigma == pytest.approx(
             0.5 * sum(k * v for k, v in q.items()), abs=1e-15)
+
+    def test_negative_duration_rejected(self):
+        # the drop, -9e-13, is inside the 1e-12 tolerance; r falls by 2.7e-12
+        with pytest.raises(DomainError, match="segment duration varsigma = .* is negative"):
+            make_segment_spec(StatePoint(0, {3: 1.0}), StatePoint(0, {3: 1.0 + 9e-13}))
 
 
 class TestTransitionRoot:
     def test_case_i(self):
-        beta, case = beta_general(X1_REG, X2_REG)
+        beta, case = _root(X1_REG, X2_REG)
         assert beta == 0.0 and case == CASE_I
 
     def test_matches_profile_root(self):
         x1 = StatePoint(0.0, {1: 0.5, 3: 0.5})
         x2 = StatePoint(0.0, {1: 0.4, 3: 0.2})
-        beta, case = beta_general(x1, x2)
+        beta, case = _root(x1, x2)
         assert case == CASE_II
         assert beta == pytest.approx(4.0 - math.sqrt(15.0), abs=1e-12)
 
     def test_active_endpoints_root(self):
-        beta, case = beta_general(X1_ACT, X2_ACT)
+        beta, case = _root(X1_ACT, X2_ACT)
         assert case == CASE_II
         assert beta == pytest.approx(0.5218479361478246, abs=1e-10)
         resid = (-1.5 * beta / (1 + beta + beta * beta) + 0.5 / beta - beta)
@@ -168,13 +177,13 @@ class TestTransitionRoot:
                      ({1: 2e-20, 3: 0.5}, {1: 1e-20, 3: 0.3})):
             x2 = StatePoint(0.0, {k: p[k] - q[k] for k in p})
             assert {k: p[k] - x2.mass(k) for k in p} == q
-            assert beta_of_q(q) == beta_general(StatePoint(0.0, p), x2)[0]
+            assert beta_of_q(q) == _root(StatePoint(0.0, p), x2)[0]
 
     def test_neither_case_rejected(self):
         # x2_0 > 0 rules out case (i); edge drop equal to twice the vertex
         # drop rules out case (ii)
         with pytest.raises(FeasibilityError):
-            beta_general(StatePoint(0.05, {2: 0.5}), StatePoint(0.05, {2: 0.4}))
+            _root(StatePoint(0.05, {2: 0.5}), StatePoint(0.05, {2: 0.4}))
 
     def test_root_residual_randomized(self):
         rng = np.random.default_rng(11)
@@ -186,19 +195,19 @@ class TestTransitionRoot:
             z0, z4 = x10 - x20, m1 - m2
             if not (z0 + 4.0 * z4 > 2.0 * z4 and x20 > 0.0):
                 continue
-            b, case = beta_general(StatePoint(x10, {4: m1}), StatePoint(x20, {4: m2}))
+            b, case = _root(StatePoint(x10, {4: m1}), StatePoint(x20, {4: m2}))
             assert case == CASE_II
             resid = -4.0 * z4 * (b - b ** 3) / (1.0 - b ** 4) + x20 / b - b * x10
             assert abs(resid) <= 1e-10
 
     def test_continuity_along_sequences(self):
-        beta_lim, _ = beta_general(X1_ACT, X2_ACT)
+        beta_lim, _ = _root(X1_ACT, X2_ACT)
         rng = np.random.default_rng(8)
         for scale in (1e-2, 1e-4, 1e-6):
             d = rng.uniform(-1.0, 1.0, size=4) * scale
             x1 = StatePoint(1.0 + d[0], {3: 1.0 + d[1]})
             x2 = StatePoint(0.5 + d[2], {3: 0.5 + d[3]})
-            beta, _ = beta_general(x1, x2)
+            beta, _ = _root(x1, x2)
             assert abs(beta - beta_lim) <= 40.0 * scale
 
 
@@ -211,11 +220,9 @@ class TestMinimizer:
 
     def test_midpoint_values(self):
         spec = make_segment_spec(X1_REG, X2_REG)
-        mp = minimizer_path(spec, grid=np.linspace(0.0, 0.75, 2001))
-        i = 1000  # t = 0.375
-        assert mp.grid[i] == 0.375
-        assert mp.zeta(3)[i] == pytest.approx(0.6767766952966369, abs=1e-12)
-        assert mp.zeta(0)[i] == pytest.approx(0.2196699141100894, abs=1e-12)
+        zeta0, zetak, _ = _segment_state(spec, spec.varsigma - np.array([0.375]))
+        assert zetak[0, 0] == pytest.approx(0.6767766952966369, abs=1e-12)
+        assert zeta0[0] == pytest.approx(0.2196699141100894, abs=1e-12)
 
     def test_right_endpoint_identities(self):
         for x1, x2 in ((X1_REG, X2_REG), (X1_ACT, X2_ACT)):
@@ -360,10 +367,10 @@ class TestFluidLimitRoute:
         grid = np.linspace(0.0, tau, 501)
         # lln_path needs a horizon of at least mu/2 >= tau
         fluid = lln_path(p, grid=np.append(grid, p.mu))
-        seg = minimizer_path(spec, grid=grid)
-        assert np.max(np.abs(fluid.zeta0[:-1] - seg.zeta0)) <= 1e-13
-        for k in p.degrees:
-            assert np.max(np.abs(fluid.zeta(k)[:-1] - seg.zeta(k))) <= 1e-13
+        zeta0, zetak, _ = _segment_state(spec, spec.varsigma - grid)
+        assert np.max(np.abs(fluid.zeta0[:-1] - zeta0)) <= 1e-13
+        for j, k in enumerate(spec.degrees):
+            assert np.max(np.abs(fluid.zeta(k)[:-1] - zetak[:, j])) <= 1e-13
         assert abs(cost_closed_form(x1, x2)) <= 1e-14
 
 
