@@ -16,21 +16,38 @@ its vertices.  The resulting component partition is distributed exactly as
 the configuration model's.
 
 Overall the chain takes m + C steps (C components, m edges), at most
-m + n.  Bucket sampling by inversion keeps each step O(#distinct degrees);
-vertex identity is never needed.
+m + n; vertex identity is never needed.  A scalar step samples its bucket
+by inversion, O(#distinct degrees) in Python.  While A is large,
+:func:`eea_run` instead decides blocks of up to A/2 steps with numpy: in
+such a block A stays >= 2, so the denominator s + A - 1 falls by exactly 2
+per step and every state is a cumulative sum of the degrees woken before
+it.  Guessed decisions are checked against the states they imply, and the
+prefix up to the first disagreement is committed; that prefix is the
+scalar chain's own, so a run is the same bit for bit either way.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
+from . import rng as _rng
 from .core import DegreeDistribution, _degree
 from .errors import DomainError, ParityError, StateError
 from .fluid import FluidPath
-from .rng import CounterRNG
+from .rng import CounterRNG, counter_uniform
+
+_LAZY_DRAWS = 64  # drawn one at a time: a short run never pays for a vector block
+_NEVER = float("inf")  # a value of A no run reaches
+_NO_MASS = np.iinfo(np.int64).max  # above every cumulative mass
+_MIN_BLOCK = 512  # fewer steps than this do not repay a block's fixed cost
+_MIN_COMMIT = 32  # a round committing fewer steps ends its block
+_STRETCH = 256  # scalar steps taken before a block is tried again
+_CELLS = 1 << 17  # steps times degree columns of the largest block, bounding its arrays
+_S_RATIO = 2  # a block's steps times the largest degree stay within s / _S_RATIO
 
 
 @dataclass(frozen=True)
@@ -43,12 +60,15 @@ class DegreeSequence:
     def __post_init__(self) -> None:
         if len(self.degrees) == 0:
             raise DomainError("degree sequence is empty")
-        for k in set(self.degrees):  # judged once per distinct value
-            _degree(k, "DegreeSequence")
-        degs = tuple(map(int, self.degrees))
-        if sum(degs) % 2 != 0:
-            raise ParityError(f"half-edge total {sum(degs)} is odd")
-        object.__setattr__(self, "degrees", degs)
+        # each distinct value is judged and counted once
+        tally = Counter(self.degrees)
+        counts = {_degree(k, "DegreeSequence"): c for k, c in tally.items()}
+        total = sum(k * c for k, c in counts.items())
+        if total % 2 != 0:
+            raise ParityError(f"half-edge total {total} is odd")
+        if type(self.degrees) is not tuple or set(map(type, self.degrees)) != {int}:
+            object.__setattr__(self, "degrees", tuple(map(int, self.degrees)))
+        object.__setattr__(self, "_counts", dict(sorted(counts.items())))
 
     @property
     def n(self) -> int:
@@ -56,11 +76,12 @@ class DegreeSequence:
 
     @property
     def m(self) -> int:
-        return sum(self.degrees) // 2
+        return sum(k * c for k, c in self._counts.items()) // 2
 
     def counts(self) -> dict[int, int]:
-        """Vertex count of each degree, in increasing degree order."""
-        return dict(sorted(Counter(self.degrees).items()))
+        """Vertex count of each degree, in increasing degree order; a fresh
+        copy, so a caller cannot change the sequence's own."""
+        return dict(self._counts)
 
     @classmethod
     def from_counts(cls, counts: dict[int, int], parity_fix: dict | None = None) -> "DegreeSequence":
@@ -130,78 +151,256 @@ def eea_run(d: DegreeSequence, rng: CounterRNG,
             record_trajectory: bool = False) -> ExplorationRecord:
     """Run the exploration chain to termination.
 
-    Components are always recorded; the full (A, V) step
-    sequence only when ``record_trajectory`` is set.  The chain reads its
-    stream ahead in blocks of at most 2^16 draws (:meth:`CounterRNG.read_ahead`),
-    so memory stays bounded, and leaves the counter ``n_steps`` past its
-    start.  A recorded run keeps only A and the woken degree of each step
-    (0 for a kill); ``steps_V`` is rebuilt from the wakes by one
-    cumulative sum.
+    Components are always recorded; the full (A, V) step sequence only
+    when ``record_trajectory`` is set.  The first 64 draws are computed one
+    at a time as they are taken, so a short run costs no more than scalar
+    draws; the rest come in vector blocks of at most 2^16 draws, so memory
+    stays bounded.  The run leaves the stream's counter ``n_steps`` past
+    its start.
+
+    While A is large the chain decides many steps at once.  In a block of
+    B <= A/2 steps A is at least 2 before every step, so the kill weight
+    is A - 1 throughout, the denominator s + A - 1 falls by exactly 2 per
+    step, no component closes before the block's last step, and A, s and
+    the cumulative sleeping masses before each step are cumulative sums of
+    the degrees woken before it.  Each decision is first guessed from the
+    state at the block's start, letting every bucket lose its expected
+    mass per step.  It is then recomputed from the state that the guessed
+    decisions before it imply, with the scalar step's product
+    x = u (s + A - 1): x < A - 1 iff floor(x) < A - 1, and for a wake
+    y = x - (A - 1) is exact, so integer comparisons on floor(x) give the
+    scalar step's kill and bucket.  Up to the first step where guess and
+    recomputation differ the guess is the chain's, so the recomputation
+    there is too: each round commits that prefix and guesses the rest from
+    its recomputation.  By induction on the step the result is the scalar
+    chain's, bit for bit.  Where blocks do not pay (A small, the sleeping
+    mass s small next to what a block can take, or a round committing only
+    a short prefix) the chain takes scalar steps.
+
+    A recorded run keeps A and the woken degree of each step (0 for a
+    kill) in preallocated buffers; ``steps_V`` is rebuilt from the wakes
+    by one cumulative sum.
     """
-    counts = d.counts()
-    degs = tuple(counts)
-    kv = {k: counts[k] for k in degs}
-    s = sum(k * c for k, c in kv.items())  # sum_i i V_i
-    a = 0
+    counts = d._counts
     n, m = d.n, d.m
     max_steps = m + n
-
-    record_A = [a]
-    woke: list[int] = []  # per step: the woken degree, 0 for a kill
-    components: list[ComponentRecord] = []
-    cur_config: dict[int, int] = {}
-    j = start = 0  # start: the step that opened the current component
-
-    killw, denom = 0, s  # from A = 0; s > 0 since every degree is >= 1
-    for u in rng.read_ahead(max_steps):
-        x = u * denom
-        if x < killw:
-            a -= 2
-            woken = 0
-        else:
-            y = x - killw
-            cum = 0
-            for woken in degs:  # u < 1 keeps y below the total weight s
-                cum += woken * kv[woken]
-                if y < cum:
-                    break
-            kv[woken] -= 1
-            s -= woken
-            a = a + woken - 2 if a > 0 else woken
-            cur_config[woken] = cur_config.get(woken, 0) + 1
-        j += 1
-        if record_trajectory:
-            record_A.append(a)
-            woke.append(woken)
-        if a == 0:
-            components.append(ComponentRecord(
-                degree_config=dict(sorted(cur_config.items())),
-                n_vertices=sum(cur_config.values()),
-                n_edges=j - start - 1,
-            ))
-            cur_config, start = {}, j
-        killw = a - 1 if a > 1 else 0
-        denom = s + killw
-        if denom == 0:  # checked before the next draw is taken
-            break
+    chain = _Chain(counts, max_steps if record_trajectory else 0)
+    key, c0 = rng._key, rng._ctr
+    lazy = min(max_steps, _LAZY_DRAWS)
+    chain.scalar(map(counter_uniform, repeat(key, lazy), range(c0, c0 + lazy)), _NEVER)
+    while not chain.done and chain.j < max_steps:
+        chain.run(rng._block(c0 + chain.j, min(_rng._BLOCK_DRAWS, max_steps - chain.j)))
+    j = chain.j
     rng.skip(j)
-    if denom:
+    if not chain.done:
         raise StateError(f"exploration exceeded the step bound m + n = {max_steps}")
 
-    rec = ExplorationRecord(degrees=degs, n=n, m=m, n_steps=j, components=components)
+    degs = chain.degs
+    rec = ExplorationRecord(degrees=degs, n=n, m=m, n_steps=j, components=chain.components)
     if record_trajectory:
-        rec.steps_A = np.array(record_A, dtype=np.int64)
-        woken_deg = np.array(woke, dtype=np.int64)
+        rec.steps_A = chain.steps_A[:j + 1]
+        woken_deg = chain.woke[:j]
         wakes = np.flatnonzero(woken_deg)
         # row 0 holds the initial counts, row i + 1 a -1 in the column woken
         # at step i; summing down the rows in place gives V after each step
         V = np.zeros((j + 1, len(degs)), dtype=np.int64)
-        V[0] = [counts[k] for k in degs]
+        V[0] = list(counts.values())
         V[wakes + 1, np.searchsorted(degs, woken_deg[wakes])] = -1
         rec.steps_V = np.cumsum(V, axis=0, out=V)
         rec.new_component_at = wakes[rec.steps_A[wakes] == 0]  # wakes from A = 0
     _check_conservation_totals(rec, counts)
     return rec
+
+
+def _component(degs: tuple[int, ...], start_kv: dict[int, int], kv: dict[int, int],
+               n_edges: int) -> ComponentRecord:
+    """The component woken between sleeping counts ``start_kv`` and ``kv``.
+
+    Its degrees sum to 2 n_edges, so no larger degree can have been woken:
+    a small component costs a few lookups however many degrees there are.
+    """
+    config = {}
+    for k in degs:
+        if k > 2 * n_edges:
+            break
+        if start_kv[k] != kv[k]:
+            config[k] = start_kv[k] - kv[k]
+    return ComponentRecord(config, sum(config.values()), n_edges)
+
+
+class _Chain:
+    """The chain's state, stepped by runs of scalar steps and by blocks."""
+
+    def __init__(self, counts: dict[int, int], buffer_steps: int) -> None:
+        self.degs = tuple(counts)
+        self.dk = np.array(self.degs + (0,), dtype=np.int64)  # dk[-1] = 0: a kill wakes nothing
+        self.kv = dict(counts)  # sleeping vertices V_k
+        self.s = sum(k * c for k, c in counts.items())  # sum_i i V_i
+        self.a = self.j = 0
+        self.done = False
+        self.components: list[ComponentRecord] = []
+        self.start, self.start_kv = 0, dict(counts)  # where the open component began
+        self.steps_A = self.woke = None
+        if buffer_steps:
+            self.steps_A = np.empty(buffer_steps + 1, dtype=np.int64)
+            self.steps_A[0] = 0
+            self.woke = np.empty(buffer_steps, dtype=np.int64)
+        self.scalar_until = 0  # no block is tried before this step
+
+    def scalar(self, draws, stop_a: int) -> int:
+        """One step per draw until the draws run out, the chain ends or A
+        reaches ``stop_a``; returns the number of steps taken."""
+        degs, kv, comps = self.degs, self.kv, self.components
+        a, s, j = self.a, self.s, self.j
+        start, start_kv = self.start, self.start_kv
+        j0 = j
+        record = self.steps_A is not None
+        rec_a: list[int] = []
+        rec_w: list[int] = []
+        killw = a - 1 if a > 1 else 0
+        denom = s + killw
+        for u in draws:
+            x = u * denom
+            if x < killw:
+                a -= 2
+                woken = 0
+            else:
+                y = x - killw
+                cum = 0
+                for woken in degs:  # u < 1 keeps y below the total weight s
+                    cum += woken * kv[woken]
+                    if y < cum:
+                        break
+                kv[woken] -= 1
+                s -= woken
+                a = a + woken - 2 if a > 0 else woken
+            j += 1
+            if record:
+                rec_a.append(a)
+                rec_w.append(woken)
+            if a == 0:
+                comps.append(_component(degs, start_kv, kv, j - start - 1))
+                start, start_kv = j, kv.copy()
+            killw = a - 1 if a > 1 else 0
+            denom = s + killw
+            if denom == 0 or a >= stop_a:  # checked before the next draw is taken
+                break
+        self.a, self.s, self.j, self.done = a, s, j, denom == 0
+        self.start, self.start_kv = start, start_kv
+        if record:
+            self.steps_A[j0 + 1:j + 1] = rec_a
+            self.woke[j0:j] = rec_w
+        return j - j0
+
+    def run(self, u: np.ndarray) -> None:
+        """Step the chain on the draws ``u`` until they run out or it ends."""
+        i, total = 0, len(u)
+        while i < total and not self.done:
+            size = self.block_size(total - i)
+            if size:
+                i += self.block(u[i:i + size])
+            else:
+                stop = _NEVER if self.j < self.scalar_until else 2 * _MIN_BLOCK
+                i += self.scalar(u[i:i + _STRETCH].tolist(), stop)
+
+    def block_size(self, left: int) -> int:
+        """Steps of the next block, 0 where a block does not pay."""
+        if self.j < self.scalar_until:
+            return 0
+        size = min(self.a // 2, left, _CELLS // len(self.degs))
+        if _S_RATIO * self.degs[-1] * size > self.s:
+            size = self.s // (_S_RATIO * self.degs[-1])
+        if size < _MIN_BLOCK:
+            if self.a >= 2 * _MIN_BLOCK:  # A alone would allow one
+                self.scalar_until = self.j + _STRETCH
+            return 0
+        return size
+
+    def block(self, u: np.ndarray) -> int:
+        """Decide up to len(u) <= A/2 steps in rounds; returns the steps committed."""
+        degs, kv, dk = self.degs, self.kv, self.dk
+        D = len(degs)
+        vk = np.array([kv[k] for k in degs], dtype=np.int64)
+        C = np.cumsum(dk[:-1] * vk)  # cumulative sleeping masses
+        size = len(u)
+        a0 = a = self.a
+        s, j = self.s, self.j
+        two_i = np.arange(0, 2 * size + 1, 2)  # 2i for i = 0, ..., size
+        # Before step i, A - 1 = a0 - 1 - 2i + W_i with W_i the mass woken
+        # in the block before it, and x = u (s + a0 - 1 - 2i) is the scalar
+        # step's product.  x < A - 1 iff floor(x) < A - 1, and for a wake
+        # y = x - (A - 1) is exact (0 <= y <= x), so C <= y iff C <= floor(x)
+        # - (A - 1) = z_i - W_i: integers decide every step.
+        z = (u * (s + a0 - 1 - two_i[:-1])).astype(np.int64)
+        z += two_i[:-1]
+        z -= a0 - 1
+        # the first guess lets every bucket lose its expected mass per step
+        rate = np.cumsum(dk[:-1] * dk[:-1] * vk) / (s + a0 - 1)
+        i = np.arange(size)
+        y = z - i * rate[-1]
+        guess = np.count_nonzero(C[:-1, None] - rate[:-1, None] * i <= y, axis=0)
+        guess[y < 0] = -1  # -1 for a kill, else the bucket woken
+        done = 0
+        while done < size:
+            g = guess[done:]
+            L = size - done
+            w = dk[g]
+            before = np.empty(L, dtype=np.int64)  # mass woken in the round before each step
+            before[0] = 0
+            np.cumsum(w[:-1], out=before[1:])
+            h = z[done:] - (2 * done + a - a0)
+            y = h - before
+            Ck = C[:-1]
+            new = np.searchsorted(Ck, y, side="right")
+            kill = y < 0
+            # the masses before a step lie between C - before and C: the
+            # bucket is C's unless a boundary of C lies in (y, y + before]
+            amb = np.flatnonzero((np.append(Ck, _NO_MASS)[new] <= h) & ~kill)
+            if amb.size:
+                # wakes per bucket before each ambiguous step, counted over
+                # the stretches between them
+                Q = len(amb)
+                seg = np.zeros(L, dtype=np.int64)
+                seg[amb] = 1
+                np.cumsum(seg, out=seg)
+                seg += (g + 1) * (Q + 1)
+                woke = np.bincount(seg, minlength=(D + 1) * (Q + 1)).reshape(D + 1, Q + 1)
+                M = np.cumsum(woke[1:-1, :Q], axis=1)
+                M *= dk[:-2, None]
+                np.cumsum(M, axis=0, out=M)  # mass taken from buckets <= d
+                new[amb] = np.count_nonzero(Ck[:, None] - M <= y[amb], axis=0)
+            np.putmask(new, kill, -1)
+            # the guess holds up to its first difference, so new holds one further
+            diff = new != g
+            f = int(diff.argmax())
+            take = f + 1 if diff[f] else L
+            c = new[:take]
+            wc = dk[c]
+            Wc = np.cumsum(wc)
+            if self.steps_A is not None:
+                rec_a = self.steps_A[j + 1:j + take + 1]  # A after each step
+                np.subtract(Wc, two_i[1:take + 1], out=rec_a)
+                rec_a += a
+                self.woke[j:j + take] = wc
+            woken = int(Wc[-1])
+            a += woken - 2 * take
+            s -= woken
+            j += take
+            vk -= np.bincount(c + 1, minlength=D + 1)[1:]
+            C = np.cumsum(dk[:-1] * vk)
+            guess[done + take:] = new[take:]
+            done += take
+            if take < _MIN_COMMIT and done < size:
+                self.scalar_until = j + _STRETCH
+                break
+        for k, v in zip(degs, vk.tolist()):
+            kv[k] = v
+        self.a, self.s, self.j = a, s, j
+        if a == 0:  # only after a whole block of kills from A = 2 size
+            self.components.append(_component(degs, self.start_kv, kv, j - self.start - 1))
+            self.start, self.start_kv = j, kv.copy()
+            self.done = s == 0
+        return done
 
 
 def _check_conservation_totals(rec: ExplorationRecord, counts: dict[int, int]) -> None:

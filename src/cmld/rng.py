@@ -10,7 +10,6 @@ an absorbing state see identical uniforms at identical step indices.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +23,7 @@ _STREAM_SALT = 0xD1342543DE82EF95
 # Python int or a fresh np.uint64 on every call, a fixed cost per block
 _U_GOLDEN, _U_MIX1, _U_MIX2 = np.uint64(_GOLDEN), np.uint64(_MIX1), np.uint64(_MIX2)
 _U11, _U27, _U30, _U31 = (np.uint64(s) for s in (11, 27, 30, 31))
-_LAZY_DRAWS = 64  # read ahead one at a time: a short run never pays for a vector block
-_BLOCK_DRAWS = 1 << 16  # the largest vector block read ahead
+_BLOCK_DRAWS = 1 << 16  # the largest vector block of draws the exploration chain takes at once
 
 
 def _mix64(z: int) -> int:
@@ -114,24 +112,6 @@ class CounterRNG:
         ctrs *= _U_GOLDEN
         ctrs += np.uint64(self._key)
         return _unit_floats(_mix64_vec(ctrs))
-
-    def read_ahead(self, bound: int) -> Iterator[float]:
-        """The next ``bound`` draws in order, without moving the counter.
-
-        A caller that takes the first ``used`` of them then calls
-        ``skip(used)``, which leaves the stream exactly where ``used`` calls
-        to :meth:`uniform` would.  The first 64 draws are computed one at a
-        time as they are taken, so a short run costs no more than
-        :meth:`uniform`; the rest come in vector blocks of at most 2^16
-        draws, so memory stays bounded and stopping early wastes less than
-        one block.
-        """
-        key, start, stop = self._key, self._ctr, self._ctr + bound
-        lazy = min(stop, start + _LAZY_DRAWS)
-        for c in range(start, lazy):
-            yield counter_uniform(key, c)
-        for c in range(lazy, stop, _BLOCK_DRAWS):
-            yield from self._block(c, min(_BLOCK_DRAWS, stop - c)).tolist()
 
     def skip(self, count: int) -> None:
         """Move the counter past ``count`` draws without computing them."""

@@ -1,19 +1,19 @@
 """File formats: JSON degree/state inputs, CSV trajectories, JSONL estimates.
 
-Every JSON input passes one reader, which checks only its shape: a missing
-field, a list where a map belongs, a value that is not a number or a key
-that does not spell a number in JSON's grammar, with ASCII digits and
-leading zeros allowed (``"03"``, ``"3.0"`` and ``"1e0"`` pass; ``"1_0"``,
-``" 3 "`` and ``"inf"`` do not), is a ValueError naming the file.  Degrees
-and weights are judged by the objects built from them, through
-``core._degree`` and ``core._clean_weights``.
+Every JSON input passes one reader, which checks only its shape: text that
+is not UTF-8 or not JSON, a missing field, a list where a map belongs, a
+value that is not a number or a key that does not spell a number in JSON's
+grammar, with ASCII digits and leading zeros allowed (``"03"``, ``"3.0"``
+and ``"1e0"`` pass; ``"1_0"``, ``" 3 "`` and ``"inf"`` do not), is a
+ValueError naming the file.  Degrees and weights are judged by the objects
+built from them, through ``core._degree`` and ``core._clean_weights``.
 
 CSV values use 17 significant digits so that every emitted file re-parses
 into the originating values exactly.  Trajectory columns are t, zeta_0,
 zeta_k for each tracked degree k in the path's order, then psi; the header
-names the tracked degrees.  A trajectory CSV that is empty, has another
-header, a ragged row or a value that is not a number is, like a malformed
-JSON file, a ValueError naming the file.
+names the tracked degrees.  A trajectory CSV that is empty or not UTF-8,
+has another header, no rows, a ragged row, or a value that is not a finite
+number is, like a malformed JSON file, a ValueError naming the file.
 """
 
 from __future__ import annotations
@@ -41,8 +41,11 @@ def _fmt(x: float) -> str:
 
 def _read_json(path: str | Path):
     """The JSON value in ``path``, every number in it read as a float."""
-    with open(path) as f:
-        return json.load(f, parse_int=float)
+    with open(path, encoding="utf-8") as f:
+        try:
+            return json.load(f, parse_int=float)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _weights(data, key: str, path: str | Path) -> dict[float, float]:
@@ -95,8 +98,11 @@ def fluid_path_to_csv(path_obj: FluidPath, path: str | Path) -> None:
 
 
 def fluid_path_from_csv(path: str | Path) -> FluidPath:
-    with open(path, newline="") as f:
-        rows = [row for row in csv.reader(f) if row]
+    with open(path, newline="", encoding="utf-8") as f:
+        try:
+            rows = [row for row in csv.reader(f) if row]
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     header = rows[0] if rows else []
     names = header[2:-1]
     if (header[:2] != ["t", "zeta_0"] or header[-1:] != ["psi"]
@@ -109,6 +115,10 @@ def fluid_path_from_csv(path: str | Path) -> FluidPath:
         data = np.array([[float(x) for x in row] for row in rows[1:]]).reshape(-1, len(header))
     except ValueError as exc:  # a value that is not a number
         raise ValueError(f"{path}: {exc}") from None
+    if len(data) == 0:
+        raise ValueError(f"{path}: a header without rows")
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: a value that is not finite")
     return FluidPath(
         grid=data[:, 0],
         degrees=tuple(int(h[5:]) for h in names),

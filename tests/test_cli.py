@@ -174,10 +174,13 @@ class TestMalformedInputs:
         ('{"degrees": {"\\u0663": 1.0}}', ["lln", "--p", "F", "--T", "2"]),  # Arabic-Indic 3
         ('{"degrees": {"inf": 1.0}}', ["lln", "--p", "F", "--T", "2"]),
         ('{"x0": 0, "xk": {" 3 ": 1}}', ["path", "--x1", "F", "--x2", "X2"]),
+        # text that is not UTF-8 (a UTF-16 byte-order mark), and no JSON at all
+        (b'\xff\xfe{"degrees": {"3": 1.0}}', ["lln", "--p", "F", "--T", "2"]),
+        ('{"degrees": ', ["lln", "--p", "F", "--T", "2"]),
     ])
     def test_malformed_file_exit_1(self, files, capsys, payload, argv):
         f = files["tmp"] / "bad.json"
-        f.write_text(payload)
+        f.write_bytes(payload if isinstance(payload, bytes) else payload.encode())
         names = {"F": str(f), "X2": files["x2"]}
         assert main([names.get(a, a) for a in argv]) == 1
         assert str(f) in capsys.readouterr().err
@@ -359,11 +362,16 @@ class TestRoundTrip:
         "t,zeta_0,zeta_3,psi\n0,0,1,0\n0.1,0.2\n",
         "t,zeta_0,zeta_3,psi\n0,0,one,0\n",
         "",
-    ], ids=["header", "ragged", "not-a-number", "empty"])
+        "t,zeta_0,zeta_3,psi\n",
+        "t,zeta_0,zeta_3,psi\n0,nan,1,0\n",
+        "t,zeta_0,zeta_3,psi\n0,0,1,0\n0.1,0,inf,0\n",
+        b"\xff\xfet,zeta_0,zeta_3,psi\n0,0,1,0\n",
+    ], ids=["header", "ragged", "not-a-number", "empty", "header-only", "nan", "inf",
+            "not-utf-8"])
     def test_malformed_trajectory_csv_is_a_value_error(self, tmp_path, text):
         # the exit-1 class, as for a malformed JSON file: not a CmldError
         f = tmp_path / "bad.csv"
-        f.write_text(text)
+        f.write_bytes(text if isinstance(text, bytes) else text.encode())
         with pytest.raises(ValueError, match=re.escape(str(f))) as info:
             fluid_path_from_csv(f)
         assert not isinstance(info.value, CmldError)

@@ -1,8 +1,10 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import cmld.explore
 from cmld import (
     CounterRNG,
     DegreeDistribution,
@@ -15,7 +17,10 @@ from cmld import (
     extract_components,
     sample_multigraph,
 )
+from cmld.explore import ComponentRecord
 from cmld.verify import _check_conservation
+
+P_MIX = {1: 0.3, 2: 0.1, 3: 0.2, 4: 0.15, 5: 0.1, 7: 0.1, 10: 0.05}
 
 
 class TestDegreeSequence:
@@ -34,8 +39,9 @@ class TestDegreeSequence:
             DegreeSequence(degrees)
 
     def test_integral_values_stored_as_int(self):
-        degs = DegreeSequence((2.0, np.int64(2))).degrees
-        assert degs == (2, 2) and all(type(d) is int for d in degs)
+        for values in ((2.0, np.int64(2)), (2, np.int64(2))):
+            degs = DegreeSequence(values).degrees
+            assert degs == (2, 2) and all(type(d) is int for d in degs)
 
     def test_from_distribution_counts(self):
         p = DegreeDistribution({1: 0.5, 3: 0.5})
@@ -53,6 +59,13 @@ class TestDegreeSequence:
         counts = DegreeSequence(tuple(degs)).counts()
         assert type(counts) is dict
         assert list(counts.items()) == sorted(reference.items())
+
+    def test_counts_are_a_fresh_copy(self):
+        d = DegreeSequence((1, 1, 3, 3))
+        counts = d.counts()
+        counts[1] = 99
+        del counts[3]
+        assert d.counts() == {1: 2, 3: 2}
 
     def test_parity_fix_reported(self):
         p = DegreeDistribution({3: 1.0})
@@ -194,3 +207,158 @@ class TestEmpiricalPath:
         rec = eea_run(d, CounterRNG(42, 0), record_trajectory=True)
         fp = empirical_path(rec, d.n, np.linspace(0.0, rec.n_steps / d.n, 301))
         fp.check_invariants(tol=0.02)
+
+
+def _reference_chain(d: DegreeSequence, rng: CounterRNG):
+    """The chain one ``rng.uniform()`` per step: its components, A after each
+    step and the degree woken at each step (0 for a kill)."""
+    kv = d.counts()
+    degs = tuple(kv)
+    s = sum(k * c for k, c in kv.items())
+    a = 0
+    steps_A, woke, components, config, start = [0], [], [], {}, 0
+    while True:
+        killw = a - 1 if a > 1 else 0
+        if s + killw == 0:
+            return components, steps_A, woke
+        x = rng.uniform() * (s + killw)
+        if x < killw:
+            a -= 2
+            woken = 0
+        else:
+            y, cum = x - killw, 0
+            for woken in degs:
+                cum += woken * kv[woken]
+                if y < cum:
+                    break
+            kv[woken] -= 1
+            s -= woken
+            a = a + woken - 2 if a > 0 else woken
+            config[woken] = config.get(woken, 0) + 1
+        steps_A.append(a)
+        woke.append(woken)
+        if a == 0:
+            components.append(ComponentRecord(dict(sorted(config.items())),
+                                              sum(config.values()), len(woke) - start - 1))
+            config, start = {}, len(woke)
+
+
+def _same_run(a, b) -> None:
+    assert a.components == b.components and a.n_steps == b.n_steps
+    for name in ("steps_A", "steps_V", "new_component_at"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None and y is None) or (x.dtype == y.dtype == np.int64
+                                             and np.array_equal(x, y)), name
+
+
+def _random_sequences(count: int, seed: int):
+    g = np.random.default_rng(seed)
+    for _ in range(count):
+        ks = np.sort(g.choice(np.arange(1, 13), size=int(g.integers(1, 8)), replace=False))
+        degs = g.choice(ks, size=int(g.integers(2, 3000))).tolist()
+        if sum(degs) % 2:
+            degs.append(1)
+        yield DegreeSequence(tuple(degs))
+
+
+class TestBlockSteps:
+    """eea_run decides steps in vector blocks while A is large; every run is
+    the scalar chain's bit for bit."""
+
+    SCALAR = {"_MIN_BLOCK": 1 << 62}  # no block is ever large enough
+    EAGER = {"_MIN_BLOCK": 1, "_MIN_COMMIT": 1, "_S_RATIO": 0}  # a block wherever A >= 2
+
+    @staticmethod
+    def _run(monkeypatch, gates, d, seed, stream, skip=0, record=True):
+        with monkeypatch.context() as mp:
+            for name, value in gates.items():
+                mp.setattr(cmld.explore, name, value)
+            rng = CounterRNG(seed, stream)
+            rng.skip(skip)
+            rec = eea_run(d, rng, record_trajectory=record)
+        return rec, rng._ctr
+
+    def test_blocks_match_scalar_steps_on_many_degrees(self, monkeypatch):
+        d = DegreeSequence.from_distribution(DegreeDistribution(P_MIX), 20000)
+        for seed in (1, 2):
+            for record in (True, False):
+                block, ctr = self._run(monkeypatch, {}, d, seed, 0, record=record)
+                scalar, scalar_ctr = self._run(monkeypatch, self.SCALAR, d, seed, 0, record=record)
+                _same_run(block, scalar)
+                assert ctr == scalar_ctr == block.n_steps
+
+    def test_blocks_match_scalar_steps_on_random_sequences(self, monkeypatch):
+        for i, d in enumerate(_random_sequences(50, 99)):
+            skip = 1000 * i
+            scalar, ctr = self._run(monkeypatch, self.SCALAR, d, 5, i, skip)
+            for gates in ({}, self.EAGER):
+                block, block_ctr = self._run(monkeypatch, gates, d, 5, i, skip)
+                _same_run(block, scalar)
+                assert block_ctr == ctr == skip + scalar.n_steps
+
+    def test_block_of_kills_closes_at_zero(self, monkeypatch):
+        # one vertex of degree 400: after its wake s = 0, so every later step
+        # kills, and past the 64 scalar draws one block of 137 kills takes A
+        # from 274 to 0 and ends the run
+        d = DegreeSequence((400,))
+        closed = []
+        block = cmld.explore._Chain.block
+
+        def spy(chain, u):
+            done = block(chain, u)
+            if chain.a == 0:
+                closed.append((len(u), done, chain.done))
+            return done
+
+        monkeypatch.setattr(cmld.explore._Chain, "block", spy)
+        rec, ctr = self._run(monkeypatch, self.EAGER, d, 3, 0)
+        assert closed == [(137, 137, True)]
+        scalar, scalar_ctr = self._run(monkeypatch, self.SCALAR, d, 3, 0)
+        _same_run(rec, scalar)
+        assert rec.components == [ComponentRecord({400: 1}, 1, 200)] and ctr == scalar_ctr == 201
+        # on a 2-regular graph a block from A = 2 is one step; a kill there
+        # closes a cycle while other vertices still sleep
+        closed.clear()
+        d = DegreeSequence((2,) * 200)
+        rec, _ = self._run(monkeypatch, self.EAGER, d, 4, 0)
+        assert (1, 1, False) in closed and len(rec.components) == 6
+        scalar, _ = self._run(monkeypatch, self.SCALAR, d, 4, 0)
+        _same_run(rec, scalar)
+
+    def test_matches_one_draw_per_step_across_the_draw_block_seam(self):
+        # 68 561 steps from a counter just below 2^16: the run takes 64 lazy
+        # draws, then vector blocks of 2^16 draws, and crosses into its second
+        d = DegreeSequence.from_distribution(DegreeDistribution(P_MIX), 40000)
+        rng = CounterRNG(11, 3)
+        rng.skip((1 << 16) - 3)
+        rec = eea_run(d, rng, record_trajectory=True)
+        ref_rng = CounterRNG(11, 3)
+        ref_rng.skip((1 << 16) - 3)
+        components, steps_A, woke = _reference_chain(d, ref_rng)
+        assert rec.n_steps > 64 + (1 << 16)
+        assert rec.components == components
+        assert rec.steps_A.tolist() == steps_A
+        drop = rec.steps_V[:-1] - rec.steps_V[1:]
+        assert (drop @ np.array(rec.degrees)).tolist() == woke
+        assert rng._ctr == ref_rng._ctr
+
+    def test_many_degree_run_is_pinned(self):
+        # sha256 of the outputs of the one-step-at-a-time chain that
+        # preceded the blocks, on the benchmark's seven degree columns
+        d = DegreeSequence.from_distribution(DegreeDistribution(P_MIX), 100_000)
+        rng = CounterRNG(7, 0)
+        rec = eea_run(d, rng, record_trajectory=True)
+        assert rec.n_steps == rng._ctr == 171441 and rec.steps_V.shape == (171442, 7)
+
+        def sha(data: bytes) -> str:
+            return hashlib.sha256(data).hexdigest()
+
+        assert sha(rec.steps_A.astype("<i8").tobytes()) == (
+            "94ff6849e37d0b4ff8bbe4e80a9aa096d3c1315679632d9b847e85ee7a8339fe")
+        assert sha(rec.steps_V.astype("<i8").tobytes()) == (
+            "3b02e73ec0c81a812e6581453f6d0935512b9447bafbad88d14eb829e61d73d2")
+        assert sha(rec.new_component_at.astype("<i8").tobytes()) == (
+            "609276bc62a1fc84f51c15f57b9d6d7416d08924b140f8f330841dfd681d2f56")
+        components = [(c.degree_config, c.n_vertices, c.n_edges) for c in rec.components]
+        assert sha(repr(components).encode()) == (
+            "c3d50a45eb7d9a679e5ec7165c44d89cee5602a6083e7389b7d8bc89c2560d17")

@@ -27,31 +27,3 @@ class TestDrawRoutes:
                 assert many.uniforms(3).tolist() == [counter_uniform(many._key, c + i)
                                                      for i in range(3)]
                 assert many._ctr == c + 3
-
-    def test_read_ahead_across_blocks(self):
-        # the first 64 draws are scalar, the rest vector blocks of 2^16: a
-        # read from just below 2^16 crosses both seams
-        rng = CounterRNG(7, 0)
-        rng.skip(BLOCK - 3)
-        bound = 64 + BLOCK + 5
-        got = list(rng.read_ahead(bound))
-        assert rng._ctr == BLOCK - 3  # reading ahead does not move the counter
-        assert got == [counter_uniform(rng._key, BLOCK - 3 + i) for i in range(bound)]
-        rng.skip(bound)
-        assert rng.uniform() == counter_uniform(rng._key, BLOCK - 3 + bound)
-
-    def test_read_ahead_blocks_stay_bounded(self, monkeypatch):
-        sizes = []
-        block = CounterRNG._block
-
-        def spy(self, start, count):
-            sizes.append(count)
-            return block(self, start, count)
-
-        monkeypatch.setattr(CounterRNG, "_block", spy)
-        draws = CounterRNG(7, 0).read_ahead(3 * BLOCK)
-        for _ in range(100):
-            next(draws)
-        assert sizes == [BLOCK]  # blocks are computed only as they are reached
-        assert sum(1 for _ in draws) == 3 * BLOCK - 100
-        assert sizes == [BLOCK, BLOCK, BLOCK - 64]
