@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import core
-from .errors import CmldError
+from .errors import CmldError, DomainError
 from .estimate import estimate_event_prob
 from .explore import DegreeSequence, eea_run, empirical_path, extract_components
 from .lln import lln_path
@@ -185,12 +185,15 @@ def _cmd_path(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if args.grid < 2:
+        raise DomainError(f"grid_points must be at least 2, got {args.grid}")
     d = load_degree_input(args.p)
     if not isinstance(d, DegreeSequence):
         d = DegreeSequence.from_distribution(d, args.n)
     elif args.n != d.n:
         raise ValueError(f"--n {args.n} does not match the {d.n}-vertex sequence")
-    rec = eea_run(d, CounterRNG(args.seed, 0), record_trajectory=args.trajectory)
+    write_trajectory = args.trajectory and bool(args.out)  # the trajectory goes only to --out
+    rec = eea_run(d, CounterRNG(args.seed, 0), record_trajectory=write_trajectory)
     largest, n_comp, comps = extract_components(rec)
     payload = {
         "n": d.n,
@@ -206,7 +209,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             for c in comps[:50]
         ],
     }
-    if args.trajectory and args.out:
+    if write_trajectory:
         grid = np.linspace(0.0, rec.n_steps / d.n, args.grid)
         fluid_path_to_csv(empirical_path(rec, d.n, grid), Path(args.out).with_suffix(".traj.csv"))
     _emit(payload, args.out)

@@ -23,7 +23,10 @@ such a block A stays >= 2, so the denominator s + A - 1 falls by exactly 2
 per step and every state is a cumulative sum of the degrees woken before
 it.  Guessed decisions are checked against the states they imply, and the
 prefix up to the first disagreement is committed; that prefix is the
-scalar chain's own, so a run is the same bit for bit either way.
+scalar chain's own, so a run is the same bit for bit either way.  Where no
+block fits, or after one stops short, a stretch of scalar steps comes
+before the next try.  A recorded run keeps one number per step, the
+degree woken (0 for a kill); A and V are cumulative sums of it.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .fluid import FluidPath
 from .rng import CounterRNG, counter_uniform
 
 _LAZY_DRAWS = 64  # drawn one at a time: a short run never pays for a vector block
-_NEVER = float("inf")  # a value of A no run reaches
 _NO_MASS = np.iinfo(np.int64).max  # above every cumulative mass
 _MIN_BLOCK = 512  # fewer steps than this do not repay a block's fixed cost
 _MIN_COMMIT = 32  # a round committing fewer steps ends its block
@@ -173,13 +175,17 @@ def eea_run(d: DegreeSequence, rng: CounterRNG,
     recomputation differ the guess is the chain's, so the recomputation
     there is too: each round commits that prefix and guesses the rest from
     its recomputation.  By induction on the step the result is the scalar
-    chain's, bit for bit.  Where blocks do not pay (A small, the sleeping
-    mass s small next to what a block can take, or a round committing only
-    a short prefix) the chain takes scalar steps.
+    chain's, bit for bit.  Where no block fits (A small, or the sleeping
+    mass s small next to what a block can take) or a block stops short (a
+    round committing only a few steps), the chain takes a stretch of
+    scalar steps before it tries a block again.
 
-    A recorded run keeps A and the woken degree of each step (0 for a
-    kill) in preallocated buffers; ``steps_V`` is rebuilt from the wakes
-    by one cumulative sum.
+    A recorded run keeps only the woken degree of each step (0 for a kill)
+    in a preallocated buffer.  ``steps_V`` is rebuilt from the wakes by one
+    cumulative sum.  A component of e edges spans e + 1 steps from a wake
+    at A = 0, which gives ``new_component_at``; a step adds the degree it
+    wakes to A, less 2 unless it starts a component, so ``steps_A`` is one
+    more cumulative sum.
     """
     counts = d._counts
     n, m = d.n, d.m
@@ -187,7 +193,7 @@ def eea_run(d: DegreeSequence, rng: CounterRNG,
     chain = _Chain(counts, max_steps if record_trajectory else 0)
     key, c0 = rng._key, rng._ctr
     lazy = min(max_steps, _LAZY_DRAWS)
-    chain.scalar(map(counter_uniform, repeat(key, lazy), range(c0, c0 + lazy)), _NEVER)
+    chain.scalar(map(counter_uniform, repeat(key, lazy), range(c0, c0 + lazy)))
     while not chain.done and chain.j < max_steps:
         chain.run(rng._block(c0 + chain.j, min(_rng._BLOCK_DRAWS, max_steps - chain.j)))
     j = chain.j
@@ -195,37 +201,29 @@ def eea_run(d: DegreeSequence, rng: CounterRNG,
     if not chain.done:
         raise StateError(f"exploration exceeded the step bound m + n = {max_steps}")
 
-    degs = chain.degs
-    rec = ExplorationRecord(degrees=degs, n=n, m=m, n_steps=j, components=chain.components)
+    degs, comps = chain.degs, chain.components
+    rec = ExplorationRecord(degrees=degs, n=n, m=m, n_steps=j, components=comps)
     if record_trajectory:
-        rec.steps_A = chain.steps_A[:j + 1]
-        woken_deg = chain.woke[:j]
-        wakes = np.flatnonzero(woken_deg)
+        # sums are np.add.accumulate, not np.cumsum, whose wrapper costs
+        # more than the whole sum of a short run
+        woke = chain.woke[:j]
+        wakes = np.flatnonzero(woke)
         # row 0 holds the initial counts, row i + 1 a -1 in the column woken
         # at step i; summing down the rows in place gives V after each step
         V = np.zeros((j + 1, len(degs)), dtype=np.int64)
         V[0] = list(counts.values())
-        V[wakes + 1, np.searchsorted(degs, woken_deg[wakes])] = -1
-        rec.steps_V = np.cumsum(V, axis=0, out=V)
-        rec.new_component_at = wakes[rec.steps_A[wakes] == 0]  # wakes from A = 0
+        V[wakes + 1, np.searchsorted(degs, woke[wakes])] = -1
+        rec.steps_V = np.add.accumulate(V, axis=0, out=V)
+        del wakes
+        spans = np.array([c.n_edges + 1 for c in comps], dtype=np.int64)
+        rec.new_component_at = np.add.accumulate(spans) - spans
+        A = np.empty(j + 1, dtype=np.int64)
+        A[0] = 0
+        np.subtract(woke, 2, out=A[1:])
+        A[rec.new_component_at + 1] += 2  # a wake from A = 0 sets A to its degree
+        rec.steps_A = np.add.accumulate(A, out=A)
     _check_conservation_totals(rec, counts)
     return rec
-
-
-def _component(degs: tuple[int, ...], start_kv: dict[int, int], kv: dict[int, int],
-               n_edges: int) -> ComponentRecord:
-    """The component woken between sleeping counts ``start_kv`` and ``kv``.
-
-    Its degrees sum to 2 n_edges, so no larger degree can have been woken:
-    a small component costs a few lookups however many degrees there are.
-    """
-    config = {}
-    for k in degs:
-        if k > 2 * n_edges:
-            break
-        if start_kv[k] != kv[k]:
-            config[k] = start_kv[k] - kv[k]
-    return ComponentRecord(config, sum(config.values()), n_edges)
 
 
 class _Chain:
@@ -240,22 +238,32 @@ class _Chain:
         self.done = False
         self.components: list[ComponentRecord] = []
         self.start, self.start_kv = 0, dict(counts)  # where the open component began
-        self.steps_A = self.woke = None
-        if buffer_steps:
-            self.steps_A = np.empty(buffer_steps + 1, dtype=np.int64)
-            self.steps_A[0] = 0
-            self.woke = np.empty(buffer_steps, dtype=np.int64)
-        self.scalar_until = 0  # no block is tried before this step
+        self.woke = np.empty(buffer_steps, dtype=np.int64) if buffer_steps else None
 
-    def scalar(self, draws, stop_a: int) -> int:
-        """One step per draw until the draws run out, the chain ends or A
-        reaches ``stop_a``; returns the number of steps taken."""
-        degs, kv, comps = self.degs, self.kv, self.components
+    def close(self, j: int) -> None:
+        """Record the component that ends as A returns to 0 after ``j`` steps.
+
+        Its degrees sum to 2 n_edges, so no larger degree can have been woken:
+        a small component costs a few lookups however many degrees there are.
+        """
+        kv, start_kv = self.kv, self.start_kv
+        n_edges = j - self.start - 1
+        config = {}
+        for k in self.degs:
+            if k > 2 * n_edges:
+                break
+            if start_kv[k] != kv[k]:
+                config[k] = start_kv[k] - kv[k]
+        self.components.append(ComponentRecord(config, sum(config.values()), n_edges))
+        self.start, self.start_kv = j, kv.copy()
+
+    def scalar(self, draws) -> int:
+        """One step per draw until the draws run out or the chain ends;
+        returns the number of steps taken."""
+        degs, kv = self.degs, self.kv
         a, s, j = self.a, self.s, self.j
-        start, start_kv = self.start, self.start_kv
         j0 = j
-        record = self.steps_A is not None
-        rec_a: list[int] = []
+        record = self.woke is not None
         rec_w: list[int] = []
         killw = a - 1 if a > 1 else 0
         denom = s + killw
@@ -276,45 +284,33 @@ class _Chain:
                 a = a + woken - 2 if a > 0 else woken
             j += 1
             if record:
-                rec_a.append(a)
                 rec_w.append(woken)
             if a == 0:
-                comps.append(_component(degs, start_kv, kv, j - start - 1))
-                start, start_kv = j, kv.copy()
+                self.close(j)
             killw = a - 1 if a > 1 else 0
             denom = s + killw
-            if denom == 0 or a >= stop_a:  # checked before the next draw is taken
+            if denom == 0:  # checked before the next draw is taken
                 break
         self.a, self.s, self.j, self.done = a, s, j, denom == 0
-        self.start, self.start_kv = start, start_kv
         if record:
-            self.steps_A[j0 + 1:j + 1] = rec_a
             self.woke[j0:j] = rec_w
         return j - j0
 
     def run(self, u: np.ndarray) -> None:
-        """Step the chain on the draws ``u`` until they run out or it ends."""
+        """Step the chain on the draws ``u`` until they run out or it ends:
+        a block wherever one pays, else, or after a block that stops short,
+        ``_STRETCH`` scalar steps before the next try."""
         i, total = 0, len(u)
         while i < total and not self.done:
-            size = self.block_size(total - i)
-            if size:
-                i += self.block(u[i:i + size])
-            else:
-                stop = _NEVER if self.j < self.scalar_until else 2 * _MIN_BLOCK
-                i += self.scalar(u[i:i + _STRETCH].tolist(), stop)
-
-    def block_size(self, left: int) -> int:
-        """Steps of the next block, 0 where a block does not pay."""
-        if self.j < self.scalar_until:
-            return 0
-        size = min(self.a // 2, left, _CELLS // len(self.degs))
-        if _S_RATIO * self.degs[-1] * size > self.s:
-            size = self.s // (_S_RATIO * self.degs[-1])
-        if size < _MIN_BLOCK:
-            if self.a >= 2 * _MIN_BLOCK:  # A alone would allow one
-                self.scalar_until = self.j + _STRETCH
-            return 0
-        return size
+            size = min(self.a // 2, total - i, _CELLS // len(self.degs))
+            if _S_RATIO * self.degs[-1] * size > self.s:
+                size = self.s // (_S_RATIO * self.degs[-1])
+            if size >= _MIN_BLOCK:
+                took = self.block(u[i:i + size])
+                i += took
+                if took == size:
+                    continue
+            i += self.scalar(u[i:i + _STRETCH].tolist())
 
     def block(self, u: np.ndarray) -> int:
         """Decide up to len(u) <= A/2 steps in rounds; returns the steps committed."""
@@ -325,14 +321,14 @@ class _Chain:
         size = len(u)
         a0 = a = self.a
         s, j = self.s, self.j
-        two_i = np.arange(0, 2 * size + 1, 2)  # 2i for i = 0, ..., size
+        two_i = np.arange(0, 2 * size, 2)  # 2i for i = 0, ..., size - 1
         # Before step i, A - 1 = a0 - 1 - 2i + W_i with W_i the mass woken
         # in the block before it, and x = u (s + a0 - 1 - 2i) is the scalar
         # step's product.  x < A - 1 iff floor(x) < A - 1, and for a wake
         # y = x - (A - 1) is exact (0 <= y <= x), so C <= y iff C <= floor(x)
         # - (A - 1) = z_i - W_i: integers decide every step.
-        z = (u * (s + a0 - 1 - two_i[:-1])).astype(np.int64)
-        z += two_i[:-1]
+        z = (u * (s + a0 - 1 - two_i)).astype(np.int64)
+        z += two_i
         z -= a0 - 1
         # the first guess lets every bucket lose its expected mass per step
         rate = np.cumsum(dk[:-1] * dk[:-1] * vk) / (s + a0 - 1)
@@ -376,13 +372,9 @@ class _Chain:
             take = f + 1 if diff[f] else L
             c = new[:take]
             wc = dk[c]
-            Wc = np.cumsum(wc)
-            if self.steps_A is not None:
-                rec_a = self.steps_A[j + 1:j + take + 1]  # A after each step
-                np.subtract(Wc, two_i[1:take + 1], out=rec_a)
-                rec_a += a
+            if self.woke is not None:
                 self.woke[j:j + take] = wc
-            woken = int(Wc[-1])
+            woken = int(wc.sum())
             a += woken - 2 * take
             s -= woken
             j += take
@@ -391,14 +383,12 @@ class _Chain:
             guess[done + take:] = new[take:]
             done += take
             if take < _MIN_COMMIT and done < size:
-                self.scalar_until = j + _STRETCH
                 break
         for k, v in zip(degs, vk.tolist()):
             kv[k] = v
         self.a, self.s, self.j = a, s, j
         if a == 0:  # only after a whole block of kills from A = 2 size
-            self.components.append(_component(degs, self.start_kv, kv, j - self.start - 1))
-            self.start, self.start_kv = j, kv.copy()
+            self.close(j)
             self.done = s == 0
         return done
 
@@ -435,9 +425,7 @@ def empirical_path(rec: ExplorationRecord, n: int, grid: np.ndarray) -> FluidPat
     idx = np.maximum(idx, 0)
     zeta0 = rec.steps_A[idx] / n
     zetak = rec.steps_V[idx] / n
-    starts = np.zeros(rec.n_steps + 1, dtype=np.int64)
-    np.add.at(starts, rec.new_component_at + 1, 1)
-    eta = 2.0 * np.cumsum(starts)[idx] / n
+    eta = 2.0 * np.searchsorted(rec.new_component_at, idx) / n  # starts before step idx
     psi = zeta0 - eta
     return FluidPath(grid=grid, degrees=rec.degrees, zeta0=zeta0,
                      zetak=zetak, psi=psi,

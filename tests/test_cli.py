@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cmld import CmldError, DegreeDistribution, StatePoint, StateError, lln_path
+from cmld import CmldError, DegreeDistribution, StatePoint, StateError, eea_run, lln_path
 from cmld.cli import main
 from cmld.serialize import (
     fluid_path_from_csv,
@@ -118,6 +118,15 @@ class TestInfeasibleInputs:
     def test_lln_grid_below_two_exit_2(self, files, capsys, grid):
         assert main(["lln", "--p", files["p"], "--T", "1.2", "--grid", grid]) == 2
         assert "grid_points must be at least 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["0", "1"])
+    def test_simulate_grid_below_two_exit_2(self, files, capsys, grid):
+        # grid 0 once wrote a header-only CSV and grid 1 a single row, both exit 0
+        out = files["tmp"] / "sim.json"
+        assert main(["simulate", "--p", files["p"], "--n", "1000", "--seed", "1",
+                     "--trajectory", "--out", str(out), "--grid", grid]) == 2
+        assert "grid_points must be at least 2" in capsys.readouterr().err
+        assert not out.exists() and not (files["tmp"] / "sim.traj.csv").exists()
 
     @pytest.mark.parametrize("grid", ["0", "1", "2", "3"])
     def test_path_grid_below_four_exit_2(self, files, capsys, grid):
@@ -288,6 +297,27 @@ class TestTrajectoryCommands:
         assert len(fp.grid) == 51 and fp.grid[0] == 0.0
         assert fp.grid[-1] == pytest.approx(payload["steps"] / payload["n"], rel=1e-15)
         assert fp.degrees == (1, 3)
+
+    def test_simulate_records_a_trajectory_only_for_out(self, files, capsys, monkeypatch):
+        # without --out there is no CSV to write, so none is recorded, and
+        # stdout is the same as without --trajectory
+        import cmld.cli
+
+        recorded = []
+
+        def spy(d, rng, record_trajectory=False):
+            recorded.append(record_trajectory)
+            return eea_run(d, rng, record_trajectory)
+
+        monkeypatch.setattr(cmld.cli, "eea_run", spy)
+        argv = ["simulate", "--p", files["p"], "--n", "500", "--seed", "12"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ["--trajectory"]) == 0
+        assert capsys.readouterr().out == plain
+        assert main(argv + ["--trajectory", "--out", str(files["tmp"] / "sim.json")]) == 0
+        assert capsys.readouterr().out == plain
+        assert recorded == [False, False, True]
 
     def test_estimate_json_line(self, files, capsys):
         assert main(["estimate", "--p", files["p"], "--q", files["q"], "--n", "60",

@@ -267,6 +267,9 @@ class TestBlockSteps:
 
     SCALAR = {"_MIN_BLOCK": 1 << 62}  # no block is ever large enough
     EAGER = {"_MIN_BLOCK": 1, "_MIN_COMMIT": 1, "_S_RATIO": 0}  # a block wherever A >= 2
+    # every block whose first round does not commit it whole stops there and
+    # hands a stretch to scalar steps
+    SHORT = {"_MIN_BLOCK": 1, "_S_RATIO": 0, "_MIN_COMMIT": 1 << 30}
 
     @staticmethod
     def _run(monkeypatch, gates, d, seed, stream, skip=0, record=True):
@@ -291,7 +294,7 @@ class TestBlockSteps:
         for i, d in enumerate(_random_sequences(50, 99)):
             skip = 1000 * i
             scalar, ctr = self._run(monkeypatch, self.SCALAR, d, 5, i, skip)
-            for gates in ({}, self.EAGER):
+            for gates in ({}, self.EAGER, self.SHORT):
                 block, block_ctr = self._run(monkeypatch, gates, d, 5, i, skip)
                 _same_run(block, scalar)
                 assert block_ctr == ctr == skip + scalar.n_steps
@@ -338,6 +341,7 @@ class TestBlockSteps:
         assert rec.n_steps > 64 + (1 << 16)
         assert rec.components == components
         assert rec.steps_A.tolist() == steps_A
+        assert rec.new_component_at.tolist() == [t for t in range(len(woke)) if steps_A[t] == 0]
         drop = rec.steps_V[:-1] - rec.steps_V[1:]
         assert (drop @ np.array(rec.degrees)).tolist() == woke
         assert rng._ctr == ref_rng._ctr
