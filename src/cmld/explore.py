@@ -26,7 +26,8 @@ prefix up to the first disagreement is committed; that prefix is the
 scalar chain's own, so a run is the same bit for bit either way.  Where no
 block fits, or after one stops short, a stretch of scalar steps comes
 before the next try.  A recorded run keeps one number per step, the
-degree woken (0 for a kill); A and V are cumulative sums of it.
+degree woken (0 for a kill), and :meth:`ExplorationRecord.rows` reads A
+and V from it at the step indices asked for.
 """
 
 from __future__ import annotations
@@ -124,14 +125,34 @@ class ComponentRecord:
 class ExplorationRecord:
     """One full run of the exploration chain."""
 
-    degrees: tuple[int, ...]  # distinct degrees, the columns of steps_V
+    degrees: tuple[int, ...]  # distinct degrees, the columns of V in rows
+    counts: tuple[int, ...]  # sleeping vertices of each degree before the first step
     n: int
     m: int
     n_steps: int
     components: list[ComponentRecord]  # in order; each spans n_edges + 1 steps
-    steps_A: np.ndarray | None = None  # (n_steps + 1,) when trajectory recorded
-    steps_V: np.ndarray | None = None  # (n_steps + 1, len(degrees))
-    new_component_at: np.ndarray | None = None  # step indices of fresh wakes
+    woke: np.ndarray | None = None  # degree woken at each step, 0 for a kill; None unless recorded
+
+    def rows(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A, V (one column per degree) and the components begun before each
+        step index in ``idx``, as int64.  V_k is n_k less the wakes of degree
+        k before the index.  Each step takes 2 from A and adds the degree it
+        wakes, and each component begun gives 2 back, as its first step
+        starts from A = 0."""
+        if self.woke is None:
+            raise StateError("record has no trajectory; rerun with record_trajectory=True")
+        idx = np.asarray(idx, dtype=np.int64)
+        if idx.size and not 0 <= idx.min() <= idx.max() <= self.n_steps:
+            raise DomainError(f"step indices must lie in [0, {self.n_steps}]")
+        spans = np.array([c.n_edges + 1 for c in self.components], dtype=np.int64)
+        starts = np.searchsorted(np.add.accumulate(spans) - spans, idx)
+        A = 2 * (starts - idx)
+        V = np.empty(idx.shape + (len(self.degrees),), dtype=np.int64)
+        for col, (k, n_k) in enumerate(zip(self.degrees, self.counts)):
+            woken = np.searchsorted(np.flatnonzero(self.woke == k), idx)
+            np.subtract(n_k, woken, out=V[..., col])
+            A += k * woken
+        return A, V, starts
 
 
 def sample_multigraph(d: DegreeSequence, rng: CounterRNG) -> np.ndarray:
@@ -180,12 +201,9 @@ def eea_run(d: DegreeSequence, rng: CounterRNG,
     round committing only a few steps), the chain takes a stretch of
     scalar steps before it tries a block again.
 
-    A recorded run keeps only the woken degree of each step (0 for a kill)
-    in a preallocated buffer.  ``steps_V`` is rebuilt from the wakes by one
-    cumulative sum.  A component of e edges spans e + 1 steps from a wake
-    at A = 0, which gives ``new_component_at``; a step adds the degree it
-    wakes to A, less 2 unless it starts a component, so ``steps_A`` is one
-    more cumulative sum.
+    A recorded run keeps only the woken degree of each step (0 for a kill),
+    in a preallocated buffer of the smallest unsigned type that holds the
+    largest degree; :meth:`ExplorationRecord.rows` reads (A, V) from it.
     """
     counts = d._counts
     n, m = d.n, d.m
@@ -201,27 +219,9 @@ def eea_run(d: DegreeSequence, rng: CounterRNG,
     if not chain.done:
         raise StateError(f"exploration exceeded the step bound m + n = {max_steps}")
 
-    degs, comps = chain.degs, chain.components
-    rec = ExplorationRecord(degrees=degs, n=n, m=m, n_steps=j, components=comps)
-    if record_trajectory:
-        # sums are np.add.accumulate, not np.cumsum, whose wrapper costs
-        # more than the whole sum of a short run
-        woke = chain.woke[:j]
-        wakes = np.flatnonzero(woke)
-        # row 0 holds the initial counts, row i + 1 a -1 in the column woken
-        # at step i; summing down the rows in place gives V after each step
-        V = np.zeros((j + 1, len(degs)), dtype=np.int64)
-        V[0] = list(counts.values())
-        V[wakes + 1, np.searchsorted(degs, woke[wakes])] = -1
-        rec.steps_V = np.add.accumulate(V, axis=0, out=V)
-        del wakes
-        spans = np.array([c.n_edges + 1 for c in comps], dtype=np.int64)
-        rec.new_component_at = np.add.accumulate(spans) - spans
-        A = np.empty(j + 1, dtype=np.int64)
-        A[0] = 0
-        np.subtract(woke, 2, out=A[1:])
-        A[rec.new_component_at + 1] += 2  # a wake from A = 0 sets A to its degree
-        rec.steps_A = np.add.accumulate(A, out=A)
+    rec = ExplorationRecord(degrees=chain.degs, counts=tuple(counts.values()), n=n, m=m,
+                            n_steps=j, components=chain.components,
+                            woke=chain.woke[:j].copy() if record_trajectory else None)
     _check_conservation_totals(rec, counts)
     return rec
 
@@ -238,7 +238,8 @@ class _Chain:
         self.done = False
         self.components: list[ComponentRecord] = []
         self.start, self.start_kv = 0, dict(counts)  # where the open component began
-        self.woke = np.empty(buffer_steps, dtype=np.int64) if buffer_steps else None
+        self.woke = (np.empty(buffer_steps, dtype=np.min_scalar_type(self.degs[-1]))
+                     if buffer_steps else None)
 
     def close(self, j: int) -> None:
         """Record the component that ends as A returns to 0 after ``j`` steps.
@@ -314,10 +315,11 @@ class _Chain:
 
     def block(self, u: np.ndarray) -> int:
         """Decide up to len(u) <= A/2 steps in rounds; returns the steps committed."""
+        # sums are np.add.accumulate: np.cumsum's wrapper costs more than a short sum
         degs, kv, dk = self.degs, self.kv, self.dk
         D = len(degs)
         vk = np.array([kv[k] for k in degs], dtype=np.int64)
-        C = np.cumsum(dk[:-1] * vk)  # cumulative sleeping masses
+        C = np.add.accumulate(dk[:-1] * vk)  # cumulative sleeping masses
         size = len(u)
         a0 = a = self.a
         s, j = self.s, self.j
@@ -331,7 +333,7 @@ class _Chain:
         z += two_i
         z -= a0 - 1
         # the first guess lets every bucket lose its expected mass per step
-        rate = np.cumsum(dk[:-1] * dk[:-1] * vk) / (s + a0 - 1)
+        rate = np.add.accumulate(dk[:-1] * dk[:-1] * vk) / (s + a0 - 1)
         i = np.arange(size)
         y = z - i * rate[-1]
         guess = np.count_nonzero(C[:-1, None] - rate[:-1, None] * i <= y, axis=0)
@@ -343,7 +345,7 @@ class _Chain:
             w = dk[g]
             before = np.empty(L, dtype=np.int64)  # mass woken in the round before each step
             before[0] = 0
-            np.cumsum(w[:-1], out=before[1:])
+            np.add.accumulate(w[:-1], out=before[1:])
             h = z[done:] - (2 * done + a - a0)
             y = h - before
             Ck = C[:-1]
@@ -358,12 +360,12 @@ class _Chain:
                 Q = len(amb)
                 seg = np.zeros(L, dtype=np.int64)
                 seg[amb] = 1
-                np.cumsum(seg, out=seg)
+                np.add.accumulate(seg, out=seg)
                 seg += (g + 1) * (Q + 1)
                 woke = np.bincount(seg, minlength=(D + 1) * (Q + 1)).reshape(D + 1, Q + 1)
-                M = np.cumsum(woke[1:-1, :Q], axis=1)
+                M = np.add.accumulate(woke[1:-1, :Q], axis=1)
                 M *= dk[:-2, None]
-                np.cumsum(M, axis=0, out=M)  # mass taken from buckets <= d
+                np.add.accumulate(M, axis=0, out=M)  # mass taken from buckets <= d
                 new[amb] = np.count_nonzero(Ck[:, None] - M <= y[amb], axis=0)
             np.putmask(new, kill, -1)
             # the guess holds up to its first difference, so new holds one further
@@ -379,7 +381,7 @@ class _Chain:
             s -= woken
             j += take
             vk -= np.bincount(c + 1, minlength=D + 1)[1:]
-            C = np.cumsum(dk[:-1] * vk)
+            C = np.add.accumulate(dk[:-1] * vk)
             guess[done + take:] = new[take:]
             done += take
             if take < _MIN_COMMIT and done < size:
@@ -418,15 +420,11 @@ def empirical_path(rec: ExplorationRecord, n: int, grid: np.ndarray) -> FluidPat
     active density minus twice the per-vertex count of fresh component
     starts, so that the reflection identity holds at fluid scale.
     """
-    if rec.steps_A is None:
-        raise StateError("record has no trajectory; rerun with record_trajectory=True")
     grid = np.asarray(grid, dtype=float)
     idx = np.minimum((n * grid).astype(np.int64), rec.n_steps)
-    idx = np.maximum(idx, 0)
-    zeta0 = rec.steps_A[idx] / n
-    zetak = rec.steps_V[idx] / n
-    eta = 2.0 * np.searchsorted(rec.new_component_at, idx) / n  # starts before step idx
+    A, V, starts = rec.rows(np.maximum(idx, 0))
+    zeta0 = A / n
+    eta = 2.0 * starts / n  # starts before step idx
     psi = zeta0 - eta
-    return FluidPath(grid=grid, degrees=rec.degrees, zeta0=zeta0,
-                     zetak=zetak, psi=psi,
+    return FluidPath(grid=grid, degrees=rec.degrees, zeta0=zeta0, zetak=V / n, psi=psi,
                      meta={"n": n, "n_steps": rec.n_steps})

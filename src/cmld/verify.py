@@ -131,7 +131,7 @@ def _check_conservation(fast: bool) -> CheckResult:
             rec = eea_run(d, CounterRNG(1234, i), record_trajectory=True)
         except StateError as exc:  # past the step bound, or totals off the histogram
             return CheckResult("exploration conservation", False, f"{exc} on sequence {i}")
-        A, V = rec.steps_A, rec.steps_V
+        A, V, _ = rec.rows(np.arange(rec.n_steps + 1))
         ks = np.array(rec.degrees)
         drop = V[:-1] - V[1:]
         woken = drop.sum(axis=1)

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -21,6 +22,11 @@ from cmld.explore import ComponentRecord
 from cmld.verify import _check_conservation
 
 P_MIX = {1: 0.3, 2: 0.1, 3: 0.2, 4: 0.15, 5: 0.1, 7: 0.1, 10: 0.05}
+
+
+def _every_row(rec):
+    """A, V and components begun at every step index, 0 to n_steps."""
+    return rec.rows(np.arange(rec.n_steps + 1))
 
 
 class TestDegreeSequence:
@@ -139,7 +145,7 @@ class TestExplorationRuns:
     def test_two_leaves_hand_trace(self):
         rec = eea_run(DegreeSequence((1, 1)), CounterRNG(0, 0), record_trajectory=True)
         assert rec.n_steps == 2
-        assert list(rec.steps_A) == [0, 1, 0]
+        assert _every_row(rec)[0].tolist() == [0, 1, 0]
         assert len(rec.components) == 1
         comp = rec.components[0]
         assert comp.degree_config == {1: 2}
@@ -148,7 +154,7 @@ class TestExplorationRuns:
     def test_self_loop_hand_trace(self):
         rec = eea_run(DegreeSequence((2,)), CounterRNG(0, 0), record_trajectory=True)
         assert rec.n_steps == 2
-        assert list(rec.steps_A) == [0, 2, 0]
+        assert _every_row(rec)[0].tolist() == [0, 2, 0]
         assert rec.components[0].n_vertices == 1
         assert rec.components[0].n_edges == 1
 
@@ -175,7 +181,8 @@ class TestComponents:
     def test_counts_consistent(self):
         rec = eea_run(DegreeSequence((1, 1, 2, 3, 3)), CounterRNG(5, 3), record_trajectory=True)
         _, n_comp, _ = extract_components(rec)
-        assert n_comp == len(rec.new_component_at)
+        A, _, starts = _every_row(rec)
+        assert n_comp == starts[-1] == np.count_nonzero(A[:-1] == 0)
         assert sum(c.n_edges + 1 for c in rec.components) == rec.n_steps
 
 
@@ -199,6 +206,8 @@ class TestEmpiricalPath:
         rec = eea_run(DegreeSequence((1, 1)), CounterRNG(0, 0))
         with pytest.raises(StateError):
             empirical_path(rec, 2, np.array([0.0, 1.0]))
+        with pytest.raises(StateError):
+            rec.rows(np.array([0]))
 
     def test_reflection_identity_at_fluid_scale(self):
         # the reflected driver reproduces the active density up to O(1/n)
@@ -207,6 +216,23 @@ class TestEmpiricalPath:
         rec = eea_run(d, CounterRNG(42, 0), record_trajectory=True)
         fp = empirical_path(rec, d.n, np.linspace(0.0, rec.n_steps / d.n, 301))
         fp.check_invariants(tol=0.02)
+
+    def test_recorded_run_memory_stays_near_unrecorded(self):
+        # the woken degrees are the only per-step array a recorded run keeps,
+        # and reading 401 rows from them never holds a row for every step
+        d = DegreeSequence.from_distribution(DegreeDistribution(P_MIX), 100_000)
+
+        def peak(record: bool) -> int:
+            tracemalloc.start()
+            try:
+                rec = eea_run(d, CounterRNG(7, 0), record_trajectory=record)
+                if record:
+                    empirical_path(rec, d.n, np.linspace(0.0, rec.n_steps / d.n, 401))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(True) - peak(False) <= 1 << 20
 
 
 def _reference_chain(d: DegreeSequence, rng: CounterRNG):
@@ -245,10 +271,9 @@ def _reference_chain(d: DegreeSequence, rng: CounterRNG):
 
 def _same_run(a, b) -> None:
     assert a.components == b.components and a.n_steps == b.n_steps
-    for name in ("steps_A", "steps_V", "new_component_at"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert (x is None and y is None) or (x.dtype == y.dtype == np.int64
-                                             and np.array_equal(x, y)), name
+    x, y = a.woke, b.woke
+    assert (x is None and y is None) or (
+        x.dtype == y.dtype == np.min_scalar_type(a.degrees[-1]) and np.array_equal(x, y))
 
 
 def _random_sequences(count: int, seed: int):
@@ -340,11 +365,26 @@ class TestBlockSteps:
         components, steps_A, woke = _reference_chain(d, ref_rng)
         assert rec.n_steps > 64 + (1 << 16)
         assert rec.components == components
-        assert rec.steps_A.tolist() == steps_A
-        assert rec.new_component_at.tolist() == [t for t in range(len(woke)) if steps_A[t] == 0]
-        drop = rec.steps_V[:-1] - rec.steps_V[1:]
+        assert rec.woke.dtype == np.uint8 and rec.woke.tolist() == woke
+        every = _every_row(rec)
+        A, V, starts = every
+        assert A.tolist() == steps_A
+        fresh = [t for t in range(len(woke)) if steps_A[t] == 0]
+        assert starts.tolist() == np.searchsorted(fresh, np.arange(rec.n_steps + 1)).tolist()
+        drop = V[:-1] - V[1:]
         assert (drop @ np.array(rec.degrees)).tolist() == woke
         assert rng._ctr == ref_rng._ctr
+        # rows at unsorted and repeated indices, both ends among them, are
+        # the same rows read all at once
+        idx = np.random.default_rng(0).integers(0, rec.n_steps + 1, size=500)
+        idx = np.concatenate([[rec.n_steps, 0, 40000], idx, [0, 40000, rec.n_steps]])
+        some = rec.rows(idx)
+        for got, full in zip(some, every):
+            assert got.dtype == np.int64 and np.array_equal(got, full[idx])
+        assert some[0].tolist() == [steps_A[i] for i in idx]
+        for outside in (-1, rec.n_steps + 1):
+            with pytest.raises(DomainError):
+                rec.rows(np.array([0, outside]))
 
     def test_many_degree_run_is_pinned(self):
         # sha256 of the outputs of the one-step-at-a-time chain that
@@ -352,16 +392,20 @@ class TestBlockSteps:
         d = DegreeSequence.from_distribution(DegreeDistribution(P_MIX), 100_000)
         rng = CounterRNG(7, 0)
         rec = eea_run(d, rng, record_trajectory=True)
-        assert rec.n_steps == rng._ctr == 171441 and rec.steps_V.shape == (171442, 7)
+        A, V, starts = _every_row(rec)
+        assert rec.n_steps == rng._ctr == 171441 and V.shape == (171442, 7)
+        spans = np.array([c.n_edges + 1 for c in rec.components])
+        new_component_at = np.cumsum(spans) - spans
+        assert np.array_equal(starts, np.searchsorted(new_component_at, np.arange(171442)))
 
         def sha(data: bytes) -> str:
             return hashlib.sha256(data).hexdigest()
 
-        assert sha(rec.steps_A.astype("<i8").tobytes()) == (
+        assert sha(A.astype("<i8").tobytes()) == (
             "94ff6849e37d0b4ff8bbe4e80a9aa096d3c1315679632d9b847e85ee7a8339fe")
-        assert sha(rec.steps_V.astype("<i8").tobytes()) == (
+        assert sha(V.astype("<i8").tobytes()) == (
             "3b02e73ec0c81a812e6581453f6d0935512b9447bafbad88d14eb829e61d73d2")
-        assert sha(rec.new_component_at.astype("<i8").tobytes()) == (
+        assert sha(new_component_at.astype("<i8").tobytes()) == (
             "609276bc62a1fc84f51c15f57b9d6d7416d08924b140f8f330841dfd681d2f56")
         components = [(c.degree_config, c.n_vertices, c.n_edges) for c in rec.components]
         assert sha(repr(components).encode()) == (
