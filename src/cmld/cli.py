@@ -17,10 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from . import core
-from .errors import CmldError, DomainError
-from .estimate import estimate_event_prob
+from .errors import CmldError, DomainError, FitError
+from .estimate import estimate_event_prob, rate_fit
 from .explore import DegreeSequence, eea_run, empirical_path, extract_components
-from .lln import lln_path
+from .lln import giant_fraction, lln_path
 from .paths import make_segment_spec, minimizer_path, path_cost, cost_closed_form
 from .rng import CounterRNG
 from .serialize import (
@@ -33,7 +33,7 @@ from .serialize import (
     load_sub_profile,
     write_sidecar,
 )
-from .verify import print_table, run_battery
+from .verify import fluid_gap, print_table, run_battery
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # argparse default exits 2
@@ -101,8 +101,10 @@ def _build_parser() -> _Parser:
     est = sub.add_parser("estimate", help="rare-event probability estimate")
     est.add_argument("--p", required=True)
     est.add_argument("--q", required=True)
-    est.add_argument("--n", type=int, required=True)
-    est.add_argument("--eps", type=float, required=True)
+    est.add_argument("--n", type=int, nargs="+", required=True,
+                     help="one or more sizes; three or more add a decay-rate fit line")
+    est.add_argument("--eps", type=float, nargs="+", required=True,
+                     help="one window half-width, or one per size")
     est.add_argument("--reps", type=int, required=True)
     est.add_argument("--seed", type=int, required=True)
     est.add_argument("--workers", type=int, default=1)
@@ -184,14 +186,23 @@ def _cmd_path(args: argparse.Namespace) -> int:
     return 0
 
 
+def _report_n(asked: int, used: int) -> None:
+    if used != asked:
+        print(f"note: --n {asked} gives a {used}-vertex graph (each n p_k is rounded, "
+              "and an odd half-edge total loses one vertex)", file=sys.stderr)
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.grid < 2:
         raise DomainError(f"grid_points must be at least 2, got {args.grid}")
-    d = load_degree_input(args.p)
-    if not isinstance(d, DegreeSequence):
-        d = DegreeSequence.from_distribution(d, args.n)
+    d = p = load_degree_input(args.p)
+    if isinstance(p, core.DegreeDistribution):
+        d = DegreeSequence.from_distribution(p, args.n)
+        _report_n(args.n, d.n)
     elif args.n != d.n:
         raise ValueError(f"--n {args.n} does not match the {d.n}-vertex sequence")
+    else:  # the sequence's own degree frequencies n_k / n
+        p = core.DegreeDistribution({k: c / d.n for k, c in d.counts().items()})
     write_trajectory = args.trajectory and bool(args.out)  # the trajectory goes only to --out
     rec = eea_run(d, CounterRNG(args.seed, 0), record_trajectory=write_trajectory)
     largest, n_comp, comps = extract_components(rec)
@@ -212,25 +223,45 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if write_trajectory:
         grid = np.linspace(0.0, rec.n_steps / d.n, args.grid)
         fluid_path_to_csv(empirical_path(rec, d.n, grid), Path(args.out).with_suffix(".traj.csv"))
+        _, sup = fluid_gap(rec, p, args.grid)
+        write_sidecar({"n": d.n, "grid_points": args.grid, "giant_fraction": giant_fraction(p),
+                       "largest_fraction": largest, "sup_distance": sup},
+                      Path(args.out).with_suffix(".traj.meta.json"))
     _emit(payload, args.out)
     return 0
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
+    if len(args.eps) not in (1, len(args.n)):
+        raise ValueError(f"--eps takes one value or one per size ({len(args.n)}), "
+                         f"got {len(args.eps)}")
     p = load_degree_distribution(args.p)
     q = load_sub_profile(args.q, p)
-    res = estimate_event_prob(p, q.weights, args.eps, args.reps, args.seed,
-                              n=args.n, workers=args.workers)
+    results = []
+    for n, eps in zip(args.n, args.eps * len(args.n) if len(args.eps) == 1 else args.eps):
+        res = estimate_event_prob(p, q.weights, eps, args.reps, args.seed,
+                                  n=n, workers=args.workers)
+        _report_n(n, res.n)
+        results.append(res)
+        if args.format == "json":
+            line = estimate_to_json_line(res, eps)
+            if args.out:
+                with open(args.out, "a") as f:
+                    f.write(line + "\n")
+            print(line)
     if args.format == "csv":
         out = args.out or "estimate.csv"
-        estimates_to_csv([res], out)
+        estimates_to_csv(results, out)
         print(f"wrote {out}", file=sys.stderr)
-    else:
-        line = estimate_to_json_line(res, args.eps)
-        if args.out:
-            with open(args.out, "a") as f:
-                f.write(line + "\n")
-        print(line)
+    if len(results) >= 3:
+        try:
+            slope, intercept = rate_fit([r for r in results if r.hits > 0])
+        except FitError as exc:
+            print(f"no fit line: {exc}", file=sys.stderr)
+        else:
+            rate = core.rate_component_degree(p, q).I1 if q.feasible else None
+            print(json.dumps({"slope": slope, "intercept": intercept, "rate": rate,
+                              "relative_gap": None if rate is None else (slope - rate) / rate}))
     return 0
 
 

@@ -5,7 +5,8 @@ Each check exercises two independent routes to the same quantity
 conservation law) and reports pass/fail with the observed discrepancy.
 The acceptance criteria and tests call these checks, so ``cmld verify``
 runs them at the criteria's tolerances.  :func:`lln_check` returns one
-run's deviations from the fluid limit, which criterion 4 bounds.
+run's deviations from the fluid limit, which criterion 4 bounds;
+:func:`fluid_gap` computes them from any recorded run.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .core import (
     rate_d_regular,
 )
 from .errors import DomainError, FeasibilityError, StateError
-from .explore import DegreeSequence, eea_run, empirical_path, extract_components
+from .explore import DegreeSequence, ExplorationRecord, eea_run, empirical_path, extract_components
 from .fluid import reflect
 from .lln import giant_fraction, lln_path, survival_rho
 from .paths import (
@@ -165,22 +166,38 @@ def lln_check(p: DegreeDistribution, n: int, seed: int,
               grid_points: int = 401) -> tuple[float, float]:
     """One trajectory-recorded run against the zero-cost fluid limit.
 
-    Returns (largest component vertex fraction, sup over the grid and over
-    degrees k <= max_degree of |empirical zeta_k - fluid zeta_k|).
+    Returns :func:`fluid_gap` of the run of stream (seed, 0) on
+    ``DegreeSequence.from_distribution(p, n)``.
     """
     if n < 1000:
         raise DomainError(f"n >= 1000 required for a meaningful check, got {n}")
     d = DegreeSequence.from_distribution(p, n)
-    rec = eea_run(d, CounterRNG(seed, 0), record_trajectory=True)
-    largest, _, _ = extract_components(rec)
+    return fluid_gap(eea_run(d, CounterRNG(seed, 0), record_trajectory=True), p, grid_points)
 
-    T = max(rec.n_steps / d.n, 0.5 * p.mu + 1e-9)
+
+def fluid_gap(rec: ExplorationRecord, p: DegreeDistribution,
+              grid_points: int = 401) -> tuple[float, float]:
+    """(largest component vertex fraction, sup over the grid and over
+    degrees k <= max_degree of |empirical zeta_k - fluid zeta_k|) of a
+    recorded run, against the fluid limit of ``p``."""
+    largest, _, _ = extract_components(rec)
+    T = max(rec.n_steps / rec.n, 0.5 * p.mu + 1e-9)
     grid = np.linspace(0.0, T, grid_points)
-    emp = empirical_path(rec, d.n, grid)
+    emp = empirical_path(rec, rec.n, grid)
     fluid = lln_path(p, grid=grid)
     sup = max(float(np.max(np.abs(emp.zeta(k) - fluid.zeta(k))))
               for k in range(p.max_degree + 1))
     return largest, sup
+
+
+def _check_fluid_limit() -> CheckResult:
+    try:
+        largest, sup = lln_check(DegreeDistribution({1: 0.5, 3: 0.5}), 100000, seed=20240810)
+    except StateError as exc:  # past the step bound, or totals off the histogram
+        return CheckResult("fluid limit", False, str(exc))
+    return CheckResult("fluid limit", abs(largest - 22.0 / 27.0) <= 0.01 and sup <= 0.02,
+                       f"n = 1e5: largest {largest:.4f} (giant {22 / 27:.4f}), "
+                       f"sup distance {sup:.4f}")
 
 
 def _check_reflection() -> CheckResult:
@@ -203,7 +220,7 @@ def _check_reflection() -> CheckResult:
 def run_battery(fast: bool = False) -> list[CheckResult]:
     return [_check_triple_agreement(), _check_quadrature(fast), _check_profile_vs_segment(),
             _check_lln_zero_cost(), _check_conservation(fast), _check_survival(),
-            _check_reflection()]
+            _check_fluid_limit(), _check_reflection()]
 
 
 def print_table(results: list[CheckResult]) -> bool:

@@ -8,7 +8,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cmld import CmldError, DegreeDistribution, StatePoint, StateError, eea_run, lln_path
+from cmld import (
+    CmldError,
+    DegreeDistribution,
+    DegreeSequence,
+    StatePoint,
+    StateError,
+    eea_run,
+    estimate_event_prob,
+    giant_fraction,
+    lln_check,
+    lln_path,
+    rate_component_degree,
+    rate_fit,
+)
 from cmld.cli import main
 from cmld.serialize import (
     fluid_path_from_csv,
@@ -319,6 +332,52 @@ class TestTrajectoryCommands:
         assert capsys.readouterr().out == plain
         assert recorded == [False, False, True]
 
+    def test_simulate_sidecar_is_lln_check(self, files, capsys):
+        out = files["tmp"] / "sim.json"
+        assert main(["simulate", "--p", files["p"], "--n", "2000", "--seed", "4",
+                     "--trajectory", "--out", str(out)]) == 0
+        meta = json.loads((files["tmp"] / "sim.traj.meta.json").read_text())
+        p = DegreeDistribution({1: 0.5, 3: 0.5})
+        assert (meta["largest_fraction"], meta["sup_distance"]) == lln_check(p, 2000, seed=4)
+        assert meta["giant_fraction"] == giant_fraction(p)
+        assert meta["n"] == 2000 and meta["grid_points"] == 401
+
+    def test_simulate_sidecar_for_a_degree_sequence(self, files, capsys):
+        # the sequence's own frequencies n_k / n are {1: 1/2, 3: 1/2}, so its
+        # sidecar is the distribution's
+        seq = files["tmp"] / "seq.json"
+        seq.write_text(json.dumps(DegreeSequence.from_distribution(
+            DegreeDistribution({1: 0.5, 3: 0.5}), 2000).degrees))
+        for name, p in (("dist", files["p"]), ("seq", str(seq))):
+            assert main(["simulate", "--p", p, "--n", "2000", "--seed", "4", "--trajectory",
+                         "--grid", "101", "--out", str(files["tmp"] / f"{name}.json")]) == 0
+        dist, seq = ((files["tmp"] / f"{name}.traj.meta.json").read_text()
+                     for name in ("dist", "seq"))
+        assert seq == dist and json.loads(seq)["grid_points"] == 101
+
+    def test_simulate_reports_the_n_it_ran(self, files, capsys):
+        # 25 * 0.5 = 12.5 rounds to 12 in both columns: 24 vertices, no parity fix
+        argv = ["simulate", "--p", files["p"], "--seed", "12", "--n"]
+        assert main(argv + ["24"]) == 0
+        exact = capsys.readouterr()
+        assert exact.err == ""
+        assert main(argv + ["25"]) == 0
+        asked = capsys.readouterr()
+        assert asked.out == exact.out and json.loads(asked.out)["parity_fix"] is None
+        assert len(asked.err.splitlines()) == 1 and "--n 25 gives a 24-vertex" in asked.err
+
+    def test_estimate_reports_the_n_it_ran(self, files, capsys):
+        # 27 * 0.5 = 13.5 rounds to 14 in both columns: 28 vertices
+        argv = ["estimate", "--p", files["p"], "--q", files["q"], "--eps", "0.2",
+                "--reps", "200", "--seed", "5", "--n"]
+        assert main(argv + ["28"]) == 0
+        exact = capsys.readouterr()
+        assert exact.err == ""
+        assert main(argv + ["27"]) == 0
+        asked = capsys.readouterr()
+        assert asked.out == exact.out
+        assert len(asked.err.splitlines()) == 1 and "--n 27 gives a 28-vertex" in asked.err
+
     def test_estimate_json_line(self, files, capsys):
         assert main(["estimate", "--p", files["p"], "--q", files["q"], "--n", "60",
                      "--eps", "0.2", "--reps", "400", "--seed", "5"]) == 0
@@ -355,6 +414,64 @@ class TestTrajectoryCommands:
             assert float(row[key]) == ref[key]
         rate = ref["per_n_rate"]
         assert float(row["per_n_rate"]) == (math.inf if rate is None else rate)
+
+
+class TestSweep:
+    SIZES = ["8", "10", "12"]
+    EPS = ["0.125", "0.1", "0.08333333333333333"]  # 1/n, as its 17-digit repr
+
+    @pytest.fixture
+    def argv(self, tmp_path):
+        for name, weight in (("p3", 1.0), ("q3", 0.5)):
+            (tmp_path / f"{name}.json").write_text(json.dumps({"degrees": {"3": weight}}))
+        return ["estimate", "--p", str(tmp_path / "p3.json"), "--q", str(tmp_path / "q3.json"),
+                "--reps", "3000", "--seed", "5"]
+
+    def test_three_sizes_then_the_fit_line(self, argv, capsys):
+        assert main(argv + ["--n", *self.SIZES, "--eps", *self.EPS]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4
+        for line, n, eps in zip(lines, self.SIZES, self.EPS):
+            assert main(argv + ["--n", n, "--eps", eps]) == 0
+            assert capsys.readouterr().out == line + "\n"
+        p = DegreeDistribution({3: 1.0})
+        results = [estimate_event_prob(p, {3: 0.5}, float(eps), 3000, 5, n=int(n))
+                   for n, eps in zip(self.SIZES, self.EPS)]
+        slope, intercept = rate_fit(results)
+        rate = rate_component_degree(p, {3: 0.5}).I1
+        assert json.loads(lines[3]) == {"slope": slope, "intercept": intercept, "rate": rate,
+                                        "relative_gap": (slope - rate) / rate}
+
+    def test_one_eps_serves_every_size_and_csv_has_a_row_each(self, argv, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(argv + ["--n", *self.SIZES, "--eps", "0.2", "--format", "csv",
+                            "--out", str(out)]) == 0
+        fit = capsys.readouterr().out.splitlines()
+        with open(out, newline="") as f:
+            assert [row["n"] for row in csv.DictReader(f)] == self.SIZES
+        assert main(argv + ["--n", *self.SIZES, "--eps", "0.2", "0.2", "0.2"]) == 0
+        assert capsys.readouterr().out.splitlines()[3:] == fit and len(fit) == 1
+
+    @pytest.mark.parametrize("eps", [["0.1", "0.2"], ["0.1", "0.2", "0.3", "0.4"]])
+    def test_eps_count_off_exit_1_before_any_estimate(self, argv, monkeypatch, capsys, eps):
+        import cmld.cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("an estimate ran")
+
+        monkeypatch.setattr(cmld.cli, "estimate_event_prob", never)
+        assert main(argv + ["--n", *self.SIZES, "--eps", *eps]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--eps" in captured.err
+
+    def test_fewer_than_three_sizes_with_hits_prints_no_fit(self, argv, capsys):
+        # a window of 0.01 at n = 10 and 14 holds only 5 and 7 vertices, and no
+        # component of the 3-regular graph has an odd vertex count: only n = 8 hits
+        assert main(argv + ["--n", "8", "10", "14", "--eps", "0.125", "0.01", "0.01"]) == 0
+        captured = capsys.readouterr()
+        hits = [json.loads(line)["hits"] for line in captured.out.splitlines()]
+        assert len(hits) == 3 and hits[0] > 0 and hits[1:] == [0, 0]
+        assert "no fit line: need >= 3 points with hits, have 1" in captured.err
 
 
 class TestRoundTrip:
