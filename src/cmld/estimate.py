@@ -12,13 +12,16 @@ integers, so summation order cannot matter.
 
 The inner loop is a lockstep-vectorized version of
 :func:`cmld.explore.eea_run` over blocks of replications; it reproduces
-the scalar chain decision-for-decision because both consume the uniform of
-step j from the same counter position.  Its state is each replication's
-cumulative sleeping half-edge mass by degree, int32 whenever the graph's
-2m + 1 fits, so a step finds the woken degree with one compare and
-removes it with one broadcast subtract.  A replication leaves the block
-once its outcome is settled: when it hits, when its chain stops, or when
-its sleeping half-edge mass shows that no component can reach the window.
+the scalar chain decision-for-decision because both consume the uniform
+of step j from the same counter position.  Its state is each
+replication's cumulative sleeping half-edge mass by degree, in the
+narrowest signed integer type that holds the graph's 2m + 1 (int8 up to
+127, then int16, int32 and int64), so a step finds the woken degree with
+one integer compare and removes it with one broadcast subtract; a graph
+of one degree needs neither.  Each step's uniforms are drawn into two
+buffers made once per block.  A replication leaves the block once its
+outcome is settled: when it hits, when its chain stops, or when its
+sleeping half-edge mass shows that no component can reach the window.
 That test is exact, since every hitting component's half-edge mass lies
 between those of the window's integer edges.  Once at most half of a
 block is still live, the live replications are gathered into smaller
@@ -231,10 +234,14 @@ def _batch_hits(counts: dict[int, int], rep_lo: int, rep_hi: int, seed: int,
     lane (replication), the sleeping half-edge mass of the degrees up to
     ``degs[d]``, sum_{d' <= d} degs[d'] V[d'], so its last row is the
     whole sleeping mass ``s``.  The bucket a wake falls in is then one
-    compare of ``C`` against the lane's target and one narrow sum, and
-    waking degree ``degs[b]`` is one broadcast subtract from rows b and
-    up.  ``C``, ``Cstart``, ``A`` and ``need`` are int32 whenever 2m + 1
-    fits, since none exceeds it, and int64 otherwise.  ``Cstart`` is
+    compare of ``C`` against the floor of the lane's target and one narrow
+    sum, and waking degree ``degs[b]`` is one broadcast subtract from rows
+    b and up; with one degree there is one row and no bucket.  ``C``,
+    ``Cstart``, ``A``, ``need`` and the woken degrees have the narrowest
+    signed type that holds 2m + 1: every value the kernel forms lies in
+    [-2m, 2m + 1], ``s + killw``, ``s0 - H`` and the retired need 2m + 1
+    among them.  So R lanes on D degrees start at 2DR entries of that type,
+    beside the R keys and the draw's two R-wide buffers.  ``Cstart`` is
     ``C`` when the current component started; at a close, ``Cstart - C``
     differenced along the degree axis and divided by the degrees is the
     component's configuration.  ``lo`` and ``hi`` are the event's integer
@@ -270,8 +277,10 @@ def _batch_hits(counts: dict[int, int], rep_lo: int, rep_hi: int, seed: int,
     L, H = max(L + L % 2, 2), H - H % 2  # a component's mass is even and >= 2
     retired = 2 * m + 1  # a need that no s reaches
     lo, hi = np.asarray(lo)[:, None], np.asarray(hi)[:, None]
-    # no mass, A or need exceeds 2m + 1; the bucket index is below D
-    idt = np.int32 if retired < 1 << 31 else np.int64
+    # every value the state takes or forms lies in [-2m, 2m + 1], and 2m + 1
+    # is odd, so the narrowest signed type holding -(2m + 1) holds them all
+    idt = np.min_scalar_type(-retired)
+    # the bucket index is below D
     bdt = np.int8 if D < 128 else np.intp
     k = degs.astype(idt)
 
@@ -281,6 +290,7 @@ def _batch_hits(counts: dict[int, int], rep_lo: int, rep_hi: int, seed: int,
     A = np.zeros(R, dtype=idt)
     need = np.full(R, min(L, 2 * m - H), dtype=idt)
     keys = stream_keys(seed, np.arange(rep_lo, rep_hi, dtype=np.uint64))
+    u, scratch = np.empty(R), np.empty(R, dtype=np.uint64)  # the draw's buffers
     cols = np.arange(D, dtype=bdt)[:, None]
     hits = 0
 
@@ -290,15 +300,20 @@ def _batch_hits(counts: dict[int, int], rep_lo: int, rep_hi: int, seed: int,
         # y < 0 (exactly when x = u * denom < killw) kills, else the bucket
         # holding y wakes: b counts the cumulative masses C[d] <= y, and u < 1
         # keeps y below s = C[-1], so the last row needs no compare
-        y = counter_uniforms(keys, j)
+        y = counter_uniforms(keys, j, u, scratch)
         y *= s + killw
         y -= killw
         wakes = y >= 0
-        b = (C[:-1] <= y).sum(axis=0, dtype=bdt)
-
-        woken = k.take(b)
-        woken *= wakes
-        C -= (cols >= b) * woken  # rows b and up lose the woken degree; s with them
+        if D > 1:
+            # the masses are integers, so C[d] <= y exactly when C[d] <=
+            # floor(y), a compare in the state's own type
+            b = (C[:-1] <= np.floor(y, out=y).astype(idt)).sum(axis=0, dtype=bdt)
+            woken = k.take(b)
+            woken *= wakes
+            C -= (cols >= b) * woken  # rows b and up lose the woken degree; s with them
+        else:  # one degree: a wake takes it from the one row
+            woken = wakes * k[0]
+            C -= woken
         A += woken
         A -= busy
         A -= busy
@@ -308,7 +323,7 @@ def _batch_hits(counts: dict[int, int], rep_lo: int, rep_hi: int, seed: int,
             # a hitting component ends with s >= s0 - H >= need, so a lane
             # below its need is retired or can no longer hit
             idx = idx[s[idx] >= need[idx]]
-            taken = np.diff(Cstart[:, idx] - C[:, idx], axis=0, prepend=0)
+            taken = np.diff(Cstart[:, idx] - C[:, idx], axis=0, prepend=idt.type(0))
             conf = taken // k[:, None]  # each row's mass is a multiple of its degree
             hit = np.all((conf >= lo) & (conf <= hi), axis=0)
             hits += int(np.count_nonzero(hit))
@@ -324,6 +339,7 @@ def _batch_hits(counts: dict[int, int], rep_lo: int, rep_hi: int, seed: int,
             keep = np.flatnonzero(live)
             C, Cstart, A, need, keys = (C[:, keep], Cstart[:, keep], A[keep],
                                         need[keep], keys[keep])
+            u, scratch = u[:left], scratch[:left]
             s = C[-1]
     return hits
 

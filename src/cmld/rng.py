@@ -34,15 +34,20 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_vec(z: np.ndarray) -> np.ndarray:
-    # uint64 arithmetic wraps; identical bit-for-bit to _mix64.  The first
-    # line makes a fresh array, which the rest updates in place.
-    z = z ^ (z >> _U30)
+def _mix64_vec(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """:func:`_mix64` on every word of uint64 ``z``, bit for bit (uint64
+    arithmetic wraps), written to ``out``, a uint64 array of z's shape.
+    ``z`` is consumed, and ``out`` holds the shifts until the last step,
+    so the two arrays are the only memory used.  Returns ``out``."""
+    np.right_shift(z, _U30, out=out)
+    z ^= out
     z *= _U_MIX1
-    z ^= z >> _U27
+    np.right_shift(z, _U27, out=out)
+    z ^= out
     z *= _U_MIX2
-    z ^= z >> _U31
-    return z
+    np.right_shift(z, _U31, out=out)
+    out ^= z
+    return out
 
 
 def stream_key(seed: int, stream: int) -> int:
@@ -54,9 +59,11 @@ def stream_key(seed: int, stream: int) -> int:
 
 def stream_keys(seed: int, streams: np.ndarray) -> np.ndarray:
     """Vectorized :func:`stream_key` for an array of stream indices."""
-    a = np.uint64(_mix64((seed & _MASK64) + _GOLDEN))
-    b = _mix64_vec(streams.astype(np.uint64) * np.uint64(_STREAM_SALT) + np.uint64(_GOLDEN))
-    return _mix64_vec(a ^ b)
+    z = streams.astype(np.uint64) * np.uint64(_STREAM_SALT)
+    z += _U_GOLDEN
+    b = _mix64_vec(z, np.empty_like(z))
+    b ^= np.uint64(_mix64((seed & _MASK64) + _GOLDEN))
+    return _mix64_vec(b, z)
 
 
 def counter_uniform(key: int, counter: int) -> float:
@@ -65,19 +72,31 @@ def counter_uniform(key: int, counter: int) -> float:
     return (word >> 11) * (1.0 / 9007199254740992.0)  # 53-bit mantissa
 
 
-def _unit_floats(words: np.ndarray) -> np.ndarray:
-    """Top 53 bits of each word as a [0,1) float, as in :func:`counter_uniform`;
-    ``words`` is consumed."""
+def _unit_floats(words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Top 53 bits of each word as a [0,1) float, as in :func:`counter_uniform`,
+    written to float64 ``out``; ``words`` is consumed.  ``out`` must not
+    share memory with ``words``: numpy would copy ``words`` first."""
     words >>= _U11
-    u = words.astype(np.float64)
-    u *= 1.0 / 9007199254740992.0
-    return u
+    # each word is now below 2^53, the same integer as an int64, which numpy
+    # turns into a float faster than a uint64; both conversions are exact
+    return np.multiply(words.view(np.int64), 1.0 / 9007199254740992.0, out=out)
 
 
-def counter_uniforms(keys: np.ndarray, counter: int) -> np.ndarray:
-    """Vectorized :func:`counter_uniform`: one variate per key at a fixed counter."""
+def counter_uniforms(keys: np.ndarray, counter: int, out: np.ndarray | None = None,
+                     scratch: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized :func:`counter_uniform`: one variate per key at a fixed counter.
+
+    The variates are written to ``out``, a float64 array of ``len(keys)``;
+    ``scratch`` is a uint64 array of the same length.  The two are all the
+    memory the draw uses, so a caller drawing many times passes the same
+    two each time; without them both are allocated.  Returns ``out``.
+    """
+    if out is None:
+        out = np.empty(len(keys))
+        scratch = np.empty(len(keys), dtype=np.uint64)
     shift = np.uint64(((counter + 1) * _GOLDEN) & _MASK64)
-    return _unit_floats(_mix64_vec(keys + shift))
+    words = np.add(keys, shift, out=out.view(np.uint64))
+    return _unit_floats(_mix64_vec(words, scratch), out)
 
 
 @dataclass
@@ -111,7 +130,7 @@ class CounterRNG:
         ctrs = np.arange(start + 1, start + count + 1, dtype=np.uint64)
         ctrs *= _U_GOLDEN
         ctrs += np.uint64(self._key)
-        return _unit_floats(_mix64_vec(ctrs))
+        return _unit_floats(_mix64_vec(ctrs, np.empty_like(ctrs)), ctrs.view(np.float64))
 
     def skip(self, count: int) -> None:
         """Move the counter past ``count`` draws without computing them."""

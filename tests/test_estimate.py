@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -276,6 +277,41 @@ class TestEventProbability:
         # edge, so the lane hits at its second step and the loop ends there;
         # no scalar chain of this size can run as the oracle
         assert _batch_hits({1: 2**31}, 0, 1, 5, [2], [2]) == 1
+
+    @pytest.mark.parametrize("n", [42, 44])
+    def test_matches_scalar_chain_at_int8_state_edge(self, n):
+        # 2m + 1 is 127 at n = 42, the largest int8, and 133 at n = 44, so
+        # the state is int8 and then int16.  The window is a 40- or
+        # 42-vertex component: a lane whose first component is the small
+        # one goes on to hit with the second
+        d = DegreeSequence((3,) * n)
+        event = _event(d, {3: (n - 2) / n}, 0.5 / n)
+        reps, seed = 3000, 43
+        scalar, _ = _scalar_hits(d, seed, reps, event)
+        assert 0 < scalar < reps
+        assert _batch_hits(d.counts(), 0, reps, seed, *event) == scalar
+
+    @pytest.mark.parametrize("leaves", [32766, 32768])
+    def test_state_at_int16_edge(self, leaves):
+        # 2m + 1 is 32767, the largest int16, then 32769, which needs int32;
+        # as with 2^31 leaves, the lane hits at its second step
+        assert _batch_hits({1: leaves}, 0, 1, 5, [2], [2]) == 1
+
+    def test_wide_shard_memory(self):
+        # one full-width shard on seven columns at n = 100: 2m + 1 = 341
+        # gives int16 state, and the draw reuses two buffers.  It peaks at
+        # about 5.9 MiB; int32 state or int64 configurations at a close
+        # would each add more than 1 MiB
+        p_mix = {1: 0.3, 2: 0.1, 3: 0.2, 4: 0.15, 5: 0.1, 7: 0.1, 10: 0.05}
+        d = DegreeSequence.from_distribution(DegreeDistribution(p_mix), 100)
+        event = _event(d, p_mix, 0.5 / d.n)
+        tracemalloc.start()
+        try:
+            _batch_hits(d.counts(), 0, 1 << 16, 4242, *event)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * 2**20
 
     def test_lane_with_several_hitting_components_counts_once(self):
         # a hit is a single edge between two leaves, so many lanes hit more

@@ -1,7 +1,7 @@
 import numpy as np
 
 from cmld import CounterRNG
-from cmld.rng import _GOLDEN, counter_uniform, counter_uniforms
+from cmld.rng import _GOLDEN, counter_uniform, counter_uniforms, stream_keys
 
 BLOCK = 1 << 16
 COUNTERS = (0, 1, BLOCK - 1, BLOCK, BLOCK + 1)
@@ -27,3 +27,17 @@ class TestDrawRoutes:
                 assert many.uniforms(3).tolist() == [counter_uniform(many._key, c + i)
                                                      for i in range(3)]
                 assert many._ctr == c + 3
+
+    def test_buffered_vector_draws_equal_fresh_ones(self):
+        # the kernel passes the same two buffers at every step, cut to the
+        # live width after each gather, so they arrive holding old draws
+        out = np.empty(BLOCK + 3)
+        scratch = np.empty(BLOCK + 3, dtype=np.uint64)
+        for width in (1, 1000, BLOCK):
+            keys = stream_keys(7, np.arange(width, dtype=np.uint64))
+            for o, s in ((out[:width], scratch[:width]),
+                         (np.empty(width), np.empty(width, dtype=np.uint64))):
+                for c in COUNTERS:
+                    fresh = counter_uniforms(keys, c)
+                    assert counter_uniforms(keys, c, o, s) is o
+                    assert np.array_equal(o.view(np.uint64), fresh.view(np.uint64))
