@@ -26,16 +26,23 @@ That test is exact, since every hitting component's half-edge mass lies
 between those of the window's integer edges.  Once at most half of a
 block is still live, the live replications are gathered into smaller
 arrays.  Shards run in one process, or in a pool of at most one process
-per shard and per usable core.
+per shard and per usable core.  The pool is kept for later calls of the
+same size in the same process; it is replaced when the size or the pid
+changes or when it breaks, and joined at interpreter exit.  Its workers
+are forked at the first parallel call, so they run the code as it was
+then: a monkeypatch made later does not reach them.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from multiprocessing.util import Finalize
 
 import numpy as np
 
@@ -352,6 +359,61 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+# the kept pool as ((pid, processes), executor, its shutdown at exit), or
+# None; read and replaced only under _POOL_LOCK, which a parallel call
+# holds until its last result
+_pool: tuple[tuple[int, int], ProcessPoolExecutor, Finalize] | None = None
+_POOL_LOCK = threading.Lock()
+
+
+def _drop_pool() -> None:
+    """Forget the kept pool, joining its workers if this process started them
+    (a Finalize does nothing in another process than its own)."""
+    global _pool
+    stop = _pool[2]
+    _pool = None
+    stop()
+
+
+def _pool_hits(procs: int, counts: dict[int, int], shards: list[tuple[int, int]],
+               seed: int, event: tuple[np.ndarray, np.ndarray]) -> int:
+    """Hits of ``shards`` on the kept pool of ``procs`` processes.
+
+    A kept pool of another size or of another process is dropped first, so
+    a new pool never forks beside the old one's manager thread.  A broken
+    pool is replaced and the call run once more; the hits are a pure
+    function of the arguments, so the retry gives the same number.  On any
+    other failure the shards not yet started are cancelled, so the pool
+    does not run them ahead of the next call's.
+    """
+    global _pool
+    key = (os.getpid(), procs)
+    with _POOL_LOCK:
+        for retry in (False, True):
+            if _pool is not None and _pool[0] != key:
+                _drop_pool()
+            if _pool is None:
+                pool = ProcessPoolExecutor(max_workers=procs)
+                # a multiprocessing child joins its children before the
+                # threading exit hook that would stop the pool runs, so the
+                # pool is also shut down by a finalizer that runs first, and
+                # before its call queue's own (priority 10) stops the queue
+                _pool = key, pool, Finalize(pool, pool.shutdown, exitpriority=20)
+            futs = []
+            try:
+                for a, b in shards:
+                    futs.append(_pool[1].submit(_batch_hits, counts, a, b, seed, *event))
+                return sum(f.result() for f in futs)
+            except BrokenProcessPool:
+                _drop_pool()
+                if retry:
+                    raise
+            except BaseException:
+                for f in futs:
+                    f.cancel()
+                raise
+
+
 def _resolve_input(p_or_d, n: int | None) -> tuple[DegreeSequence, dict[int, int]]:
     if isinstance(p_or_d, DegreeDistribution):
         if n is None:
@@ -369,10 +431,15 @@ def estimate_event_prob(p_or_d, q, eps: float, reps: int, seed: int,
                         chunk_size: int = _DEFAULT_CHUNK) -> EstimateResult:
     """Probability that some component's degree configuration is eps-close to n*q.
 
-    Replications run in shards of ``chunk_size``; a pool starts only for
+    Replications run in shards of ``chunk_size``; a pool is used only for
     more than one shard, with ``min(workers, shards, usable cores)``
-    processes, since a fork pool starts all its processes up front.  An
-    event that no count can hit returns 0 hits with no shard run.
+    processes, since a fork pool starts all its processes up front.  The
+    pool is kept for later calls of the same size in this process; it is
+    replaced when the size or the pid changes or when it breaks, and
+    joined at interpreter exit.  Its workers are forked at the first
+    parallel call and run the code as it was then, so a monkeypatch made
+    later does not reach them.  An event that no count can hit returns 0
+    hits with no shard run.
     """
     if reps <= 0:
         raise DomainError(f"reps must be positive, got {reps}")
@@ -392,10 +459,7 @@ def estimate_event_prob(p_or_d, q, eps: float, reps: int, seed: int,
             for a, b in shards:
                 hits += _batch_hits(counts, a, b, seed, *event)
         else:
-            with ProcessPoolExecutor(max_workers=procs) as pool:
-                futs = [pool.submit(_batch_hits, counts, a, b, seed, *event)
-                        for a, b in shards]
-                hits = sum(f.result() for f in futs)
+            hits = _pool_hits(procs, counts, shards, seed, event)
 
     p_hat = hits / reps
     ci_lo, ci_hi = clopper_pearson(hits, reps)

@@ -1,10 +1,18 @@
 import math
+import multiprocessing
+import multiprocessing.connection
+import os
+import signal
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cmld
 from cmld import (
     CounterRNG,
     DegreeDistribution,
@@ -66,6 +74,21 @@ def _exact_rel_err(x: float, k: int, n: int, level: float) -> float:
         return float((tail - level) / slope / x)
 
 
+@pytest.fixture
+def no_kept_pool():
+    """The estimate module with no kept pool, before the test and after it."""
+    import cmld.estimate as est
+
+    def drop():
+        with est._POOL_LOCK:
+            if est._pool is not None:
+                est._drop_pool()
+
+    drop()
+    yield est
+    drop()
+
+
 _CP_REPS = (10, 200, 2**19, 2**20, 20000, 10**6, 10**9)
 _CP_CASES = sorted({(h, r) for r in _CP_REPS for h in (0, 1, 2, 10, 1000, r - 1, r) if h <= r})
 
@@ -119,9 +142,8 @@ class TestEventProbability:
         res = estimate_event_prob((3,) * 12, {3: 0.5}, eps=math.inf, reps=300, seed=5)
         assert res.hits == res.reps and res.p_hat == 1.0
 
-    def test_pool_capped_at_shards_and_cores(self, monkeypatch):
-        import cmld.estimate as est
-
+    def test_pool_capped_at_shards_and_cores(self, monkeypatch, no_kept_pool):
+        est = no_kept_pool
         started = []
 
         class Recording(est.ProcessPoolExecutor):
@@ -135,6 +157,8 @@ class TestEventProbability:
         many = estimate_event_prob(p, workers=64, **args)
         cores = est._usable_cores()
         assert started == ([min(3, cores)] if cores > 1 else [])
+        kept = est._pool[0] if est._pool else None  # the pool the call ran on
+        assert kept == ((os.getpid(), min(3, cores)) if cores > 1 else None)
         monkeypatch.setattr(est, "_usable_cores", lambda: 1)
         assert estimate_event_prob(p, workers=64, **args) == many
         assert len(started) == (cores > 1)  # one usable core starts no pool
@@ -144,8 +168,8 @@ class TestEventProbability:
         ({3: 0.53125}, 0.01),  # n q_3 lies in [8.34, 8.66], which holds no integer
         ({2: 0.5, 3: 0.5}, 0.25),  # degree 2 is absent from the graph and q_2 > eps
     ])
-    def test_event_nothing_can_hit_starts_no_pool(self, monkeypatch, q, eps):
-        import cmld.estimate as est
+    def test_event_nothing_can_hit_starts_no_pool(self, monkeypatch, no_kept_pool, q, eps):
+        est = no_kept_pool
 
         class NoPool:
             def __init__(self, max_workers):
@@ -441,6 +465,98 @@ class TestEventProbability:
         se = (math.sqrt(p_engine * (1 - p_engine) / reps)
               + math.sqrt(p_match * (1 - p_match) / reps))
         assert abs(p_engine - p_match) <= 4.0 * se
+
+
+_KEPT_ARGS = dict(q={3: 0.5}, eps=0.25, reps=3000, seed=12, n=12, chunk_size=1000)
+
+
+def _kept_run(workers: int):
+    """A half-size component of a 3-regular graph at n = 12, in three shards."""
+    return estimate_event_prob(DegreeDistribution({3: 1.0}), workers=workers, **_KEPT_ARGS)
+
+
+def _estimate_in_child(conn) -> None:
+    conn.send(_kept_run(2))
+    conn.close()
+
+
+class TestKeptPool:
+    @pytest.fixture
+    def est(self, monkeypatch, no_kept_pool):
+        # pools of 2 and 3 processes on any machine, one core included
+        monkeypatch.setattr(no_kept_pool, "_usable_cores", lambda: 4)
+        return no_kept_pool
+
+    def test_parallel_calls_reuse_the_workers(self, est):
+        serial = _kept_run(1)
+        assert _kept_run(2) == serial
+        pool = est._pool[1]
+        pids = set(pool._processes)
+        assert len(pids) == 2
+        assert _kept_run(2) == serial
+        assert est._pool[1] is pool and set(pool._processes) == pids
+
+    def test_new_size_joins_the_old_workers_first(self, est, monkeypatch):
+        serial = _kept_run(1)
+        assert _kept_run(2) == serial
+        old = list(est._pool[1]._processes.values())
+        exits = []
+
+        class Recording(est.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                exits.append([w.exitcode for w in old])
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(est, "ProcessPoolExecutor", Recording)
+        assert _kept_run(3) == serial
+        assert exits == [[0, 0]]
+        assert est._pool[0] == (os.getpid(), 3) and len(est._pool[1]._processes) == 3
+
+    def test_killed_worker_is_replaced(self, est):
+        serial = _kept_run(1)
+        assert _kept_run(2) == serial
+        pool = est._pool[1]
+        victim = next(iter(pool._processes.values()))
+        os.kill(victim.pid, signal.SIGKILL)
+        assert multiprocessing.connection.wait([victim.sentinel], timeout=30)
+        assert _kept_run(2) == serial
+        assert est._pool[1] is not pool and victim.pid not in est._pool[1]._processes
+        assert _kept_run(2) == serial
+
+    def test_forked_child_starts_its_own_pool(self, est):
+        serial = _kept_run(1)
+        assert _kept_run(2) == serial  # the parent now keeps a pool
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_estimate_in_child, args=(send,))
+        assert not child.daemon  # a daemonic process may not start a pool
+        child.start()
+        send.close()
+        try:
+            assert recv.poll(60), "the child's estimate did not finish"
+            got = recv.recv()
+            child.join(timeout=60)
+            assert not child.is_alive() and child.exitcode == 0
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join(timeout=10)
+        assert got == serial
+        assert _kept_run(2) == serial  # the parent's pool still works
+
+    def test_no_process_outlives_the_interpreter(self):
+        # a pool of 2 is joined when the size changes, the kept pool of 3 at exit
+        src = Path(cmld.__file__).resolve().parents[1]
+        code = ("import cmld.estimate as est; from cmld import DegreeDistribution; "
+                "est._usable_cores = lambda: 4; "
+                "r = [est.estimate_event_prob(DegreeDistribution({3: 1.0}), {3: 0.5}, 0.25, "
+                "reps=3000, seed=12, n=12, chunk_size=1000, workers=w) for w in (1, 2, 3)]; "
+                "assert r[0] == r[1] == r[2], r; assert est._pool[0][1] == 3")
+        proc = subprocess.Popen([sys.executable, "-c", code], start_new_session=True,
+                                env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.wait(timeout=120) == 0
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
 
 
 class TestConfidenceIntervals:
