@@ -94,8 +94,12 @@ def _build_parser() -> _Parser:
     sim.add_argument("--p", required=True)
     sim.add_argument("--n", type=int, required=True)
     sim.add_argument("--seed", type=int, required=True)
-    sim.add_argument("--trajectory", action="store_true")
-    sim.add_argument("--grid", type=int, default=401)
+    sim.add_argument("--trajectory", action="store_true",
+                     help="also write the rescaled trajectory and its fluid gap; "
+                          "acts only with --out")
+    sim.add_argument("--grid", type=int, default=401,
+                     help="points of the trajectory written with --trajectory, at least 2; "
+                          "acts only with --out")
     sim.add_argument("--out", default=None)
 
     est = sub.add_parser("estimate", help="rare-event probability estimate")

@@ -27,10 +27,11 @@ between those of the window's integer edges.  Once at most half of a
 block is still live, the live replications are gathered into smaller
 arrays.  Shards run in one process, or in a pool of at most one process
 per shard and per usable core.  The pool is kept for later calls of the
-same size in the same process; it is replaced when the size or the pid
-changes or when it breaks, and joined at interpreter exit.  Its workers
-are forked at the first parallel call, so they run the code as it was
-then: a monkeypatch made later does not reach them.
+same size in the same process; it is replaced when the size changes or
+when it breaks and joined at interpreter exit, and a forked child starts
+with no pool and a free lock.  Its workers are forked at the first
+parallel call, so they run the code as it was then: a monkeypatch made
+later does not reach them.
 """
 
 from __future__ import annotations
@@ -359,16 +360,26 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-# the kept pool as ((pid, processes), executor, its shutdown at exit), or
-# None; read and replaced only under _POOL_LOCK, which a parallel call
-# holds until its last result
-_pool: tuple[tuple[int, int], ProcessPoolExecutor, Finalize] | None = None
+# the kept pool as (processes, executor, its shutdown at exit), or None;
+# read and replaced only under _POOL_LOCK, which a parallel call holds
+# until its last result
+_pool: tuple[int, ProcessPoolExecutor, Finalize] | None = None
 _POOL_LOCK = threading.Lock()
 
 
+def _forget_pool_in_child() -> None:
+    """Give a forked child no pool and a free lock: the parent's workers are
+    not its children, and another thread of the parent may hold the lock."""
+    global _pool, _POOL_LOCK
+    _pool = None
+    _POOL_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pool_in_child)
+
+
 def _drop_pool() -> None:
-    """Forget the kept pool, joining its workers if this process started them
-    (a Finalize does nothing in another process than its own)."""
+    """Forget the kept pool and join its workers."""
     global _pool
     stop = _pool[2]
     _pool = None
@@ -379,18 +390,17 @@ def _pool_hits(procs: int, counts: dict[int, int], shards: list[tuple[int, int]]
                seed: int, event: tuple[np.ndarray, np.ndarray]) -> int:
     """Hits of ``shards`` on the kept pool of ``procs`` processes.
 
-    A kept pool of another size or of another process is dropped first, so
-    a new pool never forks beside the old one's manager thread.  A broken
-    pool is replaced and the call run once more; the hits are a pure
-    function of the arguments, so the retry gives the same number.  On any
-    other failure the shards not yet started are cancelled, so the pool
-    does not run them ahead of the next call's.
+    A kept pool of another size is dropped first, so a new pool never
+    forks beside the old one's manager thread.  A broken pool is replaced
+    and the call run once more; the hits are a pure function of the
+    arguments, so the retry gives the same number.  On any other failure
+    the shards not yet started are cancelled, so the pool does not run
+    them ahead of the next call's.
     """
     global _pool
-    key = (os.getpid(), procs)
     with _POOL_LOCK:
         for retry in (False, True):
-            if _pool is not None and _pool[0] != key:
+            if _pool is not None and _pool[0] != procs:
                 _drop_pool()
             if _pool is None:
                 pool = ProcessPoolExecutor(max_workers=procs)
@@ -398,7 +408,7 @@ def _pool_hits(procs: int, counts: dict[int, int], shards: list[tuple[int, int]]
                 # threading exit hook that would stop the pool runs, so the
                 # pool is also shut down by a finalizer that runs first, and
                 # before its call queue's own (priority 10) stops the queue
-                _pool = key, pool, Finalize(pool, pool.shutdown, exitpriority=20)
+                _pool = procs, pool, Finalize(pool, pool.shutdown, exitpriority=20)
             futs = []
             try:
                 for a, b in shards:
@@ -435,11 +445,11 @@ def estimate_event_prob(p_or_d, q, eps: float, reps: int, seed: int,
     more than one shard, with ``min(workers, shards, usable cores)``
     processes, since a fork pool starts all its processes up front.  The
     pool is kept for later calls of the same size in this process; it is
-    replaced when the size or the pid changes or when it breaks, and
-    joined at interpreter exit.  Its workers are forked at the first
-    parallel call and run the code as it was then, so a monkeypatch made
-    later does not reach them.  An event that no count can hit returns 0
-    hits with no shard run.
+    replaced when the size changes or when it breaks, joined at
+    interpreter exit, and not inherited by a forked child.  Its workers
+    are forked at the first parallel call and run the code as it was
+    then, so a monkeypatch made later does not reach them.  An event that
+    no count can hit returns 0 hits with no shard run.
     """
     if reps <= 0:
         raise DomainError(f"reps must be positive, got {reps}")

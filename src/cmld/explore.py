@@ -25,26 +25,24 @@ it.  Guessed decisions are checked against the states they imply, and the
 prefix up to the first disagreement is committed; that prefix is the
 scalar chain's own, so a run is the same bit for bit either way.  Where no
 block fits, or after one stops short, a stretch of scalar steps comes
-before the next try.  A recorded run keeps one number per step, the
-degree woken (0 for a kill), and :meth:`ExplorationRecord.rows` reads A
-and V from it at the step indices asked for.
+before the next try; each draws the uniforms of the steps it may take.  A
+recorded run keeps one number per step, the degree woken (0 for a kill),
+and :meth:`ExplorationRecord.rows` reads A and V from it at the step
+indices asked for.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
-from . import rng as _rng
 from .core import DegreeDistribution, _degree
 from .errors import DomainError, ParityError, StateError
 from .fluid import FluidPath
-from .rng import CounterRNG, counter_uniform
+from .rng import CounterRNG
 
-_LAZY_DRAWS = 64  # drawn one at a time: a short run never pays for a vector block
 _NO_MASS = np.iinfo(np.int64).max  # above every cumulative mass
 _MIN_BLOCK = 512  # fewer steps than this do not repay a block's fixed cost
 _MIN_COMMIT = 32  # a round committing fewer steps ends its block
@@ -175,11 +173,10 @@ def eea_run(d: DegreeSequence, rng: CounterRNG,
     """Run the exploration chain to termination.
 
     Components are always recorded; the full (A, V) step sequence only
-    when ``record_trajectory`` is set.  The first 64 draws are computed one
-    at a time as they are taken, so a short run costs no more than scalar
-    draws; the rest come in vector blocks of at most 2^16 draws, so memory
-    stays bounded.  The run leaves the stream's counter ``n_steps`` past
-    its start.
+    when ``record_trajectory`` is set.  Each block and each stretch of
+    scalar steps draws the uniforms of the steps it may take, at most 2^16
+    at once, so memory stays bounded; step j always reads draw j of the
+    run, and a run leaves the stream's counter ``n_steps`` past its start.
 
     While A is large the chain decides many steps at once.  In a block of
     B <= A/2 steps A is at least 2 before every step, so the kill weight
@@ -209,11 +206,18 @@ def eea_run(d: DegreeSequence, rng: CounterRNG,
     n, m = d.n, d.m
     max_steps = m + n
     chain = _Chain(counts, max_steps if record_trajectory else 0)
-    key, c0 = rng._key, rng._ctr
-    lazy = min(max_steps, _LAZY_DRAWS)
-    chain.scalar(map(counter_uniform, repeat(key, lazy), range(c0, c0 + lazy)))
+    c0 = rng._ctr
+    # _CELLS bounds steps times columns, but a block's per-step arrays count
+    # too: one column would take blocks of 2^17 steps, which ran slower than
+    # 2^16 at twice the peak memory
+    cap = _CELLS // max(len(chain.degs), 2)
     while not chain.done and chain.j < max_steps:
-        chain.run(rng._block(c0 + chain.j, min(_rng._BLOCK_DRAWS, max_steps - chain.j)))
+        size = min(chain.a // 2, max_steps - chain.j, cap)
+        if _S_RATIO * chain.degs[-1] * size > chain.s:
+            size = chain.s // (_S_RATIO * chain.degs[-1])
+        if size >= _MIN_BLOCK and chain.block(rng._block(c0 + chain.j, size)) == size:
+            continue
+        chain.scalar(rng._block(c0 + chain.j, min(_STRETCH, max_steps - chain.j)).tolist())
     j = chain.j
     rng.skip(j)
     if not chain.done:
@@ -227,7 +231,7 @@ def eea_run(d: DegreeSequence, rng: CounterRNG,
 
 
 class _Chain:
-    """The chain's state, stepped by runs of scalar steps and by blocks."""
+    """The chain's state, stepped by stretches of scalar steps and by blocks."""
 
     def __init__(self, counts: dict[int, int], buffer_steps: int) -> None:
         self.degs = tuple(counts)
@@ -258,9 +262,8 @@ class _Chain:
         self.components.append(ComponentRecord(config, sum(config.values()), n_edges))
         self.start, self.start_kv = j, kv.copy()
 
-    def scalar(self, draws) -> int:
-        """One step per draw until the draws run out or the chain ends;
-        returns the number of steps taken."""
+    def scalar(self, draws: list[float]) -> None:
+        """One step per draw until the draws run out or the chain ends."""
         degs, kv = self.degs, self.kv
         a, s, j = self.a, self.s, self.j
         j0 = j
@@ -295,23 +298,6 @@ class _Chain:
         self.a, self.s, self.j, self.done = a, s, j, denom == 0
         if record:
             self.woke[j0:j] = rec_w
-        return j - j0
-
-    def run(self, u: np.ndarray) -> None:
-        """Step the chain on the draws ``u`` until they run out or it ends:
-        a block wherever one pays, else, or after a block that stops short,
-        ``_STRETCH`` scalar steps before the next try."""
-        i, total = 0, len(u)
-        while i < total and not self.done:
-            size = min(self.a // 2, total - i, _CELLS // len(self.degs))
-            if _S_RATIO * self.degs[-1] * size > self.s:
-                size = self.s // (_S_RATIO * self.degs[-1])
-            if size >= _MIN_BLOCK:
-                took = self.block(u[i:i + size])
-                i += took
-                if took == size:
-                    continue
-            i += self.scalar(u[i:i + _STRETCH].tolist())
 
     def block(self, u: np.ndarray) -> int:
         """Decide up to len(u) <= A/2 steps in rounds; returns the steps committed."""

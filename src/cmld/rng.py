@@ -23,7 +23,6 @@ _STREAM_SALT = 0xD1342543DE82EF95
 # Python int or a fresh np.uint64 on every call, a fixed cost per block
 _U_GOLDEN, _U_MIX1, _U_MIX2 = np.uint64(_GOLDEN), np.uint64(_MIX1), np.uint64(_MIX2)
 _U11, _U27, _U30, _U31 = (np.uint64(s) for s in (11, 27, 30, 31))
-_BLOCK_DRAWS = 1 << 16  # the largest vector block of draws the exploration chain takes at once
 
 
 def _mix64(z: int) -> int:

@@ -158,7 +158,7 @@ class TestEventProbability:
         cores = est._usable_cores()
         assert started == ([min(3, cores)] if cores > 1 else [])
         kept = est._pool[0] if est._pool else None  # the pool the call ran on
-        assert kept == ((os.getpid(), min(3, cores)) if cores > 1 else None)
+        assert kept == (min(3, cores) if cores > 1 else None)
         monkeypatch.setattr(est, "_usable_cores", lambda: 1)
         assert estimate_event_prob(p, workers=64, **args) == many
         assert len(started) == (cores > 1)  # one usable core starts no pool
@@ -360,13 +360,9 @@ class TestEventProbability:
         assert 0 < scalar < reps
         assert _batch_hits(d.counts(), 0, reps, seed, *event) == scalar
 
-    def test_matches_scalar_chain_across_draw_blocks(self, monkeypatch):
-        # the scalar chain reads 64 draws one by one, then vector blocks;
-        # with 256-draw blocks this run crosses into its second block
-        # (test_rng covers the real 2^16-draw seam)
-        import cmld.rng
-
-        monkeypatch.setattr(cmld.rng, "_BLOCK_DRAWS", 256)
+    def test_matches_scalar_chain_across_draw_blocks(self):
+        # the scalar chain draws 256 uniforms per stretch of scalar steps; this
+        # run ends inside its second stretch, leaving draws it never took
         d = DegreeSequence((1,) * 200 + (3,) * 200)
         seed, r = 2024, 3
         rng = CounterRNG(seed, r)
@@ -510,7 +506,7 @@ class TestKeptPool:
         monkeypatch.setattr(est, "ProcessPoolExecutor", Recording)
         assert _kept_run(3) == serial
         assert exits == [[0, 0]]
-        assert est._pool[0] == (os.getpid(), 3) and len(est._pool[1]._processes) == 3
+        assert est._pool[0] == 3 and len(est._pool[1]._processes) == 3
 
     def test_killed_worker_is_replaced(self, est):
         serial = _kept_run(1)
@@ -544,6 +540,55 @@ class TestKeptPool:
         assert got == serial
         assert _kept_run(2) == serial  # the parent's pool still works
 
+    def test_child_forked_beside_a_held_lock_runs_its_own_pool(self):
+        # the parent keeps a pool and another of its threads holds the pool
+        # lock across an os.fork; the child must still run a parallel
+        # estimate, which a lock held since the fork would block for good
+        src = Path(cmld.__file__).resolve().parents[1]
+        code = """if True:
+            import os, signal, sys, threading, time
+            import cmld.estimate as est
+            from cmld import DegreeDistribution
+            est._usable_cores = lambda: 4
+            def run(workers):
+                return est.estimate_event_prob(
+                    DegreeDistribution({3: 1.0}), {3: 0.5}, 0.25, reps=3000, seed=12,
+                    n=12, chunk_size=1000, workers=workers)
+            serial = run(1)
+            assert run(2) == serial
+            held, release = threading.Event(), threading.Event()
+            def hold():
+                with est._POOL_LOCK:
+                    held.set()
+                    release.wait()
+            holder = threading.Thread(target=hold)
+            holder.start()
+            held.wait()
+            pid = os.fork()
+            if pid == 0:
+                sys.exit(0 if run(2) == serial else 3)
+            release.set()
+            holder.join()
+            for _ in range(1200):
+                done, status = os.waitpid(pid, os.WNOHANG)
+                if done:
+                    sys.exit(os.waitstatus_to_exitcode(status))
+                time.sleep(0.05)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            sys.exit("the forked child's estimate did not finish within 60 s")
+            """
+        proc = subprocess.Popen([sys.executable, "-c", code], start_new_session=True,
+                                env={**os.environ, "PYTHONPATH": str(src)},
+                                stderr=subprocess.PIPE, text=True)
+        try:
+            _, err = proc.communicate(timeout=120)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait(timeout=10)
+        assert proc.returncode == 0, err
+
     def test_no_process_outlives_the_interpreter(self):
         # a pool of 2 is joined when the size changes, the kept pool of 3 at exit
         src = Path(cmld.__file__).resolve().parents[1]
@@ -551,7 +596,7 @@ class TestKeptPool:
                 "est._usable_cores = lambda: 4; "
                 "r = [est.estimate_event_prob(DegreeDistribution({3: 1.0}), {3: 0.5}, 0.25, "
                 "reps=3000, seed=12, n=12, chunk_size=1000, workers=w) for w in (1, 2, 3)]; "
-                "assert r[0] == r[1] == r[2], r; assert est._pool[0][1] == 3")
+                "assert r[0] == r[1] == r[2], r; assert est._pool[0] == 3")
         proc = subprocess.Popen([sys.executable, "-c", code], start_new_session=True,
                                 env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.wait(timeout=120) == 0

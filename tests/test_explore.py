@@ -325,10 +325,10 @@ class TestBlockSteps:
                 assert block_ctr == ctr == skip + scalar.n_steps
 
     def test_block_of_kills_closes_at_zero(self, monkeypatch):
-        # one vertex of degree 400: after its wake s = 0, so every later step
-        # kills, and past the 64 scalar draws one block of 137 kills takes A
-        # from 274 to 0 and ends the run
-        d = DegreeSequence((400,))
+        # one vertex of degree 1000: after its wake s = 0, so every later step
+        # kills, and past the run's first 256 scalar steps one block of 245
+        # kills takes A from 490 to 0 and ends the run
+        d = DegreeSequence((1000,))
         closed = []
         block = cmld.explore._Chain.block
 
@@ -340,22 +340,40 @@ class TestBlockSteps:
 
         monkeypatch.setattr(cmld.explore._Chain, "block", spy)
         rec, ctr = self._run(monkeypatch, self.EAGER, d, 3, 0)
-        assert closed == [(137, 137, True)]
+        assert closed == [(245, 245, True)]
         scalar, scalar_ctr = self._run(monkeypatch, self.SCALAR, d, 3, 0)
         _same_run(rec, scalar)
-        assert rec.components == [ComponentRecord({400: 1}, 1, 200)] and ctr == scalar_ctr == 201
+        assert rec.components == [ComponentRecord({1000: 1}, 1, 500)] and ctr == scalar_ctr == 501
         # on a 2-regular graph a block from A = 2 is one step; a kill there
         # closes a cycle while other vertices still sleep
         closed.clear()
-        d = DegreeSequence((2,) * 200)
+        d = DegreeSequence((2,) * 600)
         rec, _ = self._run(monkeypatch, self.EAGER, d, 4, 0)
-        assert (1, 1, False) in closed and len(rec.components) == 6
+        assert (1, 1, False) in closed and len(rec.components) == 2
         scalar, _ = self._run(monkeypatch, self.SCALAR, d, 4, 0)
         _same_run(rec, scalar)
 
+    def test_one_column_caps_its_blocks(self, monkeypatch):
+        # _CELLS // D alone would let one column take blocks of 2^17 steps
+        d = DegreeSequence((3,) * 500_000)
+        sizes = []
+        block = cmld.explore._Chain.block
+
+        def spy(chain, u):
+            sizes.append(len(u))
+            return block(chain, u)
+
+        monkeypatch.setattr(cmld.explore._Chain, "block", spy)
+        rec, ctr = self._run(monkeypatch, {}, d, 7, 0)
+        assert max(sizes) == 1 << 16
+        scalar, scalar_ctr = self._run(monkeypatch, self.SCALAR, d, 7, 0)
+        _same_run(rec, scalar)
+        assert ctr == scalar_ctr == rec.n_steps
+
     def test_matches_one_draw_per_step_across_the_draw_block_seam(self):
-        # 68 561 steps from a counter just below 2^16: the run takes 64 lazy
-        # draws, then vector blocks of 2^16 draws, and crosses into its second
+        # 68 606 steps from a counter just below 2^16, in blocks and scalar
+        # stretches that each draw where they step: every step reads the
+        # draw of its own counter, below, at and past 2^16
         d = DegreeSequence.from_distribution(DegreeDistribution(P_MIX), 40000)
         rng = CounterRNG(11, 3)
         rng.skip((1 << 16) - 3)
