@@ -213,24 +213,52 @@ def _transition_fn(w: Mapping[int, float], x10: float, x20: float):
 
 
 def bisect_increasing(f, lo: float, hi: float) -> float:
-    """Root of an increasing function on [lo, hi] by bisection.
+    """Root of an increasing function on [lo, hi] by bisection, with Newton
+    steps when f also gives its slope.
 
     The shared root finder of the package; a decreasing function is passed
     negated.  Expects f(lo) <= 0 <= f(hi) and does not evaluate the ends;
-    callers that need the bracket checked do so themselves.  The bracket
-    is halved, a zero at the midpoint moving the upper end, until it is at
-    most 1e-15 wide, its midpoint no longer lies strictly inside, or 200
-    halvings have run; the midpoint is returned.  This leaves residuals
-    well inside the documented 1e-12.
+    callers that need the bracket checked do so themselves.  Each value of
+    f moves an end of the bracket to the point evaluated: the lower end if
+    it is negative, else the upper end.  The next point is the midpoint;
+    the search stops when the bracket is at most 1e-15 wide, its midpoint
+    no longer lies strictly inside, or 200 points have been evaluated, and
+    returns the midpoint.  This leaves residuals well inside the
+    documented 1e-12.
+
+    If f returns a tuple (value, slope), the next point is the Newton step
+    x - value / slope instead, whenever the slope is positive and the step
+    lands strictly inside the bracket; every value still moves an end by
+    its sign.  The search then also stops, returning the point evaluated,
+    where f is zero or where the Newton step moves it by at most 1e-15
+    relative.
     """
+    x = None  # the next point: a Newton step, or None for the midpoint
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if hi - lo <= 1e-15 or not lo < mid < hi:
             break
-        if f(mid) < 0.0:
-            lo = mid
+        if x is None:
+            x = mid
+        value = f(x)
+        slope = None
+        if isinstance(value, tuple):
+            value, slope = value
+        if value < 0.0:
+            lo = x
         else:
-            hi = mid
+            hi = x
+        if slope is not None:
+            if value == 0.0:
+                return x
+            if slope > 0.0:
+                step = value / slope
+                if abs(step) <= 1e-15 * abs(x):
+                    return x
+                x -= step
+                if lo < x < hi:
+                    continue
+        x = None
     return 0.5 * (lo + hi)
 
 
@@ -396,6 +424,16 @@ def _logistic(x: float) -> float:
     return e / (1.0 + e)
 
 
+def _logistic_pair(x: float) -> tuple[float, float]:
+    """(sigma(x), sigma(-x)) from one :func:`_logistic` call: the smaller
+    of the two, and 1 minus it, which keeps the digits of both."""
+    if x <= 0.0:
+        small = _logistic(x)
+        return small, 1.0 - small
+    small = _logistic(-x)
+    return 1.0 - small, small
+
+
 def rate_component_size(p: DegreeDistribution, r: float) -> tuple[float, dict[int, float]]:
     """Minimal rate over profiles q with vertex mass r; requires p_1 = p_2 = 0.
 
@@ -407,17 +445,32 @@ def rate_component_size(p: DegreeDistribution, r: float) -> tuple[float, dict[in
 
     with s half the edge mass, i.e. q_k = p_k sigma(u + k t) for the
     logistic sigma and t = (1/2) log(s_q / s_{p-q}).  For fixed t the
-    vertex mass is strictly increasing in u, which fixes u(t); what is left
-    is the scalar equation
+    vertex mass M(u) = sum_k p_k sigma_k is strictly increasing in u, with
+    slope M' = sum_k p_k sigma'_k where sigma'_k = sigma_k (1 - sigma_k),
+    which fixes u(t).  It is solved as log M - log(sum p - M) =
+    log r - log(sum p - r), whose slope is M' (1/M + 1/(sum p - M)): this
+    is nearly linear in u in both tails, where M - r itself is
+    exponential and Newton steps on it crawl.  What is left is the scalar
+    equation
 
         g(t) = log s_q - log s_{p-q} - 2t = 0.
 
-    Both parts have mean degree in [k_min, k_max], so every root lies in
-    [c - w, c + w] with c = (1/2) log(r / (sum p - r)) and
-    w = (1/2) log(k_max / k_min); g >= 0 at the left end and <= 0 at the
-    right.  The objective is not convex and g may have several roots, so
-    the bracket is scanned at a fixed number of points, every sign change
-    is bisected, and the root of least objective is returned.
+    Differentiating u(t) implicitly gives
+
+        g'(t) = S' (1/s_q + 1/s_{p-q}) - 2,
+        S' = sum_k k^2 p_k sigma'_k - (sum_k k p_k sigma'_k)^2 / sum_k p_k sigma'_k,
+
+    with s here the full edge masses.  Both equations are solved by
+    :func:`bisect_increasing` with these slopes, so its Newton steps do
+    most of the work.  Both parts have mean degree in [k_min, k_max], so
+    every root lies in [c - w, c + w] with c = (1/2) log(r / (sum p - r))
+    and w = (1/2) log(k_max / k_min); g >= 0 at the left end and <= 0 at
+    the right.  The objective is not convex and g may have several roots,
+    so the bracket is scanned at a fixed number of points, every sign
+    change is solved, and the root of least objective is returned.  At
+    r = (1/2) sum p the objective is symmetric under q <-> p - q, so
+    minimizers can come in mirror pairs of equal rate; which of the two
+    is returned is not specified.
     """
     if p.pk(1) > 0.0 or p.pk(2) > 0.0:
         raise DomainError("component-size rate requires p_1 = p_2 = 0")
@@ -439,36 +492,52 @@ def rate_component_size(p: DegreeDistribution, r: float) -> tuple[float, dict[in
 
     logit_r = math.log(r / (total - r))
 
-    def exponents(t: float) -> list[float]:
-        """u(t) + k t for each degree, with u(t) fixing the vertex mass at r."""
+    def profile(t: float) -> list[tuple[float, float]]:
+        """(sigma(x_k), sigma(-x_k)) for x_k = u(t) + k t, with u(t)
+        fixing the vertex mass at r."""
         kt = [k * t for k in ks]
 
-        def mass_gap(u: float) -> float:
-            return sum(v * _logistic(u + x) for v, x in zip(pk, kt)) - r
+        def mass_logit(u: float) -> tuple[float, float]:
+            mass = rest = slope = 0.0
+            for v, x in zip(pk, kt):
+                a, b = _logistic_pair(u + x)
+                mass += v * a
+                rest += v * b
+                slope += v * a * b
+            return math.log(mass) - math.log(rest) - logit_r, slope * (1.0 / mass + 1.0 / rest)
 
-        u = bisect_increasing(mass_gap, logit_r - max(kt), logit_r - min(kt))
-        return [u + x for x in kt]
+        u = bisect_increasing(mass_logit, logit_r - max(kt), logit_r - min(kt))
+        return [_logistic_pair(u + x) for x in kt]
 
-    def g(t: float) -> float:
-        xs = exponents(t)
-        s_q = sum(k * v * _logistic(x) for k, v, x in zip(ks, pk, xs))
-        s_pq = sum(k * v * _logistic(-x) for k, v, x in zip(ks, pk, xs))
-        return math.log(s_q) - math.log(s_pq) - 2.0 * t
+    def g(t: float) -> tuple[float, float]:
+        s_q = s_pq = d0 = d1 = d2 = 0.0
+        for k, v, (a, b) in zip(ks, pk, profile(t)):
+            s_q += k * v * a
+            s_pq += k * v * b
+            d = v * a * b  # p_k sigma'_k
+            d0 += d
+            d1 += k * d
+            d2 += k * k * d
+        slope = (d2 - d1 * d1 / d0) * (1.0 / s_q + 1.0 / s_pq) - 2.0 if d0 > 0.0 else math.nan
+        return math.log(s_q) - math.log(s_pq) - 2.0 * t, slope
+
+    def minus_g(t: float) -> tuple[float, float]:
+        value, slope = g(t)
+        return -value, -slope
 
     c = 0.5 * logit_r
     w = 0.5 * math.log(ks[-1] / ks[0])
     ts = [c - w + 2.0 * w * i / (_SIZE_SCAN_POINTS - 1) for i in range(_SIZE_SCAN_POINTS)]
-    gs = [g(t) for t in ts]
+    gs = [g(t)[0] for t in ts]
     # a root at an end of the bracket can round to the wrong sign there
     gs[0], gs[-1] = max(gs[0], 0.0), min(gs[-1], 0.0)
     best_val, best_q = math.inf, None
     for a, b, ga, gb in zip(ts, ts[1:], gs, gs[1:]):
         if (ga > 0.0 and gb > 0.0) or (ga < 0.0 and gb < 0.0):
             continue
-        root = bisect_increasing(g if ga <= gb else lambda t: -g(t), a, b)
-        xs = exponents(root)
-        q = {k: v * _logistic(x) for k, v, x in zip(ks, pk, xs)}
-        pq = {k: v * _logistic(-x) for k, v, x in zip(ks, pk, xs)}
+        sig = profile(bisect_increasing(g if ga <= gb else minus_g, a, b))
+        q = {k: v * s for k, v, (s, _) in zip(ks, pk, sig)}
+        pq = {k: v * s for k, v, (_, s) in zip(ks, pk, sig)}
         val = entropy_H(q) + entropy_H(pq) - H_p
         if val < best_val:
             best_val, best_q = val, q

@@ -20,6 +20,7 @@ from cmld import (
     lln_check,
     lln_path,
     rate_component_degree,
+    rate_component_size,
     rate_fit,
 )
 from cmld.cli import main
@@ -72,6 +73,18 @@ class TestRateCommands:
         assert main(["rate", "size", "--p", str(p), "--r", "0.5"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["rate"] == pytest.approx(0.5 * math.log(2), abs=1e-6)
+
+    def test_size_three_degrees_matches_library(self, tmp_path, capsys):
+        # {3: 1} above returns before any root is solved; three degrees run
+        # both levels of the solver
+        w = {3: 0.4, 4: 0.3, 5: 0.3}
+        p = tmp_path / "p345.json"
+        p.write_text(json.dumps({"degrees": {str(k): v for k, v in w.items()}}))
+        assert main(["rate", "size", "--p", str(p), "--r", "0.3"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        rate, argmin = rate_component_size(DegreeDistribution(w), 0.3)
+        assert payload["rate"] == rate and payload["limit"] == -rate
+        assert payload["argmin"] == {str(k): v for k, v in argmin.items()}
 
     def test_largest_conj_flagged(self, files, capsys):
         assert main(["rate", "largest-conj", "--D", "3", "--x", "0.5"]) == 0

@@ -1,9 +1,11 @@
+import hashlib
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,10 @@ from cmld import (
     rate_d_regular,
     rate_d_regular_subgraph,
 )
+from cmld import core
 from cmld.core import bisect_increasing, bisect_increasing_array
+from cmld.estimate import clopper_pearson
+from cmld.lln import inverse_Fs, survival_rho
 
 # frozen from a 50-digit evaluation of the defining series at the exact roots;
 # scripts/frozen_constants.py regenerates them
@@ -132,6 +137,94 @@ class TestBisectArray:
         assert bisect_increasing_array(lambda x: x, np.zeros(0), np.ones(0)).shape == (0,)
         one = bisect_increasing_array(lambda x: x * x - 0.5, 0.0, 1.0)
         assert one.shape == () and float(one) == bisect_increasing(lambda x: x * x - 0.5, 0.0, 1.0)
+
+
+class TestBisectSlope:
+    @staticmethod
+    def solve(f, lo, hi):
+        points = []
+
+        def counted(x):
+            points.append(x)
+            return f(x)
+
+        return bisect_increasing(counted, lo, hi), points
+
+    def test_cube_root_against_mpmath(self):
+        root, points = self.solve(lambda x: (x ** 3 - 2.0, 3.0 * x * x), 0.0, 4.0)
+        assert root == pytest.approx(float(mpmath.cbrt(2)), rel=2.3e-16)
+        # plain halving takes 52 points to reach 1e-15
+        assert len(points) <= 8
+        assert len(self.solve(lambda x: x ** 3 - 2.0, 0.0, 4.0)[1]) > 40
+
+    def test_flat_tails_fall_back_to_halving(self):
+        # from x = 30 the logistic is flat, so its Newton step leaves
+        # [-40, 100] and the next point is the midpoint of [-40, 30]
+        def f(x):
+            s = core._logistic(3.0 * x)
+            return s - 0.7, 3.0 * s * (1.0 - s)
+
+        root, points = self.solve(f, -40.0, 100.0)
+        want = mpmath.log(mpmath.mpf(7) / 3) / 3
+        assert root == pytest.approx(float(want), rel=4.5e-16)
+        assert points[:2] == [30.0, -5.0]
+        assert len(points) <= 12
+
+    def test_exact_zero_stops(self):
+        root, points = self.solve(lambda x: (x - 0.5, 1.0), 0.0, 2.0)
+        assert root == 0.5 and points == [1.0, 0.5]
+
+    def test_component_size_logistic_calls(self, monkeypatch):
+        # a tenth of the 6324 calls that a bisection nested in a bisection makes
+        calls, solves = [], []
+        logistic, bisect = core._logistic, core.bisect_increasing
+
+        def counted(x):
+            calls.append(x)
+            return logistic(x)
+
+        def counted_bisect(f, lo, hi):
+            solves.append(lo)
+            return bisect(f, lo, hi)
+
+        monkeypatch.setattr(core, "_logistic", counted)
+        monkeypatch.setattr(core, "bisect_increasing", counted_bisect)
+        rate_component_size(DegreeDistribution({3: 0.5, 4: 0.5}), 0.3)
+        assert 0 < len(calls) <= 632
+        # one u(t) per point of the 16-point scan, per point of the one root
+        # in t and for its profile, plus that root: with the slope g'(t) the
+        # root takes a few points (3 here), and with a wrong slope about 20
+        assert len(solves) <= 16 + 6 + 1 + 1
+
+
+def _sha256(values) -> str:
+    return hashlib.sha256(np.asarray(values, dtype=np.float64).tobytes()).hexdigest()
+
+
+class TestHalvingCallersKeepBits:
+    # the callers without slopes take the plain halving path; these digests
+    # of their float64 output bytes were taken before the slope steps existed
+    def test_beta_of_q(self):
+        qs = [{1: a, 3: b} for a in (0.02, 0.1, 0.25) for b in (0.3, 0.45, 0.6)]
+        qs += [{1: 0.2, 4: 0.2}, {1: 0.05, 3: 0.1, 5: 0.2, 9: 0.05}]
+        assert _sha256([beta_of_q(q) for q in qs]) == \
+            "8c31dfec23907621268099cee549260f9aa3b1e9fa5152a79d15d794f2b4cced"
+
+    def test_survival_rho(self):
+        ps = [{1: a, 3: 1 - a} for a in (0.05, 0.2, 0.5, 0.7)]
+        ps += [{1: 0.3, 2: 0.1, 3: 0.2, 4: 0.15, 5: 0.1, 7: 0.1, 10: 0.05}, {1: 0.4, 4: 0.6}]
+        assert _sha256([survival_rho(DegreeDistribution(p)) for p in ps]) == \
+            "c557ac9c737a166c35f98acf0812b1d4e3418a42e1b99d6dae29769aa6c0b39f"
+
+    def test_clopper_pearson(self):
+        grid = [(h, n) for n in (1, 10, 1000, 2 ** 19, 10 ** 9)
+                for h in (0, 1, 7, n // 3, n) if h <= n]
+        assert _sha256([clopper_pearson(h, n) for h, n in grid]) == \
+            "b51dc96e527b24b7f51cd7493cd9d2ee62185a1bc84c413d6332dfbe3ee64f9c"
+
+    def test_inverse_Fs(self):
+        u = inverse_Fs(P13, 0.8, np.linspace(0.0, 0.6, 41))
+        assert _sha256(u) == "5ec40db56e94e5fb685e63b83a82a6fb34d7d3194c46f097edea4e649b386b13"
 
 
 class TestKCorrection:
@@ -319,9 +412,82 @@ class TestComponentSize:
             a_lo, a_hi = max(0.0, a_c - 2e-3), min(pv[0], a_c + 2e-3)
             b_lo, b_hi = max(0.0, b_c - 2e-3), min(pv[1], b_c + 2e-3)
 
+    @pytest.mark.parametrize("w", [{3: 0.5, 40: 0.5}, {3: 0.4, 4: 0.3, 5: 0.3},
+                                   {3: 0.3, 7: 0.2, 12: 0.2, 25: 0.15, 40: 0.15}])
+    def test_tiny_size_keeps_its_vertex_mass(self, w):
+        # where the vertex mass M(u) is exponential in u, Newton steps on
+        # M(u) - r move u by about 1 each and run out of steps far from the
+        # root: solved that way, these profiles held 1e6 to 1e15 times r
+        for r in (1e-30, 1e-200):
+            rate, argmin = rate_component_size(DegreeDistribution(w), r)
+            assert math.fsum(argmin.values()) == pytest.approx(r, rel=1e-12, abs=0.0)
+            assert 0.0 <= rate <= 1e-25
+
     def test_low_degree_mass_rejected(self):
         with pytest.raises(DomainError):
             rate_component_size(P13, 0.5)
+
+    # (p, r, rate, argmin) from the nested bisection that the slope steps
+    # replaced, printed with format(x, ".17g"): the twelve supports and sizes
+    # of perfbench's theory workload, then a support with three stationary
+    # points, a five-degree support up to degree 40, r = 0.999, and a degree
+    # gap so wide that sum_k p_k sigma'_k underflows to 0 within the scan
+    FROZEN_SIZE = [
+        ({3: 0.5, 4: 0.5}, 0.3, 0.4532766961877237,
+         {3: 0.17292901109451206, 4: 0.12707098890548799}),
+        ({3: 0.5, 4: 0.5}, 0.5, 0.51986038541995905,
+         {3: 0.25, 4: 0.24999999999999997}),
+        ({3: 0.3, 5: 0.7}, 0.3, 0.71482566859277918,
+         {3: 0.13348769120386078, 5: 0.16651230879613918}),
+        ({3: 0.3, 5: 0.7}, 0.5, 0.8317766166719347,
+         {3: 0.15000000000000002, 5: 0.34999999999999992}),
+        ({3: 0.4, 4: 0.3, 5: 0.3}, 0.3, 0.56635398384310243,
+         {3: 0.15480876567811638, 4: 0.085257570062698504,
+          5: 0.059933664259185102}),
+        ({3: 0.4, 4: 0.3, 5: 0.3}, 0.5, 0.65848982153194857,
+         {3: 0.20000000000000007, 4: 0.14999999999999999, 5: 0.14999999999999997}),
+        ({3: 0.2, 4: 0.3, 6: 0.5}, 0.3, 0.82028395474525118,
+         {3: 0.099356458823912364, 4: 0.11188044602942236,
+          6: 0.088763095146665263}),
+        ({3: 0.2, 4: 0.3, 6: 0.5}, 0.5, 0.97040605278392356,
+         {3: 0.10000000000000003, 4: 0.14999999999999999, 6: 0.24999999999999994}),
+        ({3: 0.25, 4: 0.25, 5: 0.25, 7: 0.25}, 0.3, 0.79198731002637679,
+         {3: 0.12240736586533441, 4: 0.090031025154289207, 5: 0.06205337959827479,
+          7: 0.025508229382101549}),
+        ({3: 0.25, 4: 0.25, 5: 0.25, 7: 0.25}, 0.5, 0.9530773732699247,
+         {3: 0.12500000000000003, 4: 0.125, 5: 0.12499999999999997, 7: 0.12499999999999993}),
+        ({4: 0.5, 6: 0.3, 9: 0.2}, 0.3, 1.0228554680879349,
+         {4: 0.22667478396321397, 6: 0.063775093017559917, 9: 0.0095501230192259947}),
+        ({4: 0.5, 6: 0.3, 9: 0.2}, 0.5, 1.2476649250079008,
+         {4: 0.25000000000000006, 6: 0.14999999999999997, 9: 0.099999999999999922}),
+        ({3: 0.9, 30: 0.1}, 0.3, 0.67019987587523611,
+         {3: 0.29999999999233551, 30: 7.6645591249794579e-12}),
+        ({3: 0.9, 30: 0.1}, 0.5, 1.0242867302785572,
+         {3: 0.49999988510733018, 30: 1.1489266989623504e-07}),
+        ({3: 0.9, 30: 0.1}, 0.7, 0.67019987587523611,
+         {3: 0.6000000000076644, 30: 0.099999999992335442}),
+        ({3: 0.3, 7: 0.2, 12: 0.2, 25: 0.15, 40: 0.15}, 0.4, 2.3702082322930949,
+         {3: 0.29555938014395716, 7: 0.10323123177913762, 12: 0.0012093867399909004,
+          25: 1.3369141159121578e-09, 40: 2.4796124616463806e-16}),
+        ({3: 0.5, 4: 0.5}, 0.999, 0.0048496163708515727,
+         {3: 0.49902864029902916, 4: 0.49997135970097084}),
+        ({3: 0.3, 5: 0.7}, 0.999, 0.0057318989764740813,
+         {3: 0.29900159645520247, 5: 0.69999840354479748}),
+        ({3: 0.5, 5000: 0.5}, 0.5, 6.3141606320768915,
+         {3: 0.49999999999999989, 5000: 0.0}),
+    ]
+
+    @pytest.mark.parametrize("w, r, rate, argmin", FROZEN_SIZE)
+    def test_frozen_rate_and_argmin(self, w, r, rate, argmin):
+        got_rate, got = rate_component_size(DegreeDistribution(w), r)
+        assert got_rate == pytest.approx(rate, rel=1e-12, abs=1e-14)
+        assert got.keys() == argmin.keys()
+        mirror = {k: w[k] - v for k, v in argmin.items()}
+        # at r = (1/2) sum p the objective is symmetric under q <-> p - q, so
+        # either of a mirror pair is a minimizer
+        wants = [argmin, mirror] if r == 0.5 * math.fsum(w.values()) else [argmin]
+        assert any(all(got[k] == pytest.approx(v, rel=1e-12, abs=1e-12) for k, v in want.items())
+                   for want in wants), (got, argmin)
 
 
 class TestConjectured:
