@@ -84,24 +84,29 @@ def giant_fraction(p: DegreeDistribution) -> float:
 def inverse_Fs(p: DegreeDistribution, s: float, t):
     """f_s(t): inverse of F_s(u) = G0(s) - G0(su) for t <= G0(s), else 0.
 
-    t is a float or an array of times, solved together by one array
-    bisection; a float t gives a float.  Lanes with t = 0 return 1 and
-    lanes with t >= G0(s) return 0 exactly.
+    t is a float or an array of times; a float t gives a float.  Lanes with
+    t = 0 return 1 and lanes with t >= G0(s), an infinite t among them,
+    return 0 exactly; only the times in (0, G0(s)) are solved, together, by
+    one array bisection.  A negative or NaN time raises
+    :class:`DomainError`.
     """
     if not 0.0 < s <= 1.0:
         raise DomainError(f"s must lie in (0, 1], got {s}")
     tt = np.asarray(t, dtype=float)
+    if np.any(np.isnan(tt)):
+        raise DomainError("t must be a number, got nan")
     if np.any(tt < 0.0):
         raise DomainError(f"t must be nonnegative, got {tt.min()}")
     g0s = gen_G0(p, s)
-    target = g0s - tt  # solve G0(s u) = target, increasing in u
+    u = np.where(tt <= 0.0, 1.0, 0.0)
+    open_ = (tt > 0.0) & (tt < g0s)
+    target = g0s - tt[open_]  # solve G0(s u) = target, increasing in u
 
     def gap(u: np.ndarray) -> np.ndarray:
         z = s * u
         return sum(v * z ** k for k, v in p.weights.items()) - target
 
-    u = bisect_increasing_array(gap, np.zeros(tt.shape), np.ones(tt.shape))
-    u = np.where(tt <= 0.0, 1.0, np.where(tt >= g0s, 0.0, u))
+    u[open_] = bisect_increasing_array(gap, np.zeros(target.shape), np.ones(target.shape))
     return float(u) if u.ndim == 0 else u
 
 

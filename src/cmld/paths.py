@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -200,17 +200,41 @@ def _segment_state(spec: PathSegmentSpec,
     return spec.x2.x0 + 2.0 * rest - drop @ ks, x2 + drop, dzetak
 
 
-@dataclass
 class SegmentPath(FluidPath):
-    """A :class:`FluidPath` sampled from a segment's minimizer.
+    """A :class:`FluidPath` sampled from a segment's minimizer on first read.
 
     ``spec`` lets :func:`path_cost` evaluate the trajectory in closed form
-    instead of differencing the grid.  It is a field, not a ``meta`` entry,
-    because ``meta`` is written out as JSON.  A slice of this path is a
+    instead of differencing the grid.  It is an attribute, not a ``meta``
+    entry, because ``meta`` is written out as JSON.  ``grid``, ``zeta0``,
+    ``zetak`` and ``psi`` are built together, and checked as any
+    :class:`FluidPath`'s are, when the first of them is read; a cost on
+    the closed-form route reads none of them.  A slice of this path is a
     plain :class:`FluidPath`.
     """
 
-    spec: PathSegmentSpec = field(kw_only=True)
+    def __init__(self, spec: PathSegmentSpec, grid_points: int) -> None:
+        self.spec = spec
+        self.degrees = spec.degrees if spec.varsigma > 0.0 else spec.x1.degrees
+        self.tau_markers = {}
+        self.meta = _segment_meta(spec)
+        self._grid_points = grid_points
+
+    def __getattr__(self, name: str):
+        # reached only for a name missing from the instance: one of the four
+        # arrays before the first read, or a name the path does not have
+        if name not in ("grid", "zeta0", "zetak", "psi"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        spec = self.spec
+        if spec.varsigma == 0.0:
+            grid, zeta0, psi = np.array([0.0]), np.array([spec.x1.x0]), np.zeros(1)
+            zetak = [[spec.x1.mass(k) for k in self.degrees]]
+        else:
+            grid = _segment_grid(spec.varsigma, self._grid_points)
+            zeta0, zetak, _ = _segment_state(spec, spec.varsigma - grid)
+            zeta0, psi = np.maximum(zeta0, 0.0), zeta0 - spec.x1.x0
+        self.__dict__.update(grid=grid, zeta0=zeta0, zetak=zetak, psi=psi)
+        FluidPath.__post_init__(self)
+        return self.__dict__[name]
 
 
 def minimizer_path(spec: PathSegmentSpec, grid_points: int = 4501) -> SegmentPath:
@@ -221,20 +245,14 @@ def minimizer_path(spec: PathSegmentSpec, grid_points: int = 4501) -> SegmentPat
     Hits x2 at varsigma exactly and x1 at 0 to rounding; when varsigma = 0
     the path is the single point x1 at 0.  ``grid_points`` below 4 (two
     body and two tail points) raises :class:`DomainError`.
+
+    The samples are taken when the path's ``grid``, ``zeta0``, ``zetak`` or
+    ``psi`` is first read, not here (:class:`SegmentPath`), so
+    ``path_cost(minimizer_path(spec))`` builds no grid.
     """
     if grid_points < 4:
         raise DomainError(f"grid_points must be at least 4, got {grid_points}")
-    if spec.varsigma == 0.0:
-        degrees = spec.x1.degrees
-        zk = [[spec.x1.mass(k) for k in degrees]]
-        return SegmentPath(grid=np.array([0.0]), degrees=degrees,
-                           zeta0=np.array([spec.x1.x0]), zetak=zk, psi=np.zeros(1),
-                           meta=_segment_meta(spec), spec=spec)
-    grid = _segment_grid(spec.varsigma, grid_points)
-    zeta0, zetak, _ = _segment_state(spec, spec.varsigma - grid)
-    return SegmentPath(grid=grid, degrees=spec.degrees, zeta0=np.maximum(zeta0, 0.0),
-                       zetak=zetak, psi=zeta0 - spec.x1.x0, meta=_segment_meta(spec),
-                       spec=spec)
+    return SegmentPath(spec, grid_points)
 
 
 def _segment_meta(spec: PathSegmentSpec) -> dict:
@@ -331,16 +349,20 @@ def path_cost(path: FluidPath, t1: float | None = None, t2: float | None = None)
     [0, varsigma].  Any other path (``lln_path``, a CSV, a user-built grid)
     is integrated from its grid by 2-point Gauss on every grid interval,
     with velocities from finite differences, and t1, t2 must be grid points.
+
+    t1 and t2 default to the path's ends: for a minimizer its segment's, 0
+    and varsigma, which are also its grid's, so the cost builds no grid.
     """
+    segment = isinstance(path, SegmentPath)
     if t1 is None:
-        t1 = float(path.grid[0])
+        t1 = 0.0 if segment else float(path.grid[0])
     if t2 is None:
-        t2 = float(path.grid[-1])
+        t2 = path.spec.varsigma if segment else float(path.grid[-1])
     if t2 < t1:
         raise DomainError(f"empty interval [{t1}, {t2}]")
     if t2 == t1:
         return 0.0
-    if isinstance(path, SegmentPath):
+    if segment:
         return _segment_cost(path.spec, t1, t2)
     return _grid_cost(path, t1, t2)
 

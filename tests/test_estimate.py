@@ -28,6 +28,7 @@ from cmld import (
     survival_rho,
 )
 from cmld.estimate import _batch_hits, _event_windows, clopper_pearson
+from cmld.rng import counter_uniforms
 
 
 def _event(d, q, eps):
@@ -294,6 +295,40 @@ class TestEventProbability:
         event = _event(d, {k: v / d.n for k, v in smallest.degree_config.items()}, 0.5 / d.n)
         scalar, _ = _scalar_hits(d, seed, reps, event)
         assert scalar == reps if leaves == 1 else 0 < scalar < reps
+        assert _batch_hits(d.counts(), 0, reps, seed, *event) == scalar
+
+    def test_one_column_takes_its_first_step_without_a_draw(self, monkeypatch):
+        # from A = 0 a one-degree graph's first step wakes that degree, so
+        # the kernel's first draw is step 1's; two columns draw step 0 to
+        # choose the degree
+        counters = []
+
+        def counted(keys, counter, *buffers):
+            counters.append(counter)
+            return counter_uniforms(keys, counter, *buffers)
+
+        monkeypatch.setattr(cmld.estimate, "counter_uniforms", counted)
+        for d, first in ((DegreeSequence((3,) * 16), 1), (DegreeSequence((1, 3) * 8), 0)):
+            counters.clear()
+            _batch_hits(d.counts(), 0, 64, 61, *_event(d, {3: 0.5}, 1 / 16))
+            assert counters == list(range(first, first + len(counters)))
+
+    @pytest.mark.parametrize("degrees, q, eps", [
+        ((3,) * 12, {3: 0.5}, 1 / 12),
+        ((2,) * 9, {2: 1 / 3}, 0.5 / 9),
+        ((4,) * 7, {4: 4 / 7}, 1.5 / 7),
+        # the two leaves always pair off, and no component has one leaf: the
+        # first step already leaves every lane below its need
+        ((1, 1), {1: 0.5}, 0.1),
+        ((1,) * 6 + (3,) * 6, {1: 2 / 12, 3: 2 / 12}, 0.5 / 12),
+        ((2,) * 5 + (5,) * 4, {2: 0.2, 5: 0.2}, 1.5 / 9),
+    ])
+    def test_one_and_two_columns_match_scalar_chain(self, degrees, q, eps):
+        d = DegreeSequence(degrees)
+        event = _event(d, q, eps)
+        reps, seed = 1500, 907
+        scalar, _ = _scalar_hits(d, seed, reps, event)
+        assert scalar < reps
         assert _batch_hits(d.counts(), 0, reps, seed, *event) == scalar
 
     def test_int64_state_when_masses_pass_int32(self):

@@ -17,7 +17,8 @@ from cmld import (
     path_cost,
     survival_rho,
 )
-from cmld.core import bisect_increasing
+from cmld import lln
+from cmld.core import bisect_increasing, bisect_increasing_array
 
 P13 = DegreeDistribution({1: 0.5, 3: 0.5})
 P3 = DegreeDistribution({3: 1.0})
@@ -100,6 +101,36 @@ class TestInverseFs:
         p2 = DegreeDistribution({2: 1.0})
         for t in (0.1, 0.36, 0.75, 0.99):
             assert inverse_Fs(p2, 1.0, t) == pytest.approx(math.sqrt(1.0 - t), abs=1e-10)
+
+    def test_nan_time_rejected(self):
+        # NaN fails every compare, so it would be neither 0 nor past G0(s)
+        for t in (math.nan, np.array([0.1, math.nan])):
+            with pytest.raises(DomainError):
+                inverse_Fs(P13, 0.8, t)
+        assert inverse_Fs(P13, 0.8, math.inf) == 0.0
+        assert inverse_Fs(P13, 0.8, np.array([math.inf, 0.0])).tolist() == [0.0, 1.0]
+
+    def test_only_open_times_are_bisected(self, monkeypatch):
+        lanes = []
+
+        def counted(f, lo, hi):
+            lanes.append(np.shape(lo))
+            return bisect_increasing_array(f, lo, hi)
+
+        monkeypatch.setattr(lln, "bisect_increasing_array", counted)
+        g0s = gen_G0(P13, 0.8)
+        t = np.array([0.0, 0.3 * g0s, g0s, 2.0, 0.7 * g0s, math.inf])
+        u = inverse_Fs(P13, 0.8, t)
+        assert lanes == [(2,)]
+        assert u[[0, 2, 3, 5]].tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert inverse_Fs(P13, 0.8, 0.3 * g0s) == u[1] and lanes[1:] == [(1,)]
+        assert inverse_Fs(P13, 0.8, 2.0) == 0.0 and lanes[2:] == [(0,)]
+        # lln_path's default grid for p_mix: most post-tau points are past G0(rho)
+        lanes.clear()
+        fp = lln_path(P_MIX, T=0.5 * P_MIX.mu + 2.0)
+        post = fp.grid[fp.grid > fp.meta["tau"]] - fp.meta["tau"]
+        n_open = int(np.count_nonzero(post < gen_G0(P_MIX, fp.meta["rho"])))
+        assert lanes == [(n_open,)] and 0 < 2 * n_open < post.size
 
     @given(st.floats(0.05, 1.0), st.floats(0.0, 1.0))
     @settings(max_examples=80, deadline=None)

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import re
 
 import numpy as np
@@ -28,8 +30,9 @@ from cmld import (
     rate_component_degree,
     survival_rho,
 )
+from cmld import paths
 from cmld.fluid import reflect
-from cmld.paths import _segment_state
+from cmld.paths import _segment_grid, _segment_state
 from cmld.verify import _segment_battery
 
 HALF_LOG2 = 0.5 * math.log(2.0)
@@ -439,6 +442,74 @@ class TestClosedFormRoute:
         assert list(mp.meta) == ["varsigma", "varsigma_tilde", "beta", "case"]
         json.dumps(mp.meta)
         assert not hasattr(mp.slice(0.0, float(mp.grid[-1])), "spec")
+
+
+class TestSampledOnFirstRead:
+    ARRAYS = ("grid", "zeta0", "zetak", "psi")
+
+    def test_cost_builds_no_grid(self, monkeypatch):
+        calls = []
+
+        def counted(vs, n):
+            calls.append(n)
+            return _segment_grid(vs, n)
+
+        monkeypatch.setattr(paths, "_segment_grid", counted)
+        for spec in _segment_battery(fast=False):
+            mp = minimizer_path(spec)
+            assert abs(path_cost(mp) - cost_closed_form(spec.x1, spec.x2)) <= 1e-10
+            assert "grid" not in mp.__dict__
+        assert calls == []
+        mp.zetak  # the first read samples all four arrays at once
+        assert calls == [4501] and all(name in mp.__dict__ for name in self.ARRAYS)
+        mp.grid, mp.psi
+        assert calls == [4501]
+
+    @pytest.mark.parametrize("grid_points", [4501, 4])
+    def test_first_read_is_the_eager_evaluation(self, grid_points):
+        specs = _segment_battery(fast=False) + [make_segment_spec(X1_LEAF, X1_LEAF)]
+        assert specs[-1].varsigma == 0.0
+        for i, spec in enumerate(specs):
+            mp = minimizer_path(spec, grid_points)
+            getattr(mp, self.ARRAYS[i % 4])  # each array in turn is read first
+            if spec.varsigma == 0.0:
+                want = ([0.0], [spec.x1.x0], [[spec.x1.mass(k) for k in spec.x1.degrees]],
+                        [0.0])
+                assert mp.degrees == spec.x1.degrees
+            else:
+                grid = _segment_grid(spec.varsigma, grid_points)
+                zeta0, zetak, _ = _segment_state(spec, spec.varsigma - grid)
+                want = (grid, np.maximum(zeta0, 0.0), zetak, zeta0 - spec.x1.x0)
+                assert mp.degrees == spec.degrees
+            for name, w in zip(self.ARRAYS, want):
+                got, w = getattr(mp, name), np.asarray(w, dtype=float)
+                assert got.dtype == w.dtype and got.shape == w.shape
+                assert got.tobytes() == w.tobytes()
+
+    def test_grid_points_checked_at_the_call(self):
+        with pytest.raises(DomainError):
+            minimizer_path(make_segment_spec(X1_REG, X2_REG), 3)
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_copies_and_slices_before_and_after_a_read(self, read_first):
+        spec = make_segment_spec(X1_LEAF, X2_LEAF)
+        eager = _plain(minimizer_path(spec, 57))
+        mp = minimizer_path(spec, 57)
+        if read_first:
+            mp.psi
+        t = float(eager.grid[10])
+        for other in (copy.deepcopy(mp), pickle.loads(pickle.dumps(mp)), mp):
+            assert ("grid" in other.__dict__) == read_first
+            assert other.spec == spec and other.meta == mp.meta
+            assert path_cost(other) == path_cost(mp)
+            assert path_cost(other, 0.0, t) == path_cost(mp, 0.0, t)
+            assert not hasattr(other, "no_such_array")
+            other.check_invariants()
+            piece = other.slice(0.0, t)
+            assert type(piece) is FluidPath
+            for name in self.ARRAYS:
+                assert np.array_equal(getattr(piece, name), getattr(eager, name)[:11])
+                assert np.array_equal(getattr(other, name), getattr(eager, name))
 
 
 class TestGridRoute:
