@@ -272,21 +272,18 @@ def bisect_increasing_array(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     are ignored.  With f evaluated to the same bits as its scalar form, each
     lane returns the same bits as :func:`bisect_increasing`.  Each halving
     costs a few array operations, so a single root is far cheaper by the
-    scalar form.  The brackets and midpoints live in three arrays made once
-    and updated in place, so f must not keep the array it is passed.
+    scalar form.
     """
     lo, hi = (np.array(a, dtype=float) for a in np.broadcast_arrays(lo, hi))
-    mid = np.empty(lo.shape)
     live = np.ones(lo.shape, dtype=bool)
     for _ in range(_BISECT_MAX_ITER):
-        np.add(lo, hi, out=mid)
-        mid *= 0.5
+        mid = 0.5 * (lo + hi)
         live &= (hi - lo > 1e-15) & (lo < mid) & (mid < hi)
         if not live.any():
             break
         below = f(mid) < 0.0
-        np.copyto(lo, mid, where=live & below)
-        np.copyto(hi, mid, where=live & ~below)
+        lo = np.where(live & below, mid, lo)
+        hi = np.where(live & ~below, mid, hi)
     return 0.5 * (lo + hi)
 
 

@@ -273,11 +273,7 @@ def _batch_hits(counts: dict[int, int], rep_lo: int, rep_hi: int, seed: int,
     no longer moves, so they stay retired.  Then the live lanes are
     gathered into smaller arrays, and the loop ends when none is left.  A
     lane draws the uniform of step j from its own key, so gathering moves
-    no draw.  On one degree every lane's first step is a wake of it, since
-    A = 0 leaves no half-edge to kill; it is applied before the loop
-    without a draw, and the loop starts at step 1 with the uniform of step
-    1.  A first step closes no component, so it counts no hit; a lane it
-    leaves below its need retires at the end of step 1.
+    no draw.
     """
     degs = np.array(sorted(counts), dtype=np.int64)
     size = np.array([counts[int(k)] for k in degs], dtype=np.int64)
@@ -305,13 +301,8 @@ def _batch_hits(counts: dict[int, int], rep_lo: int, rep_hi: int, seed: int,
     u, scratch = np.empty(R), np.empty(R, dtype=np.uint64)  # the draw's buffers
     cols = np.arange(D, dtype=bdt)[:, None]
     hits = 0
-    first = 0
-    if D == 1:  # from A = 0 the first step wakes the one degree, whatever its draw
-        C -= k[0]
-        A += k[0]
-        first = 1
 
-    for j in range(first, m + n):
+    for j in range(m + n):
         busy = A > 0  # a kill and a wake from A > 0 both spend two half-edges
         killw = A - busy  # max(A - 1, 0)
         # y < 0 (exactly when x = u * denom < killw) kills, else the bucket

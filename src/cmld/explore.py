@@ -136,17 +136,7 @@ class ExplorationRecord:
         step index in ``idx``, as int64.  V_k is n_k less the wakes of degree
         k before the index.  Each step takes 2 from A and adds the degree it
         wakes, and each component begun gives 2 back, as its first step
-        starts from A = 0.
-
-        The wakes are counted in one pass over ``woke`` up to the largest
-        index: each step is keyed by its degree's column and by the number
-        of sorted indices at or before it, and each chunk of steps is
-        tallied by one ``bincount``; the tallies summed down the sorted
-        indices are the wakes before each.  A chunk's steps times the D + 1
-        columns (the last for kills) stay within ``_CELLS``, so besides
-        arrays the size of the output the pass holds no memory that grows
-        with the run.
-        """
+        starts from A = 0."""
         if self.woke is None:
             raise StateError("record has no trajectory; rerun with record_trajectory=True")
         idx = np.asarray(idx, dtype=np.int64)
@@ -154,27 +144,13 @@ class ExplorationRecord:
             raise DomainError(f"step indices must lie in [0, {self.n_steps}]")
         spans = np.array([c.n_edges + 1 for c in self.components], dtype=np.int64)
         starts = np.searchsorted(np.add.accumulate(spans) - spans, idx)
-        D = len(self.degrees)
-        col = np.full(max(self.degrees) + 1, D, dtype=np.intp)  # a kill, 0, tallies in column D
-        col[list(self.degrees)] = np.arange(D)
-        order = np.argsort(idx, axis=None, kind="stable")
-        ends = idx.ravel()[order]
-        # tally[i, c]: wakes of column c in the steps from ends[i - 1] up to ends[i]
-        tally = np.zeros((ends.size, D), dtype=np.int64)
-        last, chunk = (int(ends[-1]) if ends.size else 0), max(_CELLS // (D + 1), 1)
-        for a in range(0, last, chunk):
-            b = min(a + chunk, last)
-            i, j = int(np.searchsorted(ends, a, side="right")), int(np.searchsorted(ends, b))
-            key = np.repeat(np.arange(j - i + 1), np.diff(ends[i:j], prepend=a, append=b))
-            key *= D + 1
-            key += col[self.woke[a:b]]
-            tally[i:j + 1] += np.bincount(key, minlength=(j - i + 1) * (D + 1)).reshape(
-                -1, D + 1)[:, :D]
-        woken = np.empty_like(tally)
-        woken[order] = np.cumsum(tally, axis=0, out=tally)
-        woken = woken.reshape(idx.shape + (D,))
-        A = 2 * (starts - idx) + woken @ np.array(self.degrees, dtype=np.int64)
-        return A, np.subtract(self.counts, woken, out=woken), starts
+        A = 2 * (starts - idx)
+        V = np.empty(idx.shape + (len(self.degrees),), dtype=np.int64)
+        for col, (k, n_k) in enumerate(zip(self.degrees, self.counts)):
+            woken = np.searchsorted(np.flatnonzero(self.woke == k), idx)
+            np.subtract(n_k, woken, out=V[..., col])
+            A += k * woken
+        return A, V, starts
 
 
 def sample_multigraph(d: DegreeSequence, rng: CounterRNG) -> np.ndarray:

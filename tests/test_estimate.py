@@ -28,7 +28,6 @@ from cmld import (
     survival_rho,
 )
 from cmld.estimate import _batch_hits, _event_windows, clopper_pearson
-from cmld.rng import counter_uniforms
 
 
 def _event(d, q, eps):
@@ -296,22 +295,6 @@ class TestEventProbability:
         scalar, _ = _scalar_hits(d, seed, reps, event)
         assert scalar == reps if leaves == 1 else 0 < scalar < reps
         assert _batch_hits(d.counts(), 0, reps, seed, *event) == scalar
-
-    def test_one_column_takes_its_first_step_without_a_draw(self, monkeypatch):
-        # from A = 0 a one-degree graph's first step wakes that degree, so
-        # the kernel's first draw is step 1's; two columns draw step 0 to
-        # choose the degree
-        counters = []
-
-        def counted(keys, counter, *buffers):
-            counters.append(counter)
-            return counter_uniforms(keys, counter, *buffers)
-
-        monkeypatch.setattr(cmld.estimate, "counter_uniforms", counted)
-        for d, first in ((DegreeSequence((3,) * 16), 1), (DegreeSequence((1, 3) * 8), 0)):
-            counters.clear()
-            _batch_hits(d.counts(), 0, 64, 61, *_event(d, {3: 0.5}, 1 / 16))
-            assert counters == list(range(first, first + len(counters)))
 
     @pytest.mark.parametrize("degrees, q, eps", [
         ((3,) * 12, {3: 0.5}, 1 / 12),

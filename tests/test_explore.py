@@ -235,50 +235,6 @@ class TestEmpiricalPath:
         assert peak(True) - peak(False) <= 1 << 20
 
 
-def _rows_by_column(rec, idx):
-    """``rows`` as it read one degree column at a time, the reference: each
-    column's wake steps by ``flatnonzero`` and their count before each
-    index by ``searchsorted``."""
-    idx = np.asarray(idx, dtype=np.int64)
-    spans = np.array([c.n_edges + 1 for c in rec.components], dtype=np.int64)
-    starts = np.searchsorted(np.add.accumulate(spans) - spans, idx)
-    A = 2 * (starts - idx)
-    V = np.empty(idx.shape + (len(rec.degrees),), dtype=np.int64)
-    for col, (k, n_k) in enumerate(zip(rec.degrees, rec.counts)):
-        woken = np.searchsorted(np.flatnonzero(rec.woke == k), idx)
-        np.subtract(n_k, woken, out=V[..., col])
-        A += k * woken
-    return A, V, starts
-
-
-class TestRowsInOnePass:
-    @pytest.mark.parametrize("cells", [None, 64, 8])
-    def test_matches_column_reference(self, cells, monkeypatch):
-        # 64 and 8 cells make chunks of 8 and 1 steps on seven columns, so
-        # indices fall on, inside and across chunk edges
-        if cells is not None:
-            monkeypatch.setattr(cmld.explore, "_CELLS", cells)
-        d = DegreeSequence.from_distribution(DegreeDistribution(P_MIX), 300)
-        rec = eea_run(d, CounterRNG(5, 0), record_trajectory=True)
-        rng = np.random.default_rng(3)
-        unsorted = rng.integers(0, rec.n_steps + 1, size=200)
-        for idx in (np.arange(rec.n_steps + 1), unsorted,
-                    np.concatenate([unsorted[:50], unsorted[:50], [rec.n_steps, 0, 0]]),
-                    unsorted[:60].reshape(3, 4, 5), np.int64(rec.n_steps // 2),
-                    np.zeros(0, dtype=np.int64), np.array([0, 0]), np.array([rec.n_steps])):
-            for got, want in zip(rec.rows(idx), _rows_by_column(rec, idx)):
-                assert got.dtype == np.int64 and got.shape == want.shape
-                assert np.array_equal(got, want)
-
-    def test_one_degree_and_kills(self):
-        d = DegreeSequence((2,) * 40)
-        rec = eea_run(d, CounterRNG(9, 1), record_trajectory=True)
-        assert 0 in rec.woke  # kills tally apart from the one degree
-        idx = np.random.default_rng(4).integers(0, rec.n_steps + 1, size=(7, 9))
-        for got, want in zip(rec.rows(idx), _rows_by_column(rec, idx)):
-            assert np.array_equal(got, want)
-
-
 def _reference_chain(d: DegreeSequence, rng: CounterRNG):
     """The chain one ``rng.uniform()`` per step: its components, A after each
     step and the degree woken at each step (0 for a kill)."""
