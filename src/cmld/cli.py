@@ -21,7 +21,7 @@ from .errors import CmldError, DomainError, FitError
 from .estimate import estimate_event_prob, rate_fit
 from .explore import DegreeSequence, eea_run, empirical_path, extract_components
 from .lln import giant_fraction, lln_path
-from .paths import make_segment_spec, minimizer_path, path_cost, cost_closed_form
+from .paths import make_segment_spec, minimizer_path, path_cost
 from .rng import CounterRNG
 from .serialize import (
     estimate_to_json_line,
@@ -174,7 +174,7 @@ def _cmd_path(args: argparse.Namespace) -> int:
     spec = make_segment_spec(x1, x2)
     traj = minimizer_path(spec, grid_points=args.grid)
     cost_quad = path_cost(traj)
-    cost_closed = cost_closed_form(x1, x2)
+    cost_closed = spec.cost_closed_form()
     report = {
         **traj.meta,
         "cost_closed": cost_closed,
@@ -265,7 +265,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         else:
             rate = core.rate_component_degree(p, q).I1 if q.feasible else None
             print(json.dumps({"slope": slope, "intercept": intercept, "rate": rate,
-                              "relative_gap": None if rate is None else (slope - rate) / rate}))
+                              "relative_gap": (slope - rate) / rate if rate else None}))
     return 0
 
 

@@ -479,7 +479,10 @@ def estimate_event_prob(p_or_d, q, eps: float, reps: int, seed: int,
 
 
 def rate_fit(results: list[EstimateResult]) -> tuple[float, float]:
-    """Least-squares fit of -log p_hat against n; the slope is the decay rate."""
+    """Least-squares fit of -log p_hat against n; the slope is the decay rate.
+
+    Needs hits at three distinct sizes at least: repeated sizes add points
+    but no abscissa, and a line through fewer than three is no check."""
     usable = []
     for r in results:
         if r.hits == 0:
@@ -488,6 +491,9 @@ def rate_fit(results: list[EstimateResult]) -> tuple[float, float]:
         usable.append(r)
     if len(usable) < 3:
         raise FitError(f"need >= 3 points with hits, have {len(usable)}")
+    sizes = len({r.n for r in usable})
+    if sizes < 3:
+        raise FitError(f"need >= 3 distinct sizes with hits, have {sizes}")
     x = np.array([r.n for r in usable], dtype=float)
     y = np.array([-math.log(r.p_hat) for r in usable])
     slope, intercept = np.polyfit(x, y, 1)

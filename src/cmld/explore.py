@@ -21,14 +21,14 @@ by inversion, O(#distinct degrees) in Python.  While A is large,
 :func:`eea_run` instead decides blocks of up to A/2 steps with numpy: in
 such a block A stays >= 2, so the denominator s + A - 1 falls by exactly 2
 per step and every state is a cumulative sum of the degrees woken before
-it.  Guessed decisions are checked against the states they imply, and the
-prefix up to the first disagreement is committed; that prefix is the
-scalar chain's own, so a run is the same bit for bit either way.  Where no
-block fits, or after one stops short, a stretch of scalar steps comes
-before the next try; each draws the uniforms of the steps it may take.  A
-recorded run keeps one number per step, the degree woken (0 for a kill),
-and :meth:`ExplorationRecord.rows` reads A and V from it at the step
-indices asked for.
+it.  Each round decides every step from the exact masses that its
+guessed prefix takes and commits up to the first disagreement with the
+guess; that prefix is the scalar chain's own, so a run is the same bit for
+bit either way.  Where no block fits, or after one stops short, a stretch
+of scalar steps comes before the next try; each draws the uniforms of the
+steps it may take.  A recorded run keeps one number per step, the degree
+woken (0 for a kill), and :meth:`ExplorationRecord.rows` reads A and V
+from it at the step indices asked for.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .errors import DomainError, ParityError, StateError
 from .fluid import FluidPath
 from .rng import CounterRNG
 
-_NO_MASS = np.iinfo(np.int64).max  # above every cumulative mass
 _MIN_BLOCK = 512  # fewer steps than this do not repay a block's fixed cost
 _MIN_COMMIT = 32  # a round committing fewer steps ends its block
 _STRETCH = 256  # scalar steps taken before a block is tried again
@@ -185,14 +184,16 @@ def eea_run(d: DegreeSequence, rng: CounterRNG,
     the cumulative sleeping masses before each step are cumulative sums of
     the degrees woken before it.  Each decision is first guessed from the
     state at the block's start, letting every bucket lose its expected
-    mass per step.  It is then recomputed from the state that the guessed
-    decisions before it imply, with the scalar step's product
-    x = u (s + A - 1): x < A - 1 iff floor(x) < A - 1, and for a wake
-    y = x - (A - 1) is exact, so integer comparisons on floor(x) give the
-    scalar step's kill and bucket.  Up to the first step where guess and
-    recomputation differ the guess is the chain's, so the recomputation
-    there is too: each round commits that prefix and guesses the rest from
-    its recomputation.  By induction on the step the result is the scalar
+    mass per step.  Each round then decides every step again from the
+    exact masses that its guessed prefix takes: one table holds the
+    cumulative sleeping masses that the guessed wakes before each step
+    leave, and the scalar step's product x = u (s + A - 1) is compared with
+    them.  x < A - 1 iff floor(x) < A - 1, and for a wake y = x - (A - 1)
+    is exact, so integer comparisons on floor(x) give the scalar step's
+    kill and bucket.  Up to the first step where guess and recomputation
+    differ the guess is the chain's, so the recomputation there is too:
+    each round commits that prefix and guesses the rest from its
+    recomputation.  By induction on the step the result is the scalar
     chain's, bit for bit.  Where no block fits (A small, or the sleeping
     mass s small next to what a block can take) or a block stops short (a
     round committing only a few steps), the chain takes a stretch of
@@ -310,50 +311,41 @@ class _Chain:
         a0 = a = self.a
         s, j = self.s, self.j
         two_i = np.arange(0, 2 * size, 2)  # 2i for i = 0, ..., size - 1
-        # Before step i, A - 1 = a0 - 1 - 2i + W_i with W_i the mass woken
-        # in the block before it, and x = u (s + a0 - 1 - 2i) is the scalar
-        # step's product.  x < A - 1 iff floor(x) < A - 1, and for a wake
-        # y = x - (A - 1) is exact (0 <= y <= x), so C <= y iff C <= floor(x)
-        # - (A - 1) = z_i - W_i: integers decide every step.
+        # Before step i, s_i = s - W_i and A - 1 = a0 - 1 - 2i + W_i, with W_i
+        # the mass woken in the block before it, and x = u (s + a0 - 1 - 2i)
+        # is the scalar step's product.  x < A - 1 iff floor(x) < A - 1, and
+        # for a wake y = x - (A - 1) is exact (0 <= y <= x), so C <= y iff
+        # C <= floor(x) - (A - 1) = z_i + s_i: integers decide every step.
         z = (u * (s + a0 - 1 - two_i)).astype(np.int64)
         z += two_i
-        z -= a0 - 1
+        z -= s + a0 - 1
         # the first guess lets every bucket lose its expected mass per step
         rate = np.add.accumulate(dk[:-1] * dk[:-1] * vk) / (s + a0 - 1)
         i = np.arange(size)
-        y = z - i * rate[-1]
+        y = (z + s) - i * rate[-1]
         guess = np.count_nonzero(C[:-1, None] - rate[:-1, None] * i <= y, axis=0)
         guess[y < 0] = -1  # -1 for a kill, else the bucket woken
+        # z lies in [1 - a0 - s, 0], the masses in [0, s], and a round's
+        # guessed wakes take at most size * degs[-1]: the narrowest signed
+        # type that holds -(s + a0 + size * degs[-1]) holds every value below
+        idt = np.min_scalar_type(-(s + a0 + size * degs[-1]))
+        bdt = np.int8 if D < 128 else np.intp  # the bucket index is below D
+        z = z.astype(idt)
+        dki = dk.astype(idt)
+        rows = np.arange(D)[:, None]
         done = 0
         while done < size:
             g = guess[done:]
             L = size - done
-            w = dk[g]
-            before = np.empty(L, dtype=np.int64)  # mass woken in the round before each step
-            before[0] = 0
-            np.add.accumulate(w[:-1], out=before[1:])
-            h = z[done:] - (2 * done + a - a0)
-            y = h - before
-            Ck = C[:-1]
-            new = np.searchsorted(Ck, y, side="right")
-            kill = y < 0
-            # the masses before a step lie between C - before and C: the
-            # bucket is C's unless a boundary of C lies in (y, y + before]
-            amb = np.flatnonzero((np.append(Ck, _NO_MASS)[new] <= h) & ~kill)
-            if amb.size:
-                # wakes per bucket before each ambiguous step, counted over
-                # the stretches between them
-                Q = len(amb)
-                seg = np.zeros(L, dtype=np.int64)
-                seg[amb] = 1
-                np.add.accumulate(seg, out=seg)
-                seg += (g + 1) * (Q + 1)
-                woke = np.bincount(seg, minlength=(D + 1) * (Q + 1)).reshape(D + 1, Q + 1)
-                M = np.add.accumulate(woke[1:-1, :Q], axis=1)
-                M *= dk[:-2, None]
-                np.add.accumulate(M, axis=0, out=M)  # mass taken from buckets <= d
-                new[amb] = np.count_nonzero(Ck[:, None] - M <= y[amb], axis=0)
-            np.putmask(new, kill, -1)
+            # R[d]: the sleeping mass of buckets <= d before each step of the
+            # round, were its guessed wakes the chain's; the last row is s
+            R = np.empty((D, L), dtype=idt)
+            R[:, 0] = C
+            np.multiply(g[:-1] <= rows, -dki[g[:-1]], out=R[:, 1:])
+            np.add.accumulate(R, axis=1, out=R)
+            y = z[done:] + R[-1]
+            new = np.add.reduce(R[:-1] <= y, axis=0, dtype=bdt)
+            np.putmask(new, y < 0, -1)
             # the guess holds up to its first difference, so new holds one further
             diff = new != g
             f = int(diff.argmax())

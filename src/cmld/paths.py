@@ -114,6 +114,19 @@ class PathSegmentSpec:
     def varsigma_tilde(self) -> float:
         return self.varsigma / (1.0 - self.beta * self.beta)
 
+    def cost_closed_form(self) -> float:
+        """Closed-form segment cost H~(z) + H~(x2) - H~(x1) + K~(x1, x2),
+        from the transition root already solved."""
+        x1, x2, beta = self.x1, self.x2, self.beta
+        z0 = x1.x0 - x2.x0
+        k_tilde = 0.0
+        if beta > 0.0:
+            k_tilde += self.varsigma * math.log1p(-beta * beta)
+            k_tilde -= math.fsum(v * math.log1p(-beta ** k) for k, v in self.z.items())
+            k_tilde += x2.x0 * math.log(beta)
+        return (_h_tilde(z0, self.z) + _h_tilde(x2.x0, x2.xk) - _h_tilde(x1.x0, x1.xk)
+                + k_tilde)
+
 
 def make_segment_spec(x1: StatePoint, x2: StatePoint) -> PathSegmentSpec:
     """Validate endpoints and decide the segment once: its drop z = x1 - x2,
@@ -440,14 +453,6 @@ def _h_tilde(x0: float, xk: dict[int, float]) -> float:
 
 
 def cost_closed_form(x1: StatePoint, x2: StatePoint) -> float:
-    """Closed-form segment cost H~(z) + H~(x2) - H~(x1) + K~(x1, x2)."""
-    spec = make_segment_spec(x1, x2)
-    beta = spec.beta
-    z0 = x1.x0 - x2.x0
-    k_tilde = 0.0
-    if beta > 0.0:
-        k_tilde += spec.varsigma * math.log1p(-beta * beta)
-        k_tilde -= math.fsum(v * math.log1p(-beta ** k) for k, v in spec.z.items())
-        k_tilde += x2.x0 * math.log(beta)
-    return (_h_tilde(z0, spec.z) + _h_tilde(x2.x0, x2.xk) - _h_tilde(x1.x0, x1.xk)
-            + k_tilde)
+    """Closed-form segment cost H~(z) + H~(x2) - H~(x1) + K~(x1, x2); a
+    caller that holds the segment's spec calls its ``cost_closed_form``."""
+    return make_segment_spec(x1, x2).cost_closed_form()

@@ -88,8 +88,7 @@ def _segment_battery(fast: bool) -> list[PathSegmentSpec]:
 
 def _check_quadrature(fast: bool) -> CheckResult:
     specs = _segment_battery(fast)
-    worst = max(abs(path_cost(minimizer_path(s)) - cost_closed_form(s.x1, s.x2))
-                for s in specs)
+    worst = max(abs(path_cost(minimizer_path(s)) - s.cost_closed_form()) for s in specs)
     n_case_i = sum(s.case == CASE_I for s in specs)
     n_case_ii = len(specs) - n_case_i
     return CheckResult("quadrature vs closed form",

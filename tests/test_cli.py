@@ -289,6 +289,20 @@ class TestTrajectoryCommands:
         assert payload["residual"] <= 1e-6
         assert payload["cost_closed"] == pytest.approx(0.5 * math.log(2), abs=1e-12)
 
+    def test_path_solves_its_root_once(self, files, monkeypatch, capsys):
+        import cmld.paths
+
+        solved = []
+        root = cmld.paths._transition_root
+
+        def spy(*args):
+            solved.append(args)
+            return root(*args)
+
+        monkeypatch.setattr(cmld.paths, "_transition_root", spy)
+        assert main(["path", "--x1", files["x1"], "--x2", files["x2"]]) == 0
+        assert len(solved) == 1
+
     def test_path_grid_sets_only_the_csv(self, files, capsys):
         reports = []
         for grid in ("4", "101", "4501"):
@@ -485,6 +499,22 @@ class TestSweep:
         hits = [json.loads(line)["hits"] for line in captured.out.splitlines()]
         assert len(hits) == 3 and hits[0] > 0 and hits[1:] == [0, 0]
         assert "no fit line: need >= 3 points with hits, have 1" in captured.err
+
+    def test_repeated_sizes_print_no_fit(self, argv, capsys):
+        # three hitting estimates at one size give one abscissa, not a line
+        assert main(argv + ["--n", "12", "12", "12", "--eps", "0.08333333333333333"]) == 0
+        captured = capsys.readouterr()
+        hits = [json.loads(line)["hits"] for line in captured.out.splitlines()]
+        assert len(hits) == 3 and min(hits) > 0
+        assert "no fit line: need >= 3 distinct sizes with hits, have 1" in captured.err
+        assert "Warning" not in captured.err
+
+    def test_zero_rate_gives_a_null_relative_gap(self, argv, tmp_path, capsys):
+        # q = p is the typical profile: its rate is exactly 0
+        argv[argv.index("--q") + 1] = str(tmp_path / "p3.json")
+        assert main(argv + ["--n", *self.SIZES, "--eps", "0.01"]) == 0
+        fit = json.loads(capsys.readouterr().out.splitlines()[3])
+        assert fit["rate"] == 0.0 and fit["relative_gap"] is None
 
 
 class TestRoundTrip:

@@ -701,6 +701,13 @@ class TestRateFit:
         with pytest.raises(FitError):
             rate_fit(self._synthetic(0.3, 0.0, [10, 20]))
 
+    def test_too_few_distinct_sizes(self):
+        for ns in ([12, 12, 12], [10, 20, 20, 10]):
+            with pytest.raises(FitError, match="distinct sizes"):
+                rate_fit(self._synthetic(0.3, 0.0, ns))
+        slope, _ = rate_fit(self._synthetic(0.3, 0.0, [10, 20, 20, 30]))
+        assert slope == pytest.approx(0.3, abs=1e-12)
+
 
 class TestLLNCheck:
     def test_pure_three_regular(self):

@@ -276,11 +276,17 @@ def _same_run(a, b) -> None:
         x.dtype == y.dtype == np.min_scalar_type(a.degrees[-1]) and np.array_equal(x, y))
 
 
-def _random_sequences(count: int, seed: int):
+def _random_sequences(count: int, seed: int, wide: int = 0):
+    """``count`` sequences of 1 to 7 degree columns below 13, then ``wide``
+    of 30 to 40 columns below 61 that each use every column."""
     g = np.random.default_rng(seed)
-    for _ in range(count):
-        ks = np.sort(g.choice(np.arange(1, 13), size=int(g.integers(1, 8)), replace=False))
-        degs = g.choice(ks, size=int(g.integers(2, 3000))).tolist()
+    for i in range(count + wide):
+        if i < count:
+            ks = np.sort(g.choice(np.arange(1, 13), size=int(g.integers(1, 8)), replace=False))
+            degs = g.choice(ks, size=int(g.integers(2, 3000))).tolist()
+        else:
+            ks = np.sort(g.choice(np.arange(1, 61), size=int(g.integers(30, 41)), replace=False))
+            degs = ks.tolist() + g.choice(ks, size=int(g.integers(4000, 12000))).tolist()
         if sum(degs) % 2:
             degs.append(1)
         yield DegreeSequence(tuple(degs))
@@ -316,7 +322,7 @@ class TestBlockSteps:
                 assert ctr == scalar_ctr == block.n_steps
 
     def test_blocks_match_scalar_steps_on_random_sequences(self, monkeypatch):
-        for i, d in enumerate(_random_sequences(50, 99)):
+        for i, d in enumerate(_random_sequences(50, 99, wide=4)):
             skip = 1000 * i
             scalar, ctr = self._run(monkeypatch, self.SCALAR, d, 5, i, skip)
             for gates in ({}, self.EAGER, self.SHORT):

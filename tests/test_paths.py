@@ -33,7 +33,7 @@ from cmld import (
 from cmld import paths
 from cmld.fluid import reflect
 from cmld.paths import _segment_grid, _segment_state
-from cmld.verify import _segment_battery
+from cmld.verify import _check_quadrature, _segment_battery
 
 HALF_LOG2 = 0.5 * math.log(2.0)
 # frozen from a 50-digit closed-form evaluation at the exact root,
@@ -551,6 +551,25 @@ class TestClosedForm:
 
     def test_no_drop_zero(self):
         assert cost_closed_form(X1_REG, X1_REG) == pytest.approx(0.0, abs=1e-14)
+
+    def test_spec_cost_is_the_pair_cost(self):
+        for spec in _segment_battery(fast=False):
+            assert spec.cost_closed_form() == cost_closed_form(spec.x1, spec.x2)
+
+    def test_battery_check_solves_each_root_once(self, monkeypatch):
+        solved = []
+        root = paths._transition_root
+
+        def spy(*args):
+            solved.append(args)
+            return root(*args)
+
+        monkeypatch.setattr(paths, "_transition_root", spy)
+        _segment_battery(fast=True)
+        battery = len(solved)
+        solved.clear()
+        assert _check_quadrature(fast=True).passed
+        assert len(solved) == battery == 5
 
     def test_additivity_exchange(self):
         # with no degree-one mass, exploring q then qbar costs the same as
