@@ -115,8 +115,7 @@ def _build_parser() -> _Parser:
     est.add_argument("--format", choices=("json", "csv"), default="json")
     est.add_argument("--out", default=None)
 
-    ver = sub.add_parser("verify", help="cross-consistency battery")
-    ver.add_argument("--fast", action="store_true")
+    sub.add_parser("verify", help="cross-consistency battery")
     return p
 
 
@@ -131,14 +130,9 @@ def _cmd_rate(args: argparse.Namespace) -> int:
         p = load_degree_distribution(args.p)
         q = load_sub_profile(args.q, p)
         payload = core.rate_component_degree(p, q).as_dict()
-    elif args.rate_kind == "dreg":
-        rate = core.rate_d_regular(args.D, args.q)
-        payload = {"D": args.D, "q": args.q, "rate": rate, "limit": -rate,
-                   "sign_convention": core.SIGN_NOTE}
-        print(f"rate {rate:.7f}  limit {-rate:.7f}")
-    elif args.rate_kind == "dreg-sub":
-        p = load_degree_distribution(args.p)
-        rate = core.rate_d_regular_subgraph(p, args.D, args.q)
+    elif args.rate_kind in ("dreg", "dreg-sub"):
+        rate = (core.rate_d_regular(args.D, args.q) if args.rate_kind == "dreg" else
+                core.rate_d_regular_subgraph(load_degree_distribution(args.p), args.D, args.q))
         payload = {"D": args.D, "q": args.q, "rate": rate, "limit": -rate,
                    "sign_convention": core.SIGN_NOTE}
     elif args.rate_kind == "size":
@@ -270,7 +264,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    return 0 if print_table(run_battery(fast=args.fast)) else 1
+    return 0 if print_table(run_battery()) else 1
 
 
 _HANDLERS = {

@@ -392,12 +392,15 @@ def extract_components(rec: ExplorationRecord) -> tuple[float, int, list[Compone
 
 
 def empirical_path(rec: ExplorationRecord, n: int, grid: np.ndarray) -> FluidPath:
-    """Piecewise-constant fluid rescaling zeta_k(t) = V_k(floor(nt))/n.
+    """Piecewise-constant fluid rescaling zeta_k(t) = V_k(floor(nt))/n of a
+    run on n = ``rec.n`` vertices; another n is a DomainError.
 
     Times beyond termination read the absorbing all-zero state.  psi is the
     active density minus twice the per-vertex count of fresh component
     starts, so that the reflection identity holds at fluid scale.
     """
+    if n != rec.n:
+        raise DomainError(f"n = {n} is not the run's {rec.n} vertices")
     grid = np.asarray(grid, dtype=float)
     idx = np.minimum((n * grid).astype(np.int64), rec.n_steps)
     A, V, starts = rec.rows(np.maximum(idx, 0))

@@ -88,10 +88,11 @@ def counter_uniforms(keys: np.ndarray, counter: int, out: np.ndarray | None = No
     The variates are written to ``out``, a float64 array of ``len(keys)``;
     ``scratch`` is a uint64 array of the same length.  The two are all the
     memory the draw uses, so a caller drawing many times passes the same
-    two each time; without them both are allocated.  Returns ``out``.
+    two each time; either one left out is allocated.  Returns ``out``.
     """
     if out is None:
         out = np.empty(len(keys))
+    if scratch is None:
         scratch = np.empty(len(keys), dtype=np.uint64)
     shift = np.uint64(((counter + 1) * _GOLDEN) & _MASK64)
     words = np.add(keys, shift, out=out.view(np.uint64))

@@ -11,9 +11,10 @@ built from them, through ``core._degree`` and ``core._clean_weights``.
 CSV values use 17 significant digits so that every emitted file re-parses
 into the originating values exactly.  Trajectory columns are t, zeta_0,
 zeta_k for each tracked degree k in the path's order, then psi; the header
-names the tracked degrees.  A trajectory CSV that is empty or not UTF-8,
-has another header, no rows, a ragged row, or a value that is not a finite
-number is, like a malformed JSON file, a ValueError naming the file.
+names each degree k >= 1 once, in ASCII digits.  A trajectory CSV that is
+empty or not UTF-8, has another header, no rows, a ragged row, or a value
+that is not a finite number is, like a malformed JSON file, a ValueError
+naming the file.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .paths import StatePoint
 
 
 _NUMBER_KEY = re.compile(r"-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?")
+_DEGREE_COLUMN = re.compile(r"zeta_0*[1-9][0-9]*")  # a positive degree in ASCII digits
 
 
 def _fmt(x: float) -> str:
@@ -105,8 +107,8 @@ def fluid_path_from_csv(path: str | Path) -> FluidPath:
             raise ValueError(f"{path}: {exc}") from None
     header = rows[0] if rows else []
     names = header[2:-1]
-    if (header[:2] != ["t", "zeta_0"] or header[-1:] != ["psi"]
-            or not all(h.startswith("zeta_") and h[5:].isdecimal() for h in names)):
+    degrees = {int(h[5:]) for h in names if _DEGREE_COLUMN.fullmatch(h)}
+    if header[:2] != ["t", "zeta_0"] or header[-1:] != ["psi"] or len(degrees) != len(names):
         raise ValueError(f"{path}: not a trajectory CSV")
     for row in rows[1:]:
         if len(row) != len(header):

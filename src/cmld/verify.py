@@ -4,9 +4,9 @@ Each check exercises two independent routes to the same quantity
 (quadrature vs closed form, profile rate vs segment cost, simulation vs
 conservation law) and reports pass/fail with the observed discrepancy.
 The acceptance criteria and tests call these checks, so ``cmld verify``
-runs them at the criteria's tolerances.  :func:`lln_check` returns one
-run's deviations from the fluid limit, which criterion 4 bounds;
-:func:`fluid_gap` computes them from any recorded run.
+runs the criteria's one battery at their tolerances.  :func:`lln_check`
+returns one run's deviations from the fluid limit, which criterion 4
+bounds; :func:`fluid_gap` computes them from any recorded run.
 """
 
 from __future__ import annotations
@@ -55,9 +55,9 @@ def _check_triple_agreement() -> CheckResult:
                        f"max |.-log(2)/2| = {worst:.3e}")
 
 
-def _segment_battery(fast: bool) -> list[PathSegmentSpec]:
-    """Five hand-written segments, then (unless ``fast``) random feasible
-    ones from generator seed 20240810 up to 25.  Over seeds 1-400 of this
+def _segment_battery() -> list[PathSegmentSpec]:
+    """Five hand-written segments, then random feasible ones from
+    generator seed 20240810 up to 25.  Over seeds 1-400 of this
     generator (21 segments each) ``path_cost`` of a minimizer stays within
     2.2e-12 of the closed form; integrating the same paths from their grids
     reached 1.16e-6 at seed 278, above the 1e-6 tolerance."""
@@ -72,7 +72,7 @@ def _segment_battery(fast: bool) -> list[PathSegmentSpec]:
     ]
     specs = [make_segment_spec(x1, x2) for x1, x2 in cases]
     rng = np.random.default_rng(20240810)
-    while not fast and len(specs) < 25:
+    while len(specs) < 25:
         ks = sorted(int(k) for k in rng.choice(np.arange(1, 7), size=rng.integers(1, 4),
                                                replace=False))
         x1k = {k: float(rng.uniform(0.05, 0.6)) for k in ks}
@@ -86,8 +86,8 @@ def _segment_battery(fast: bool) -> list[PathSegmentSpec]:
     return specs
 
 
-def _check_quadrature(fast: bool) -> CheckResult:
-    specs = _segment_battery(fast)
+def _check_quadrature() -> CheckResult:
+    specs = _segment_battery()
     worst = max(abs(path_cost(minimizer_path(s)) - s.cost_closed_form()) for s in specs)
     n_case_i = sum(s.case == CASE_I for s in specs)
     n_case_ii = len(specs) - n_case_i
@@ -118,10 +118,9 @@ def _check_lln_zero_cost() -> CheckResult:
                        f"cost on [0, tau] = {cost:.3e}")
 
 
-def _check_conservation(fast: bool) -> CheckResult:
+def _check_conservation() -> CheckResult:
     rng = np.random.default_rng(7)
-    n_seq = 100 if fast else 1000
-    for i in range(n_seq):
+    for i in range(1000):
         n = int(rng.integers(2, 40))
         degs = rng.integers(1, 6, size=n)
         if degs.sum() % 2 == 1:
@@ -149,8 +148,7 @@ def _check_conservation(fast: bool) -> CheckResult:
         fault = next((f for f, bad in faults.items() if bad), None)
         if fault:
             return CheckResult("exploration conservation", False, f"{fault} on sequence {i}")
-    return CheckResult("exploration conservation", True,
-                       f"{n_seq} randomized degree sequences")
+    return CheckResult("exploration conservation", True, "1000 randomized degree sequences")
 
 
 def _check_survival() -> CheckResult:
@@ -161,8 +159,7 @@ def _check_survival() -> CheckResult:
                        f"rho dev {e_rho:.1e}, giant dev {e_gf:.1e}")
 
 
-def lln_check(p: DegreeDistribution, n: int, seed: int,
-              grid_points: int = 401) -> tuple[float, float]:
+def lln_check(p: DegreeDistribution, n: int, seed: int) -> tuple[float, float]:
     """One trajectory-recorded run against the zero-cost fluid limit.
 
     Returns :func:`fluid_gap` of the run of stream (seed, 0) on
@@ -171,7 +168,7 @@ def lln_check(p: DegreeDistribution, n: int, seed: int,
     if n < 1000:
         raise DomainError(f"n >= 1000 required for a meaningful check, got {n}")
     d = DegreeSequence.from_distribution(p, n)
-    return fluid_gap(eea_run(d, CounterRNG(seed, 0), record_trajectory=True), p, grid_points)
+    return fluid_gap(eea_run(d, CounterRNG(seed, 0), record_trajectory=True), p)
 
 
 def fluid_gap(rec: ExplorationRecord, p: DegreeDistribution,
@@ -216,9 +213,9 @@ def _check_reflection() -> CheckResult:
                        f"Lipschitz slack = {worst:.3e}")
 
 
-def run_battery(fast: bool = False) -> list[CheckResult]:
-    return [_check_triple_agreement(), _check_quadrature(fast), _check_profile_vs_segment(),
-            _check_lln_zero_cost(), _check_conservation(fast), _check_survival(),
+def run_battery() -> list[CheckResult]:
+    return [_check_triple_agreement(), _check_quadrature(), _check_profile_vs_segment(),
+            _check_lln_zero_cost(), _check_conservation(), _check_survival(),
             _check_fluid_limit(), _check_reflection()]
 
 

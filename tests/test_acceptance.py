@@ -52,7 +52,7 @@ def test_criterion_1_triple_agreement():
 
 def test_criterion_2_quadrature_vs_closed_form():
     t0 = time.time()
-    result = _check_quadrature(fast=False)
+    result = _check_quadrature()
     elapsed = time.time() - t0
     _report("2", result.passed and elapsed < 5.0, result.detail, elapsed)
 
@@ -226,7 +226,7 @@ def _symmetry_exact() -> bool:
 
 def test_criterion_7_property_suites():
     t0 = time.time()
-    conservation = _check_conservation(fast=False)
+    conservation = _check_conservation()
     tv = _tv_against_enumeration()
     worst_margin = _perturbation_suite()
     add_err = _additivity_suite()

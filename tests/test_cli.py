@@ -57,8 +57,9 @@ def files(tmp_path):
 class TestRateCommands:
     def test_dreg_prints_rate_and_limit(self, files, capsys):
         assert main(["rate", "dreg", "--D", "3", "--q", "0.5"]) == 0
-        out = capsys.readouterr().out
-        assert "0.3465736" in out and "-0.3465736" in out
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["rate"] == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
+        assert payload["limit"] == -payload["rate"]
 
     def test_degree_payload(self, files, capsys):
         assert main(["rate", "degree", "--p", files["p"], "--q", files["q"]]) == 0
@@ -556,8 +557,11 @@ class TestRoundTrip:
         "t,zeta_0,zeta_3,psi\n0,nan,1,0\n",
         "t,zeta_0,zeta_3,psi\n0,0,1,0\n0.1,0,inf,0\n",
         b"\xff\xfet,zeta_0,zeta_3,psi\n0,0,1,0\n",
+        "t,zeta_0,zeta_0,psi\n0,0,1,0\n",
+        "t,zeta_0,zeta_3,zeta_03,psi\n0,0,1,1,0\n",
+        "t,zeta_0,zeta_\u0663,psi\n0,0,1,0\n",
     ], ids=["header", "ragged", "not-a-number", "empty", "header-only", "nan", "inf",
-            "not-utf-8"])
+            "not-utf-8", "degree-0", "degree-twice", "non-ascii-digit"])
     def test_malformed_trajectory_csv_is_a_value_error(self, tmp_path, text):
         # the exit-1 class, as for a malformed JSON file: not a CmldError
         f = tmp_path / "bad.csv"
@@ -634,10 +638,18 @@ class TestDegreeSequenceInput:
 
 
 class TestVerifyCommand:
-    def test_fast_battery_passes(self, capsys):
-        assert main(["verify", "--fast"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
+    def test_battery_passes(self, capsys):
+        assert main(["verify"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 8 and all("  PASS  " in row for row in rows)
+        assert "25 segments" in rows[1] and "1000 randomized" in rows[4]
+
+    def test_fast_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--fast"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cmld") and "unrecognized arguments: --fast" in err
 
     def test_broken_chain_is_a_failed_row(self, monkeypatch, capsys):
         # a chain that breaks its own invariants fails the conservation row
@@ -648,10 +660,10 @@ class TestVerifyCommand:
             raise StateError("exploration exceeded the step bound m + n = 9")
 
         monkeypatch.setattr(cmld.verify, "eea_run", broken)
-        row = cmld.verify._check_conservation(fast=True)
+        row = cmld.verify._check_conservation()
         assert not row.passed
         assert row.detail == "exploration exceeded the step bound m + n = 9 on sequence 0"
-        assert main(["verify", "--fast"]) == 1
+        assert main(["verify"]) == 1
         out = capsys.readouterr().out
         row_line, = [ln for ln in out.splitlines() if ln.startswith("exploration conservation")]
         assert row_line.endswith("  FAIL  " + row.detail)

@@ -19,7 +19,6 @@ from cmld import (
     sample_multigraph,
 )
 from cmld.explore import ComponentRecord
-from cmld.verify import _check_conservation
 
 P_MIX = {1: 0.3, 2: 0.1, 3: 0.2, 4: 0.15, 5: 0.1, 7: 0.1, 10: 0.05}
 
@@ -158,13 +157,6 @@ class TestExplorationRuns:
         assert rec.components[0].n_vertices == 1
         assert rec.components[0].n_edges == 1
 
-    def test_conservation_randomized(self):
-        # step bound, one wake or one kill per step, the woken degree moving
-        # A and living-mass monotonicity over 100 random sequences; eea_run
-        # itself raises if its components miss the degree histogram
-        check = _check_conservation(fast=True)
-        assert check.passed, check.detail
-
 
 class TestComponents:
     def test_four_leaves_two_components(self):
@@ -201,6 +193,14 @@ class TestEmpiricalPath:
         fp = empirical_path(rec, 2, np.array([0.0, 5.0]))
         assert fp.zeta(0)[-1] == 0.0
         assert fp.zeta(1)[-1] == 0.0
+
+    def test_another_n_is_a_domain_error(self):
+        # 3n once read zeta_1(0) as 1/6 instead of 1/2: the path was rescaled
+        d = DegreeSequence.from_distribution(DegreeDistribution({1: 0.5, 3: 0.5}), 1000)
+        rec = eea_run(d, CounterRNG(3, 0), record_trajectory=True)
+        for n in (3 * d.n, d.n - 1):
+            with pytest.raises(DomainError, match=f"n = {n} is not the run's {d.n} vertices"):
+                empirical_path(rec, n, np.linspace(0.0, 1.5, 101))
 
     def test_requires_trajectory(self):
         rec = eea_run(DegreeSequence((1, 1)), CounterRNG(0, 0))

@@ -388,7 +388,7 @@ class TestClosedFormRoute:
         # over generator seeds 1-400 the worst are 2.2e-12 and 2.2e-12; with
         # the 1e-8 velocity floor case (i) reaches 1.1e-11 on this battery
         worst = {CASE_I: 0.0, CASE_II: 0.0}
-        for spec in _segment_battery(fast=False):
+        for spec in _segment_battery():
             err = abs(path_cost(minimizer_path(spec)) - cost_closed_form(spec.x1, spec.x2))
             worst[spec.case] = max(worst[spec.case], err)
         assert 0.0 < worst[CASE_I] <= 1e-11
@@ -455,7 +455,7 @@ class TestSampledOnFirstRead:
             return _segment_grid(vs, n)
 
         monkeypatch.setattr(paths, "_segment_grid", counted)
-        for spec in _segment_battery(fast=False):
+        for spec in _segment_battery():
             mp = minimizer_path(spec)
             assert abs(path_cost(mp) - cost_closed_form(spec.x1, spec.x2)) <= 1e-10
             assert "grid" not in mp.__dict__
@@ -467,7 +467,7 @@ class TestSampledOnFirstRead:
 
     @pytest.mark.parametrize("grid_points", [4501, 4])
     def test_first_read_is_the_eager_evaluation(self, grid_points):
-        specs = _segment_battery(fast=False) + [make_segment_spec(X1_LEAF, X1_LEAF)]
+        specs = _segment_battery() + [make_segment_spec(X1_LEAF, X1_LEAF)]
         assert specs[-1].varsigma == 0.0
         for i, spec in enumerate(specs):
             mp = minimizer_path(spec, grid_points)
@@ -515,7 +515,7 @@ class TestSampledOnFirstRead:
 class TestGridRoute:
     def test_minimizer_grid_arrays_match(self):
         # minimizer_path's grid arrays, which the closed-form route never reads
-        for spec in _segment_battery(fast=True):
+        for spec in _segment_battery():
             cost = path_cost(_plain(minimizer_path(spec)))
             assert abs(cost - cost_closed_form(spec.x1, spec.x2)) <= 1e-6
 
@@ -553,7 +553,7 @@ class TestClosedForm:
         assert cost_closed_form(X1_REG, X1_REG) == pytest.approx(0.0, abs=1e-14)
 
     def test_spec_cost_is_the_pair_cost(self):
-        for spec in _segment_battery(fast=False):
+        for spec in _segment_battery():
             assert spec.cost_closed_form() == cost_closed_form(spec.x1, spec.x2)
 
     def test_battery_check_solves_each_root_once(self, monkeypatch):
@@ -565,11 +565,11 @@ class TestClosedForm:
             return root(*args)
 
         monkeypatch.setattr(paths, "_transition_root", spy)
-        _segment_battery(fast=True)
+        _segment_battery()
         battery = len(solved)
         solved.clear()
-        assert _check_quadrature(fast=True).passed
-        assert len(solved) == battery == 5
+        assert _check_quadrature().passed
+        assert len(solved) == battery == 26  # one drawn pair has no root
 
     def test_additivity_exchange(self):
         # with no degree-one mass, exploring q then qbar costs the same as

@@ -41,3 +41,13 @@ class TestDrawRoutes:
                     fresh = counter_uniforms(keys, c)
                     assert counter_uniforms(keys, c, o, s) is o
                     assert np.array_equal(o.view(np.uint64), fresh.view(np.uint64))
+
+    def test_one_buffer_given_allocates_the_other(self):
+        keys = stream_keys(7, np.arange(5, dtype=np.uint64))
+        for c in COUNTERS:
+            fresh = counter_uniforms(keys, c).view(np.uint64)
+            out = np.empty(5)
+            assert counter_uniforms(keys, c, out=out) is out
+            assert np.array_equal(out.view(np.uint64), fresh)
+            only_scratch = counter_uniforms(keys, c, scratch=np.empty(5, dtype=np.uint64))
+            assert np.array_equal(only_scratch.view(np.uint64), fresh)
