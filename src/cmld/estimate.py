@@ -16,10 +16,14 @@ the scalar chain decision-for-decision because both consume the uniform
 of step j from the same counter position.  Its state is each
 replication's cumulative sleeping half-edge mass by degree, in the
 narrowest signed integer type that holds the graph's 2m + 1 (int8 up to
-127, then int16, int32 and int64), so a step finds the woken degree with
-one integer compare and removes it with one broadcast subtract; a graph
-of one degree needs neither.  Each step's uniforms are drawn into two
-buffers made once per block.  A replication leaves the block once its
+127, then int16, int32 and int64).  A step is decided on the integer
+x = floor(u * denominator), exactly as the float decision would be, so it
+finds the woken degree with one integer compare and removes it with one
+broadcast subtract; a graph of one degree needs neither, and its first
+step, a certain wake, is taken without a draw.  The stream keys and the
+draw's two buffers are a shard's lane buffers: a pool worker keeps its
+three for its later shards, and an in-process call makes them once and
+drops them when it returns.  A replication leaves the block once its
 outcome is settled: when it hits, when its chain stops, or when its
 sleeping half-edge mass shows that no component can reach the window.
 That test is exact, since every hitting component's half-edge mass lies
@@ -234,8 +238,14 @@ def _event_windows(counts: dict[int, int], q, eps: float
     return lo.astype(np.int64), hi.astype(np.int64)
 
 
+def _lane_buffers(R: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fresh buffers for R lanes: the stream keys, and the draw's two."""
+    return np.empty(R, dtype=np.uint64), np.empty(R), np.empty(R, dtype=np.uint64)
+
+
 def _batch_hits(counts: dict[int, int], rep_lo: int, rep_hi: int, seed: int,
-                lo: np.ndarray, hi: np.ndarray) -> int:
+                lo: np.ndarray, hi: np.ndarray,
+                buffers: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> int:
     """Event hits among replications [rep_lo, rep_hi), lockstep-vectorized.
 
     State is degree-major and cumulative: row d of ``C`` holds, for every
@@ -249,11 +259,12 @@ def _batch_hits(counts: dict[int, int], rep_lo: int, rep_hi: int, seed: int,
     signed type that holds 2m + 1: every value the kernel forms lies in
     [-2m, 2m + 1], ``s + killw``, ``s0 - H`` and the retired need 2m + 1
     among them.  So R lanes on D degrees start at 2DR entries of that type,
-    beside the R keys and the draw's two R-wide buffers.  ``Cstart`` is
-    ``C`` when the current component started; at a close, ``Cstart - C``
-    differenced along the degree axis and divided by the degrees is the
-    component's configuration.  ``lo`` and ``hi`` are the event's integer
-    windows from :func:`_event_windows`.
+    beside the lane buffers: the R keys and the draw's two R-wide buffers,
+    the first R entries of ``buffers`` (made here when it is None).
+    ``Cstart`` is ``C`` when the current component started; at a close,
+    ``Cstart - C`` differenced along the degree axis and divided by the
+    degrees is the component's configuration.  ``lo`` and ``hi`` are the
+    event's integer windows from :func:`_event_windows`.
 
     A lane retires once its outcome is settled: when it hits (it counts
     once), when its chain stops, or when no component of it can reach the
@@ -273,7 +284,21 @@ def _batch_hits(counts: dict[int, int], rep_lo: int, rep_hi: int, seed: int,
     no longer moves, so they stay retired.  Then the live lanes are
     gathered into smaller arrays, and the loop ends when none is left.  A
     lane draws the uniform of step j from its own key, so gathering moves
-    no draw.
+    no draw; the live keys are gathered into the draw's scratch buffer,
+    which is free between draws, and the old keys' buffer becomes the
+    scratch, so a shard allocates no R-wide word array but the stream
+    indices it hashes into keys.
+
+    A step is decided on integers.  With den = s + killw, the scalar
+    chain's float decision is y = fl(fl(u * den) - killw): a kill when
+    y < 0, else a wake of the bucket holding y.  The kernel takes
+    x = floor(fl(u * den)) instead, the float's cast to the state's type.
+    killw is an integer, so y < 0 iff x < killw, and for a wake
+    fl(u * den) - killw is exact, so C[d] <= y iff C[d] <= x - killw (see
+    :func:`cmld.explore.eea_run`).  Every lane starts at A = 0, so step 0
+    is a wake; with one degree it wakes that degree whatever the draw, so
+    it is taken before the loop and draw 0 is never made.  Step j still
+    reads draw j.
     """
     degs = np.array(sorted(counts), dtype=np.int64)
     size = np.array([counts[int(k)] for k in degs], dtype=np.int64)
@@ -297,25 +322,32 @@ def _batch_hits(counts: dict[int, int], rep_lo: int, rep_hi: int, seed: int,
     s = C[-1]
     A = np.zeros(R, dtype=idt)
     need = np.full(R, min(L, 2 * m - H), dtype=idt)
-    keys = stream_keys(seed, np.arange(rep_lo, rep_hi, dtype=np.uint64))
-    u, scratch = np.empty(R), np.empty(R, dtype=np.uint64)  # the draw's buffers
+    if buffers is None:
+        buffers = _lane_buffers(R)
+    keys, u, scratch = (buf[:R] for buf in buffers)
+    keys = stream_keys(seed, np.arange(rep_lo, rep_hi, dtype=np.uint64), keys, scratch)
     cols = np.arange(D, dtype=bdt)[:, None]
     hits = 0
+    j0 = 0
+    if D == 1:  # every lane starts at A = 0, so step 0 wakes the one degree
+        C -= k[0]
+        A += k[0]
+        j0 = 1
 
-    for j in range(m + n):
+    for j in range(j0, m + n):
         busy = A > 0  # a kill and a wake from A > 0 both spend two half-edges
         killw = A - busy  # max(A - 1, 0)
-        # y < 0 (exactly when x = u * denom < killw) kills, else the bucket
-        # holding y wakes: b counts the cumulative masses C[d] <= y, and u < 1
-        # keeps y below s = C[-1], so the last row needs no compare
+        # x = floor(u * denom) < killw kills, else the bucket holding x - killw
+        # wakes: b counts the cumulative masses C[d] <= x - killw, and u < 1
+        # keeps x - killw below s = C[-1], so the last row needs no compare
         y = counter_uniforms(keys, j, u, scratch)
         y *= s + killw
-        y -= killw
-        wakes = y >= 0
+        x = y.astype(idt)
+        wakes = x >= killw
         if D > 1:
-            # the masses are integers, so C[d] <= y exactly when C[d] <=
-            # floor(y), a compare in the state's own type
-            b = (C[:-1] <= np.floor(y, out=y).astype(idt)).sum(axis=0, dtype=bdt)
+            x -= killw
+            b = (C[:-1] <= x).sum(axis=0, dtype=bdt)
+            del x  # so the subtract below, the step's peak, does not hold it
             woken = k.take(b)
             woken *= wakes
             C -= (cols >= b) * woken  # rows b and up lose the woken degree; s with them
@@ -345,11 +377,29 @@ def _batch_hits(counts: dict[int, int], rep_lo: int, rep_hi: int, seed: int,
             if left == 0:
                 break
             keep = np.flatnonzero(live)
-            C, Cstart, A, need, keys = (C[:, keep], Cstart[:, keep], A[keep],
-                                        need[keep], keys[keep])
-            u, scratch = u[:left], scratch[:left]
+            C, Cstart, A, need = C[:, keep], Cstart[:, keep], A[keep], need[keep]
+            # the live keys move into the draw's scratch, which is free
+            # between draws, and the old keys' buffer becomes the scratch;
+            # "clip" writes straight into out ("raise" would fill a copy
+            # first), and every index in keep is in range
+            keys, scratch = keys.take(keep, out=scratch[:left], mode="clip"), keys[:left]
+            u = u[:left]
             s = C[-1]
     return hits
+
+
+# a pool worker's lane buffers, kept for its later shards; only workers set it
+_worker_buffers: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+
+def _worker_hits(counts: dict[int, int], rep_lo: int, rep_hi: int, seed: int,
+                 lo: np.ndarray, hi: np.ndarray) -> int:
+    """:func:`_batch_hits` in a pool worker, on the worker's kept lane
+    buffers, which grow to the widest shard it has run."""
+    global _worker_buffers
+    if _worker_buffers is None or len(_worker_buffers[0]) < rep_hi - rep_lo:
+        _worker_buffers = _lane_buffers(rep_hi - rep_lo)
+    return _batch_hits(counts, rep_lo, rep_hi, seed, lo, hi, _worker_buffers)
 
 
 def _usable_cores() -> int:
@@ -412,7 +462,7 @@ def _pool_hits(procs: int, counts: dict[int, int], shards: list[tuple[int, int]]
             futs = []
             try:
                 for a, b in shards:
-                    futs.append(_pool[1].submit(_batch_hits, counts, a, b, seed, *event))
+                    futs.append(_pool[1].submit(_worker_hits, counts, a, b, seed, *event))
                 return sum(f.result() for f in futs)
             except BrokenProcessPool:
                 _drop_pool()
@@ -465,9 +515,10 @@ def estimate_event_prob(p_or_d, q, eps: float, reps: int, seed: int,
     if event is not None:
         shards = [(a, min(a + chunk_size, reps)) for a in range(0, reps, chunk_size)]
         procs = min(workers, len(shards), _usable_cores())
-        if procs == 1:
+        if procs == 1:  # the first shard is the widest
+            buffers = _lane_buffers(shards[0][1] - shards[0][0])
             for a, b in shards:
-                hits += _batch_hits(counts, a, b, seed, *event)
+                hits += _batch_hits(counts, a, b, seed, *event, buffers)
         else:
             hits = _pool_hits(procs, counts, shards, seed, event)
 

@@ -323,13 +323,13 @@ class _Chain:
         rate = np.add.accumulate(dk[:-1] * dk[:-1] * vk) / (s + a0 - 1)
         i = np.arange(size)
         y = (z + s) - i * rate[-1]
-        guess = np.count_nonzero(C[:-1, None] - rate[:-1, None] * i <= y, axis=0)
+        bdt = np.int8 if D < 128 else np.intp  # the bucket index is below D
+        guess = np.add.reduce(C[:-1, None] - rate[:-1, None] * i <= y, axis=0, dtype=bdt)
         guess[y < 0] = -1  # -1 for a kill, else the bucket woken
         # z lies in [1 - a0 - s, 0], the masses in [0, s], and a round's
         # guessed wakes take at most size * degs[-1]: the narrowest signed
         # type that holds -(s + a0 + size * degs[-1]) holds every value below
         idt = np.min_scalar_type(-(s + a0 + size * degs[-1]))
-        bdt = np.int8 if D < 128 else np.intp  # the bucket index is below D
         z = z.astype(idt)
         dki = dk.astype(idt)
         rows = np.arange(D)[:, None]

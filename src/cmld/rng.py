@@ -22,6 +22,7 @@ _STREAM_SALT = 0xD1342543DE82EF95
 # the same constants as uint64 scalars, built once: numpy re-converts a
 # Python int or a fresh np.uint64 on every call, a fixed cost per block
 _U_GOLDEN, _U_MIX1, _U_MIX2 = np.uint64(_GOLDEN), np.uint64(_MIX1), np.uint64(_MIX2)
+_U_SALT = np.uint64(_STREAM_SALT)
 _U11, _U27, _U30, _U31 = (np.uint64(s) for s in (11, 27, 30, 31))
 
 
@@ -56,13 +57,24 @@ def stream_key(seed: int, stream: int) -> int:
     return _mix64(a ^ b)
 
 
-def stream_keys(seed: int, streams: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`stream_key` for an array of stream indices."""
-    z = streams.astype(np.uint64) * np.uint64(_STREAM_SALT)
-    z += _U_GOLDEN
-    b = _mix64_vec(z, np.empty_like(z))
+def stream_keys(seed: int, streams: np.ndarray, out: np.ndarray | None = None,
+                scratch: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized :func:`stream_key` for an array of stream indices.
+
+    The keys are written to ``out``, a uint64 array of ``len(streams)``;
+    ``scratch`` is a uint64 array of the same length.  The two are all the
+    memory used, and either one left out is allocated.  Returns ``out``.
+    """
+    if out is None:
+        out = np.empty(len(streams), dtype=np.uint64)
+    if scratch is None:
+        scratch = np.empty_like(out)
+    np.copyto(out, streams, casting="unsafe")  # astype(np.uint64)'s conversion
+    out *= _U_SALT
+    out += _U_GOLDEN
+    b = _mix64_vec(out, scratch)
     b ^= np.uint64(_mix64((seed & _MASK64) + _GOLDEN))
-    return _mix64_vec(b, z)
+    return _mix64_vec(b, out)
 
 
 def counter_uniform(key: int, counter: int) -> float:

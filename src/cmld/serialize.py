@@ -93,10 +93,11 @@ def fluid_path_to_csv(path_obj: FluidPath, path: str | Path) -> None:
     """Columns t, zeta_0, zeta_k for k in degrees, psi at full double precision."""
     header = ["t", "zeta_0"] + [f"zeta_{k}" for k in path_obj.degrees] + ["psi"]
     data = np.column_stack([path_obj.grid, path_obj.zeta0, path_obj.zetak, path_obj.psi])
+    # the bytes of csv.writer rows of _fmt cells: a number needs no quoting
+    line = ",".join(["%.17g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        w.writerows([_fmt(x) for x in row] for row in data)
+        csv.writer(f).writerow(header)
+        f.write("".join([line % tuple(row) for row in data.tolist()]))
 
 
 def fluid_path_from_csv(path: str | Path) -> FluidPath:

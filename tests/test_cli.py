@@ -12,6 +12,7 @@ from cmld import (
     CmldError,
     DegreeDistribution,
     DegreeSequence,
+    FluidPath,
     StatePoint,
     StateError,
     eea_run,
@@ -547,6 +548,30 @@ class TestRoundTrip:
             assert np.array_equal(back.zeta0, fp.zeta0)
             for k in fp.degrees:
                 assert np.array_equal(back.zeta(k), fp.zeta(k))
+
+    def test_fluid_path_csv_bytes_are_the_csv_writers(self, tmp_path):
+        # one format string per row writes what csv.writer writes from
+        # format(x, ".17g") cells, on signed zeros, subnormals, the largest
+        # magnitudes, integral floats and a lln path
+        odd = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
+               2.0, -3.0, 1e16, 0.1, 1 / 3]
+        grid = np.arange(len(odd), dtype=float)
+        zetak = np.column_stack([odd[::-1], np.roll(odd, 3)])
+        special = FluidPath(grid=grid, degrees=(3, 12), zeta0=odd, zetak=zetak,
+                            psi=np.roll(odd, 5))
+        lln = lln_path(DegreeDistribution({1: 0.5, 3: 0.5}), T=1.2, grid_points=101)
+        for name, fp in (("special", special), ("lln", lln)):
+            f, ref = tmp_path / f"{name}.csv", tmp_path / f"{name}.ref.csv"
+            fluid_path_to_csv(fp, f)
+            with open(ref, "w", newline="") as out:
+                w = csv.writer(out)
+                w.writerow(["t", "zeta_0"] + [f"zeta_{k}" for k in fp.degrees] + ["psi"])
+                rows = np.column_stack([fp.grid, fp.zeta0, fp.zetak, fp.psi])
+                w.writerows([format(float(x), ".17g") for x in row] for row in rows)
+            assert f.read_bytes() == ref.read_bytes()
+        cells = set((tmp_path / "special.csv").read_bytes().replace(b"\r\n", b",").split(b","))
+        assert {b"-0", b"4.9406564584124654e-324", b"-2.2250738585072014e-308",
+                b"1e+308", b"2", b"10000000000000000"} <= cells
 
     @pytest.mark.parametrize("text", [
         "t,zeta_0,zeta_x,psi\n0,0,1,0\n",

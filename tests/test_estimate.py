@@ -28,6 +28,7 @@ from cmld import (
     survival_rho,
 )
 from cmld.estimate import _batch_hits, _event_windows, clopper_pearson
+from cmld.rng import counter_uniforms, stream_keys
 
 
 def _event(d, q, eps):
@@ -420,6 +421,36 @@ class TestEventProbability:
         assert np.all(y < denom - killw)
         for dn, kw in zip(denom[:2000].tolist(), killw[:2000].tolist()):
             assert u_max * dn - kw < dn - kw
+        # the lockstep kernel's integer form: x = floor(fl(u * denom)), and
+        # x - killw stays below s
+        x = (u_max * denom.astype(np.float64)).astype(np.int64)
+        assert np.all(x - killw < denom - killw)
+
+    def test_integer_decisions_match_float_decisions(self):
+        # The kernel decides a step from x = floor(fl(u * den)) instead of
+        # y = fl(fl(u * den) - killw): it kills iff x < killw, and a wake
+        # compares the integer masses with x - killw.  Both hold exactly for
+        # integers 0 <= killw < den < 2^15, here on counter uniforms and on
+        # the doubles next to killw / den and to each bucket edge.
+        rng = np.random.default_rng(30)
+        size = 1 << 16
+        den = rng.integers(1, 2 ** 15, size=size)
+        killw = rng.integers(0, den)
+        edge = killw + rng.integers(0, den - killw)  # a bucket edge C + killw < den
+        u = counter_uniforms(stream_keys(30, np.arange(size, dtype=np.uint64)), 0)
+        near = [np.nextafter(e / den, t) for e in (killw, edge) for t in (0.0, 1.0)]
+        us = np.concatenate([u, killw / den, edge / den, *near])
+        den, killw, edge = (np.tile(a, len(us) // size) for a in (den, killw, edge))
+        assert np.all((us >= 0.0) & (us < 1.0))
+        y = us * den
+        x = y.astype(np.int16)  # the kernel's cast; y < den fits int16
+        assert np.array_equal(x, np.floor(y))
+        assert np.array_equal(x < killw, y - killw < 0)
+        wake = x >= killw
+        assert 0 < np.count_nonzero(wake) < len(us)
+        assert np.array_equal((x - killw)[wake], np.floor(y - killw)[wake])
+        c = edge - killw  # C <= x - killw exactly when C <= y - killw
+        assert np.array_equal((c <= x - killw)[wake], (c <= y - killw)[wake])
 
     def test_absent_degree_requires_small_q(self):
         # q puts mass on a degree not present in the graph: impossible unless q_k <= eps
@@ -509,6 +540,38 @@ class TestKeptPool:
         assert len(pids) == 2
         assert _kept_run(2) == serial
         assert est._pool[1] is pool and set(pool._processes) == pids
+
+    def test_kept_lane_buffers_give_the_serial_hits(self, est):
+        # each worker keeps its lane buffers from shard to shard: estimates
+        # run back to back on one pool, on one and on seven columns, with a
+        # short last shard and with another seed, hit as they do in-process.
+        # The first makes 1000-lane buffers, which the next one outgrows
+        assert _kept_run(2) == _kept_run(1)
+        p_mix = {1: 0.3, 2: 0.1, 3: 0.2, 4: 0.15, 5: 0.1, 7: 0.1, 10: 0.05}
+        runs = [
+            (DegreeDistribution({3: 1.0}), {3: 0.5}, 1 / 16, 3 * 2**16 + 5, 11, 16),
+            (DegreeDistribution(p_mix), p_mix, 0.005, 2**16 + 5, 4242, 100),
+            (DegreeDistribution({3: 1.0}), {3: 0.5}, 1 / 16, 3 * 2**16 + 5, 12, 16),
+        ]
+        serial = [estimate_event_prob(*run[:5], n=run[5], workers=1) for run in runs]
+        pooled = [estimate_event_prob(*run[:5], n=run[5], workers=2) for run in runs]
+        assert pooled == serial
+        assert est._pool[0] == 2
+
+    def test_in_process_estimate_keeps_no_lane_buffer(self, est):
+        # an in-process call makes its three 512 KiB lane buffers once and
+        # drops them when it returns
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            res = estimate_event_prob(DegreeDistribution({3: 1.0}), {3: 0.5}, 1 / 16,
+                                      2 * 2**16, 11, n=16, workers=1)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.hits > 0 and est._pool is None
+        assert peak - base >= 3 * 2**19
+        assert held - base < 2**19
 
     def test_new_size_joins_the_old_workers_first(self, est, monkeypatch):
         serial = _kept_run(1)

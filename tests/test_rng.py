@@ -1,7 +1,7 @@
 import numpy as np
 
 from cmld import CounterRNG
-from cmld.rng import _GOLDEN, counter_uniform, counter_uniforms, stream_keys
+from cmld.rng import _GOLDEN, counter_uniform, counter_uniforms, stream_key, stream_keys
 
 BLOCK = 1 << 16
 COUNTERS = (0, 1, BLOCK - 1, BLOCK, BLOCK + 1)
@@ -41,6 +41,25 @@ class TestDrawRoutes:
                     fresh = counter_uniforms(keys, c)
                     assert counter_uniforms(keys, c, o, s) is o
                     assert np.array_equal(o.view(np.uint64), fresh.view(np.uint64))
+
+    def test_stream_keys_match_scalar_keys_in_given_buffers(self):
+        # the kernel hashes each shard's stream indices into the keys buffer
+        # a pool worker keeps, through a scratch buffer holding old words
+        streams = np.array([0, 1, 2, BLOCK - 1, BLOCK, 2**63 + 5, 2**64 - 1], dtype=np.uint64)
+        for seed in (7, 2**64 - 3):
+            want = [stream_key(seed, int(i)) for i in streams]
+            assert stream_keys(seed, streams).tolist() == want
+            out = np.full(BLOCK, 12345, dtype=np.uint64)
+            scratch = np.full(BLOCK, 2**64 - 1, dtype=np.uint64)
+            for width in (1, len(streams)):
+                o = out[:width]
+                assert stream_keys(seed, streams[:width], o, scratch[:width]) is o
+                assert o.tolist() == want[:width]
+                assert stream_keys(seed, streams[:width], scratch=scratch[:width]).tolist() \
+                    == want[:width]
+        # signed indices convert as astype(np.uint64) does
+        signed = stream_keys(7, np.arange(5))
+        assert np.array_equal(signed, stream_keys(7, np.arange(5, dtype=np.uint64)))
 
     def test_one_buffer_given_allocates_the_other(self):
         keys = stream_keys(7, np.arange(5, dtype=np.uint64))
