@@ -36,10 +36,8 @@ SIGN_NOTE = "rate >= 0; lim (1/n) log P = -rate"
 BOUND_TWO_SIDED = "two_sided"
 BOUND_LOWER_ONLY = "lower_only"
 
-_BISECT_LO = 1e-15
-_BISECT_HI = 1.0 - 1e-15
 _BISECT_MAX_ITER = 200
-_SIZE_SCAN_POINTS = 16  # scan of the component-size root bracket
+_SIZE_SCAN_POINTS = 16  # scan of a wide component-size root bracket
 
 
 def _degree(k, what: str) -> int:
@@ -192,21 +190,41 @@ def entropy_H(r) -> float:
     return math.fsum(terms)
 
 
+def _geometric(a: float, j: int) -> list[float]:
+    """The partial sums S_i(a) = 1 + a + ... + a^{i-1} for i = 0, ..., j.
+
+    One Horner pass in ascending degree, S_{i+1} = 1 + a S_i, so all j + 1
+    of them cost O(j), and S_i(1) = i exactly.  Dividing a known root at
+    a = 1 out of 1 - a^i leaves S_i, which does not cancel near 1.
+    """
+    s = 0.0
+    out = [s]
+    for _ in range(j):
+        s = 1.0 + a * s
+        out.append(s)
+    return out
+
+
 def _transition_fn(w: Mapping[int, float], x10: float, x20: float):
     """The strictly increasing function whose zero is the transition root,
 
-        F(a) = -w_1 - x20/a + a x10 + sum_{k>=3} k w_k (a - a^{k-1})/(1 - a^k),
+        F(a) = -w_1 - x20/a + a x10 + sum_{k>=3} k w_k a S_{k-2}(a) / S_k(a),
 
     for drop weights w between states with active masses x10 and x20;
-    beta(q) is the zero for w = q and x10 = x20 = 0.
+    beta(q) is the zero for w = q and x10 = x20 = 0.  Each term is
+    k w_k (a - a^{k-1}) / (1 - a^k) with the common root at a = 1 divided
+    out (S from :func:`_geometric`), so F is continuous on (0, 1] and
+    F(1) = sum_k k w_k + x10 - x20 - 2 sum_k w_k, the feasibility margin.
     """
     w1 = w.get(1, 0.0)
     hi = [(k, k * v) for k, v in w.items() if k >= 3 and v > 0.0]
+    top = max((k for k, _ in hi), default=0)
 
     def F(a: float) -> float:
+        s = _geometric(a, top)
         acc = -w1 - x20 / a + a * x10
         for k, kv in hi:
-            acc += kv * (a - a ** (k - 1)) / (1.0 - a ** k)
+            acc += kv * a * s[k - 2] / s[k]
         return acc
 
     return F
@@ -290,8 +308,9 @@ def bisect_increasing_array(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def _transition_root(w: Mapping[int, float], x10: float, x20: float) -> float:
     """The zero in [0, 1) of ``_transition_fn(w, x10, x20)``; 0 when w_1 = x20 = 0.
 
-    Otherwise requires x10 - x20 + sum_k k w_k > 2 sum_k w_k.  A root below
-    the bracket [1e-15, 1 - 1e-15] comes back within the bisection's 1e-15.
+    Otherwise requires x10 - x20 + sum_k k w_k > 2 sum_k w_k, which is
+    F(1) > 0; with F -> -inf (x20 > 0) or F(0+) = -w_1 < 0 at the left,
+    the bracket is exactly [0, 1].
     """
     if w.get(1, 0.0) == 0.0 and x20 == 0.0:
         return 0.0
@@ -300,10 +319,7 @@ def _transition_root(w: Mapping[int, float], x10: float, x20: float) -> float:
     if not edge > 2.0 * vert:
         raise FeasibilityError("no transition root: requires w_1 = x2_0 = 0 or "
                                f"sum k w_k + x1_0 - x2_0 > 2 sum w_k ({edge} <= {2 * vert})")
-    F = _transition_fn(w, x10, x20)
-    if F(_BISECT_HI) <= 0.0:
-        raise FeasibilityError(f"transition root bracket failed: F({_BISECT_HI}) <= 0")
-    return bisect_increasing(F, _BISECT_LO, _BISECT_HI)
+    return bisect_increasing(_transition_fn(w, x10, x20), 0.0, 1.0)
 
 
 def beta_of_q(q) -> float:
@@ -465,12 +481,30 @@ def rate_component_size(p: DegreeDistribution, r: float) -> tuple[float, dict[in
     most of the work.  Both parts have mean degree in [k_min, k_max], so
     every root lies in [c - w, c + w] with c = (1/2) log(r / (sum p - r))
     and w = (1/2) log(k_max / k_min); g >= 0 at the left end and <= 0 at
-    the right.  The objective is not convex and g may have several roots,
-    so the bracket is scanned at a fixed number of points, every sign
-    change is solved, and the root of least objective is returned.  At
-    r = (1/2) sum p the objective is symmetric under q <-> p - q, so
-    minimizers can come in mirror pairs of equal rate; which of the two
-    is returned is not specified.
+    the right.  Two facts decide which roots are solved.
+
+    The minima are the zeros where g falls.  Along the family the
+    objective phi(t) = H(q) + H(p-q) - H(p) has phi'(t) = -g(t) s_q'(t),
+    s_q = (1/2) sum_k k q_k, since sum_k q_k' = 0 and
+    log(q_k / (p_k - q_k)) = u + k t; and 2 s_q' = S' > 0 for a support of
+    two or more degrees.  So phi falls while g > 0 and rises while g < 0,
+    and only intervals with g >= 0 at the left and <= 0 at the right are
+    solved, as roots of -g.
+
+    One root when (k_max - k_min)^2 < 8 k_min.  With W = sum_k p_k sigma'_k
+    and R = sum p - r,
+
+        S' = W Var_w(k) <= W (k_max - k_min)^2 / 4   (Popoviciu, w_k = p_k sigma'_k / W),
+        W = sum_k p_k (sigma_k - sigma_k^2) <= r R / (r + R)   (Jensen on sigma^2),
+        s_q >= k_min r and s_{p-q} >= k_min R   (full edge masses),
+        g'(t) <= (k_max - k_min)^2 / (4 k_min) - 2.
+
+    Then g falls strictly and the scan is the bracket's two ends.  Wider
+    supports are scanned at 16 points, every interval where g falls is
+    solved, and the root of least objective is returned, since the
+    objective need not be convex.  At r = (1/2) sum p the objective is
+    symmetric under q <-> p - q, so minimizers can come in mirror pairs of
+    equal rate; which of the two is returned is not specified.
     """
     if p.pk(1) > 0.0 or p.pk(2) > 0.0:
         raise DomainError("component-size rate requires p_1 = p_2 = 0")
@@ -509,7 +543,8 @@ def rate_component_size(p: DegreeDistribution, r: float) -> tuple[float, dict[in
         u = bisect_increasing(mass_logit, logit_r - max(kt), logit_r - min(kt))
         return [_logistic_pair(u + x) for x in kt]
 
-    def g(t: float) -> tuple[float, float]:
+    def minus_g(t: float) -> tuple[float, float]:
+        """-g(t) and its slope: increasing wherever g falls."""
         s_q = s_pq = d0 = d1 = d2 = 0.0
         for k, v, (a, b) in zip(ks, pk, profile(t)):
             s_q += k * v * a
@@ -518,24 +553,22 @@ def rate_component_size(p: DegreeDistribution, r: float) -> tuple[float, dict[in
             d0 += d
             d1 += k * d
             d2 += k * k * d
-        slope = (d2 - d1 * d1 / d0) * (1.0 / s_q + 1.0 / s_pq) - 2.0 if d0 > 0.0 else math.nan
-        return math.log(s_q) - math.log(s_pq) - 2.0 * t, slope
-
-    def minus_g(t: float) -> tuple[float, float]:
-        value, slope = g(t)
-        return -value, -slope
+        slope = 2.0 - (d2 - d1 * d1 / d0) * (1.0 / s_q + 1.0 / s_pq) if d0 > 0.0 else math.nan
+        return math.log(s_pq) - math.log(s_q) + 2.0 * t, slope
 
     c = 0.5 * logit_r
     w = 0.5 * math.log(ks[-1] / ks[0])
-    ts = [c - w + 2.0 * w * i / (_SIZE_SCAN_POINTS - 1) for i in range(_SIZE_SCAN_POINTS)]
-    gs = [g(t)[0] for t in ts]
-    # a root at an end of the bracket can round to the wrong sign there
-    gs[0], gs[-1] = max(gs[0], 0.0), min(gs[-1], 0.0)
+    n = 2 if (ks[-1] - ks[0]) ** 2 < 8 * ks[0] else _SIZE_SCAN_POINTS
+    ts = [c - w + 2.0 * w * i / (n - 1) for i in range(n)]
+    # g >= 0 at the left end and <= 0 at the right, so neither end can
+    # skip an interval and neither is evaluated (a root at an end can round
+    # to the wrong sign there)
+    hs = [0.0, *(minus_g(t)[0] for t in ts[1:-1]), 0.0]
     best_val, best_q = math.inf, None
-    for a, b, ga, gb in zip(ts, ts[1:], gs, gs[1:]):
-        if (ga > 0.0 and gb > 0.0) or (ga < 0.0 and gb < 0.0):
+    for a, b, ha, hb in zip(ts, ts[1:], hs, hs[1:]):
+        if ha > 0.0 or hb < 0.0:  # g does not fall across [a, b]
             continue
-        sig = profile(bisect_increasing(g if ga <= gb else minus_g, a, b))
+        sig = profile(bisect_increasing(minus_g, a, b))
         q = {k: v * s for k, v, (s, _) in zip(ks, pk, sig)}
         pq = {k: v * s for k, v, (_, s) in zip(ks, pk, sig)}
         val = entropy_H(q) + entropy_H(pq) - H_p

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .core import DegreeDistribution, bisect_increasing, bisect_increasing_array
+from .core import DegreeDistribution, _geometric, bisect_increasing, bisect_increasing_array
 from .errors import DomainError
 from .fluid import FluidPath
 
@@ -60,20 +60,26 @@ def survival_rho(p: DegreeDistribution) -> float:
     """Fixed point G1(rho) = rho governing the giant component.
 
     Returns the sentinel 1.0 in the subcritical/critical regime (no giant),
-    0.0 when p_1 = 0, and otherwise the unique root in (0, 1) by bisection.
+    0.0 when p_1 = 0, and otherwise the unique root in (0, 1) by bisection
+    on [0, 1] of
+
+        f(z) = mu (z - G1(z)) / (1 - z) = z sum_{k>=3} k p_k S_{k-2}(z) - p_1,
+
+    with S from :func:`cmld.core._geometric`: the root at z = 1 divided
+    out, so f does not cancel near 1.  f is increasing, from -p_1 at 0 to
+    sum_k k (k - 2) p_k > 0 at 1.
     """
     if _kk2(p) <= 0.0:
         return 1.0
     if p.pk(1) == 0.0:
         return 0.0
+    hi = [(k - 2, k * v) for k, v in p.weights.items() if k >= 3]
 
-    def h(z: float) -> float:
-        return z - gen_G1(p, z)
+    def f(z: float) -> float:
+        s = _geometric(z, p.max_degree - 2)
+        return z * math.fsum([c * s[j] for j, c in hi]) - p.pk(1)
 
-    hi = 1.0 - 1e-9  # h(0) = -p_1/mu < 0; h > 0 just below 1 when supercritical
-    if h(hi) <= 0.0:
-        hi = 1.0 - 1e-12
-    return bisect_increasing(h, 0.0, hi)
+    return bisect_increasing(f, 0.0, 1.0)
 
 
 def giant_fraction(p: DegreeDistribution) -> float:

@@ -299,8 +299,9 @@ def _rate_integrand(zeta0: np.ndarray, zetak: np.ndarray, dzetak: np.ndarray,
     Velocity entries at or below ``floor`` are treated as zero so that
     finite-difference jitter at endpoints where a mass vanishes cannot
     produce spurious infinities; the rate is infinite where sum_k nu_k
-    exceeds 1 by more than ``slack`` (a number or one per node), and nu_0
-    is clamped at 0 below that.
+    exceeds 1 by more than ``slack`` (a number or one per node), or where
+    some zeta_k' exceeds it, since no chain puts a vertex back to sleep;
+    nu_0 is clamped at 0 below that.
     """
     z0 = np.maximum(zeta0, 0.0)
     r = z0 + ks @ zetak
@@ -316,7 +317,7 @@ def _rate_integrand(zeta0: np.ndarray, zetak: np.ndarray, dzetak: np.ndarray,
     ok = live & ~bad
     ratio = np.where(ok, nu / np.where(ok, mu, 1.0), 1.0)
     out = np.sum(np.where(ok, nu * np.log(ratio), 0.0), axis=0)
-    out[np.any(bad, axis=0) | (nu0 < -slack)] = math.inf
+    out[np.any(bad, axis=0) | (nu0 < -slack) | np.any(dzetak > slack, axis=0)] = math.inf
     return out
 
 

@@ -87,6 +87,14 @@ class TestBetaRoot:
             resid = k * qk * (beta - beta ** (k - 1)) / (1 - beta ** k) - q1
             assert abs(resid) <= 1e-10
 
+    @pytest.mark.parametrize("delta", [1e-6, 1e-8, 1e-10, 1e-12, 1e-14])
+    def test_near_one(self, delta):
+        # 1 - beta is about 5.5e-5 at delta = 1e-10; F' is proportional to
+        # 1 - beta there, so the root itself is known to about 1e-16 / (1 - beta)
+        q = {1: 0.1, 3: 0.1 + delta}
+        want = _mp_beta(q)
+        assert abs(beta_of_q(q) - want) <= 4e-16 / (1 - want)
+
     @given(st.floats(0.01, 0.98), st.floats(0.01, 0.98), st.integers(3, 8),
            st.floats(0.01, 0.5), st.floats(0.2, 0.9))
     @settings(max_examples=60, deadline=None)
@@ -191,30 +199,82 @@ class TestBisectSlope:
         monkeypatch.setattr(core, "bisect_increasing", counted_bisect)
         rate_component_size(DegreeDistribution({3: 0.5, 4: 0.5}), 0.3)
         assert 0 < len(calls) <= 632
-        # one u(t) per point of the 16-point scan, per point of the one root
+        # at most one u(t) per point of a 16-point scan, per point of the one root
         # in t and for its profile, plus that root: with the slope g'(t) the
         # root takes a few points (3 here), and with a wrong slope about 20
         assert len(solves) <= 16 + 6 + 1 + 1
+
+    def test_component_size_narrow_scan(self, monkeypatch):
+        # (4 - 3)^2 < 8 * 3 proves one root, so the scan is the bracket's two
+        # ends, whose signs are known: the root in t, a u(t) for each of its
+        # few points, and one for its profile
+        solves, bisect = [], core.bisect_increasing
+
+        def counted_bisect(f, lo, hi):
+            solves.append(lo)
+            return bisect(f, lo, hi)
+
+        monkeypatch.setattr(core, "bisect_increasing", counted_bisect)
+        rate_component_size(DegreeDistribution({3: 0.5, 4: 0.5}), 0.3)
+        assert len(solves) <= 1 + 6 + 1
 
 
 def _sha256(values) -> str:
     return hashlib.sha256(np.asarray(values, dtype=np.float64).tobytes()).hexdigest()
 
 
+def _mp_bisect(f, dps=60):
+    """The root of an increasing f on [0, 1], by 200 halvings at dps digits."""
+    with mpmath.workdps(dps):
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if f(mid) < 0 else (lo, mid)
+        return (lo + hi) / 2
+
+
+def _mp_geometric(a, j):
+    return sum(a ** i for i in range(j))
+
+
+def _mp_beta(q, dps=60):
+    """beta(q) for the float weights of q, in dps digits."""
+    w = {k: mpmath.mpf(v) for k, v in q.items()}
+    return _mp_bisect(lambda a: -w.get(1, 0) + sum(
+        k * v * a * _mp_geometric(a, k - 2) / _mp_geometric(a, k)
+        for k, v in w.items() if k >= 3), dps)
+
+
+def _mp_rho(p, dps=50):
+    """rho = G1(rho) for the float weights of p, in dps digits."""
+    w = {k: mpmath.mpf(v) for k, v in p.weights.items()}
+    mu = sum(k * v for k, v in w.items())
+    return _mp_bisect(lambda z: sum(k * v * _mp_geometric(z, k - 1)
+                                    for k, v in w.items()) / mu - 1, dps)
+
+
 class TestHalvingCallersKeepBits:
-    # the callers without slopes take the plain halving path; these digests
-    # of their float64 output bytes were taken before the slope steps existed
+    # the callers without slopes take the plain halving path: each digest
+    # pins its float64 output bytes, and beta and rho are also held within
+    # 1e-15 of their roots to 50 digits
     def test_beta_of_q(self):
         qs = [{1: a, 3: b} for a in (0.02, 0.1, 0.25) for b in (0.3, 0.45, 0.6)]
         qs += [{1: 0.2, 4: 0.2}, {1: 0.05, 3: 0.1, 5: 0.2, 9: 0.05}]
-        assert _sha256([beta_of_q(q) for q in qs]) == \
-            "8c31dfec23907621268099cee549260f9aa3b1e9fa5152a79d15d794f2b4cced"
+        betas = [beta_of_q(q) for q in qs]
+        assert _sha256(betas) == \
+            "ce3505946ecb1a63a36656eb2c93bc364fcee9ab7e48350fa68c09695de6501d"
+        for q, beta in zip(qs, betas):
+            assert abs(beta - _mp_beta(q, 50)) <= 1e-15, q
 
     def test_survival_rho(self):
         ps = [{1: a, 3: 1 - a} for a in (0.05, 0.2, 0.5, 0.7)]
         ps += [{1: 0.3, 2: 0.1, 3: 0.2, 4: 0.15, 5: 0.1, 7: 0.1, 10: 0.05}, {1: 0.4, 4: 0.6}]
-        assert _sha256([survival_rho(DegreeDistribution(p)) for p in ps]) == \
-            "c557ac9c737a166c35f98acf0812b1d4e3418a42e1b99d6dae29769aa6c0b39f"
+        ps = [DegreeDistribution(p) for p in ps]
+        rhos = [survival_rho(p) for p in ps]
+        assert _sha256(rhos) == \
+            "7736ee50f02719baed97c43a0b9176798d2a3aeeb030413473e960f886bfa74d"
+        for p, rho in zip(ps, rhos):
+            assert abs(rho - _mp_rho(p)) <= 1e-15, p.weights
 
     def test_clopper_pearson(self):
         grid = [(h, n) for n in (1, 10, 1000, 2 ** 19, 10 ** 9)
@@ -426,6 +486,73 @@ class TestComponentSize:
     def test_low_degree_mass_rejected(self):
         with pytest.raises(DomainError):
             rate_component_size(P13, 0.5)
+
+    @staticmethod
+    def _family(w, r, ts):
+        """u(t) on the stationary family q_k = p_k sigma(u + k t) at vertex
+        mass r, one t per lane, by 200 halvings of the mass; returns the
+        (degrees, weights, sigma, 1 - sigma) arrays, one row per degree."""
+        ks = np.array(list(w), dtype=float)[:, None]
+        pk = np.array(list(w.values()))[:, None]
+        logit_r = math.log(r / (pk.sum() - r))
+        kt = ks * ts
+        lo, hi = logit_r - kt.max(axis=0), logit_r - kt.min(axis=0)
+
+        def sig(x):
+            return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            low = (pk * sig(mid + kt)).sum(axis=0) < r
+            lo, hi = np.where(low, mid, lo), np.where(low, hi, mid)
+        x = 0.5 * (lo + hi) + kt
+        return ks, pk, sig(x), sig(-x)
+
+    @staticmethod
+    def _bracket(w, r):
+        ks = sorted(w)
+        c = 0.5 * math.log(r / (math.fsum(w.values()) - r))
+        half = 0.5 * math.log(ks[-1] / ks[0])
+        return c - half, c + half
+
+    @pytest.mark.parametrize("r, rate, argmin", [
+        (0.5, 2.513247625302231, {3: 0.4999999110849887, 30: 8.89150113040932e-08}),
+        (0.48, 2.359530092369061, {3: 0.47999999999979276, 30: 2.0722291049569679e-13}),
+    ])
+    def test_wide_support_scan(self, r, rate, argmin):
+        # (30 - 3)^2 >= 8 * 3: g has several roots here, so the 16-point scan
+        # runs, and the falling zeros alone give the bits that solving every
+        # sign change gave
+        w = {3: 0.5, 30: 0.5}
+        got_rate, got = rate_component_size(DegreeDistribution(w), r)
+        assert (got_rate, got) == (rate, argmin)
+        ks, pk, a, b = self._family(w, r, np.linspace(*self._bracket(w, r), 20001))
+
+        def xlogx(x):
+            return np.where(x > 0.0, x * np.log(np.where(x > 0.0, x, 1.0)), 0.0)
+
+        H_p = core.entropy_H(w)
+        val = -H_p
+        for m in (pk * a, pk * b):
+            half_edge = 0.5 * (ks * m).sum(axis=0)
+            val = val + xlogx(m).sum(axis=0) - xlogx(half_edge)
+        assert abs(got_rate - val.min()) <= 1e-9
+
+    def test_narrow_supports_have_one_falling_root(self):
+        # g'(t) <= (k_max - k_min)^2 / (4 k_min) - 2 < 0 on these supports
+        rng = np.random.default_rng(31)
+        for _ in range(100):
+            kmin = int(rng.integers(3, 21))
+            span = math.isqrt(8 * kmin - 1)  # the largest span with span^2 < 8 k_min
+            inner = [k for k in range(kmin + 1, kmin + span) if rng.uniform() < 0.5]
+            ks = [kmin, *inner, kmin + span]
+            v = rng.uniform(0.05, 1.0, size=len(ks))
+            w = dict(zip(ks, v / v.sum()))
+            r = float(rng.uniform(0.05, 0.95))
+            ts = np.linspace(*self._bracket(w, r), 200)
+            ks_, pk, a, b = self._family(w, r, ts)
+            g = np.log((ks_ * pk * a).sum(axis=0)) - np.log((ks_ * pk * b).sum(axis=0)) - 2.0 * ts
+            assert np.all(np.diff(g) < 0.0), (w, r)
 
     # (p, r, rate, argmin) from the nested bisection that the slope steps
     # replaced, printed with format(x, ".17g"): the twelve supports and sizes

@@ -76,6 +76,18 @@ class TestSurvivalRoot:
             if 0.0 < rho < 1.0:
                 assert abs(gen_G1(p, rho) - rho) <= 1e-10
 
+    @pytest.mark.parametrize("a", [0.749, 0.7499999, 0.749999999, 0.74999999999])
+    def test_near_one(self, a):
+        # z - G1(z) vanishes at the root and at 1; here 1 - rho is 5.3e-3
+        # down to 5.3e-11, and rho = w1 / (3 w3) for the float weights
+        p = DegreeDistribution({1: a, 3: 1 - a})
+        w1, w3 = p.pk(1), p.pk(3)
+        rho = w1 / (3.0 * w3)
+        assert abs(survival_rho(p) - rho) <= 1e-15
+        # the 1e-15 allowed on rho moves 1 - G0(rho) by up to G0'(1) 1e-15 = mu 1e-15
+        want = 1.0 - w1 * rho - w3 * rho ** 3
+        assert abs(giant_fraction(p) - want) <= 1e-6 * want + p.mu * 1e-15
+
 
 class TestGiantFraction:
     def test_mixed(self):

@@ -346,6 +346,17 @@ class TestPathCost:
                          zetak=(1.0 - 1.5 * t)[:, None], psi=np.zeros_like(t))
         assert path_cost(path) == math.inf
 
+    def test_rising_sleeping_mass_infinite(self):
+        # zeta_3 = 1 + 0.05 sin(pi t / 0.2) has the all-kill path's ends but
+        # rises on [0, 0.1]: no chain puts a vertex back to sleep
+        t = np.linspace(0.0, 0.2, 201)
+        costs = []
+        for z3 in (np.ones_like(t), 1.0 + 0.05 * np.sin(np.pi * t / 0.2)):
+            z0 = 0.5 + 3.0 * (1.0 - z3) - 2.0 * t  # unit pace from x0 = 0.5
+            costs.append(path_cost(FluidPath(grid=t, degrees=(3,), zeta0=z0,
+                                             zetak=z3[:, None], psi=z0)))
+        assert costs == [0.49681946254229653, math.inf]
+
 
 
 class TestFluidLimitRoute:
