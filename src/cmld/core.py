@@ -190,21 +190,6 @@ def entropy_H(r) -> float:
     return math.fsum(terms)
 
 
-def _geometric(a: float, j: int) -> list[float]:
-    """The partial sums S_i(a) = 1 + a + ... + a^{i-1} for i = 0, ..., j.
-
-    One Horner pass in ascending degree, S_{i+1} = 1 + a S_i, so all j + 1
-    of them cost O(j), and S_i(1) = i exactly.  Dividing a known root at
-    a = 1 out of 1 - a^i leaves S_i, which does not cancel near 1.
-    """
-    s = 0.0
-    out = [s]
-    for _ in range(j):
-        s = 1.0 + a * s
-        out.append(s)
-    return out
-
-
 def _transition_fn(w: Mapping[int, float], x10: float, x20: float):
     """The strictly increasing function whose zero is the transition root,
 
@@ -213,19 +198,30 @@ def _transition_fn(w: Mapping[int, float], x10: float, x20: float):
     for drop weights w between states with active masses x10 and x20;
     beta(q) is the zero for w = q and x10 = x20 = 0.  Each term is
     k w_k (a - a^{k-1}) / (1 - a^k) with the common root at a = 1 divided
-    out (S from :func:`_geometric`), so F is continuous on (0, 1] and
-    F(1) = sum_k k w_k + x10 - x20 - 2 sum_k w_k, the feasibility margin.
+    out, leaving the partial sums S_i(a) = 1 + a + ... + a^{i-1}, which do
+    not cancel near 1.  So F is continuous on (0, 1] and F(1) = sum_k k w_k
+    + x10 - x20 - 2 sum_k w_k, the feasibility margin.
+
+    F returns (F(a), F'(a)), so :func:`bisect_increasing` takes Newton
+    steps.  One pass up the degrees walks S_i and S_i' = S_{i-1} + a
+    S_{i-1}' by Horner's rule.  With u = a S_{k-2} = S_{k-1} - 1 and S_k =
+    1 + a (1 + u), the slope of a term is k w_k ((1 + a) u' - u (1 + u)) /
+    S_k^2.
     """
     w1 = w.get(1, 0.0)
-    hi = [(k, k * v) for k, v in w.items() if k >= 3 and v > 0.0]
-    top = max((k for k, _ in hi), default=0)
+    kw = [k * w.get(k, 0.0) for k in range(3, max(w, default=0) + 1)]  # k w_k from k = 3
 
-    def F(a: float) -> float:
-        s = _geometric(a, top)
-        acc = -w1 - x20 / a + a * x10
-        for k, kv in hi:
-            acc += kv * a * s[k - 2] / s[k]
-        return acc
+    def F(a: float) -> tuple[float, float]:
+        value = -w1 - x20 / a + a * x10
+        slope = x20 / (a * a) + x10
+        s = ds = 0.0  # S_{k-2}(a) and S_{k-2}'(a), from k = 2
+        for kv in kw:
+            s, ds = 1.0 + a * s, s + a * ds
+            u, du = a * s, s + a * ds
+            sk = 1.0 + a * (1.0 + u)
+            value += kv * u / sk
+            slope += kv * ((1.0 + a) * du - u * (1.0 + u)) / (sk * sk)
+        return value, slope
 
     return F
 
@@ -283,25 +279,38 @@ def bisect_increasing(f, lo: float, hi: float) -> float:
 def bisect_increasing_array(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """:func:`bisect_increasing` lane by lane for a vectorised f.
 
-    f maps an array of points to the array of values, lane i of the output
-    depending only on lane i of the input; the lanes are the broadcast
-    shape of lo and hi.  Each lane follows the scalar halving rule and is
-    frozen once it stops; f is still evaluated on frozen lanes, whose values
-    are ignored.  With f evaluated to the same bits as its scalar form, each
-    lane returns the same bits as :func:`bisect_increasing`.  Each halving
+    f maps an array of points to the array of values, or to a tuple (values,
+    slopes), lane i of the output depending only on lane i of the input;
+    the lanes are the broadcast shape of lo and hi.  Each lane follows the
+    scalar rule, halving or taking its own Newton step, and is frozen once
+    it stops; f is still evaluated on frozen lanes, whose values are
+    ignored.  With f evaluated to the same bits as its scalar form, each
+    lane returns the same bits as :func:`bisect_increasing`.  Each point
     costs a few array operations, so a single root is far cheaper by the
     scalar form.
     """
     lo, hi = (np.array(a, dtype=float) for a in np.broadcast_arrays(lo, hi))
     live = np.ones(lo.shape, dtype=bool)
+    x = np.full(lo.shape, np.nan)  # each lane's Newton step, NaN for its midpoint
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         live &= (hi - lo > 1e-15) & (lo < mid) & (mid < hi)
         if not live.any():
             break
-        below = f(mid) < 0.0
-        lo = np.where(live & below, mid, lo)
-        hi = np.where(live & ~below, mid, hi)
+        point = np.where(np.isnan(x), mid, x)
+        value = f(point)
+        value, slope = value if isinstance(value, tuple) else (value, None)
+        below = value < 0.0
+        lo = np.where(live & below, point, lo)
+        hi = np.where(live & ~below, point, hi)
+        if slope is not None:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = value / slope
+                # a lane that stops is pinned, lo = hi = its point, so it stays stopped
+                stop = live & ((value == 0.0) | (slope > 0.0) & (abs(step) <= 1e-15 * abs(point)))
+                lo, hi = np.where(stop, point, lo), np.where(stop, point, hi)
+                x = point - step
+                x[~((slope > 0.0) & (lo < x) & (x < hi))] = np.nan
     return 0.5 * (lo + hi)
 
 

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .core import DegreeDistribution, _geometric, bisect_increasing, bisect_increasing_array
+from .core import DegreeDistribution, bisect_increasing, bisect_increasing_array
 from .errors import DomainError
 from .fluid import FluidPath
 
@@ -60,24 +60,32 @@ def survival_rho(p: DegreeDistribution) -> float:
     """Fixed point G1(rho) = rho governing the giant component.
 
     Returns the sentinel 1.0 in the subcritical/critical regime (no giant),
-    0.0 when p_1 = 0, and otherwise the unique root in (0, 1) by bisection
-    on [0, 1] of
+    0.0 when p_1 = 0, and otherwise the unique root in (0, 1), solved on
+    [0, 1], of
 
         f(z) = mu (z - G1(z)) / (1 - z) = z sum_{k>=3} k p_k S_{k-2}(z) - p_1,
 
-    with S from :func:`cmld.core._geometric`: the root at z = 1 divided
-    out, so f does not cancel near 1.  f is increasing, from -p_1 at 0 to
-    sum_k k (k - 2) p_k > 0 at 1.
+    with S_j(z) = 1 + z + ... + z^{j-1}: the root at z = 1 divided out, so
+    f does not cancel near 1.  f is increasing, from -p_1 at 0 to
+    sum_k k (k - 2) p_k > 0 at 1.  f also returns its slope
+    sum_k k p_k (S_{k-2} + z S_{k-2}'), with S_j and S_j' = S_{j-1} +
+    z S_{j-1}' walked up the degrees by Horner's rule, so
+    :func:`cmld.core.bisect_increasing` takes Newton steps.
     """
     if _kk2(p) <= 0.0:
         return 1.0
-    if p.pk(1) == 0.0:
+    p1 = p.pk(1)
+    if p1 == 0.0:
         return 0.0
-    hi = [(k - 2, k * v) for k, v in p.weights.items() if k >= 3]
+    kp = [k * p.pk(k) for k in range(3, p.max_degree + 1)]  # k p_k from k = 3
 
-    def f(z: float) -> float:
-        s = _geometric(z, p.max_degree - 2)
-        return z * math.fsum([c * s[j] for j, c in hi]) - p.pk(1)
+    def f(z: float) -> tuple[float, float]:
+        value = slope = s = ds = 0.0  # s, ds: S_{k-2}(z) and S_{k-2}'(z), from k = 2
+        for c in kp:
+            s, ds = 1.0 + z * s, s + z * ds
+            value += c * s
+            slope += c * (s + z * ds)
+        return z * value - p1, slope
 
     return bisect_increasing(f, 0.0, 1.0)
 
@@ -93,7 +101,8 @@ def inverse_Fs(p: DegreeDistribution, s: float, t):
     t is a float or an array of times; a float t gives a float.  Lanes with
     t = 0 return 1 and lanes with t >= G0(s), an infinite t among them,
     return 0 exactly; only the times in (0, G0(s)) are solved, together, by
-    one array bisection.  A negative or NaN time raises
+    one call of :func:`cmld.core.bisect_increasing_array`, whose lanes take
+    Newton steps from the slope s G0'(su).  A negative or NaN time raises
     :class:`DomainError`.
     """
     if not 0.0 < s <= 1.0:
@@ -108,9 +117,10 @@ def inverse_Fs(p: DegreeDistribution, s: float, t):
     open_ = (tt > 0.0) & (tt < g0s)
     target = g0s - tt[open_]  # solve G0(s u) = target, increasing in u
 
-    def gap(u: np.ndarray) -> np.ndarray:
+    def gap(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         z = s * u
-        return sum(v * z ** k for k, v in p.weights.items()) - target
+        terms = [(v * z ** k, k * v * z ** (k - 1)) for k, v in p.weights.items()]
+        return sum(t for t, _ in terms) - target, s * sum(d for _, d in terms)
 
     u[open_] = bisect_increasing_array(gap, np.zeros(target.shape), np.ones(target.shape))
     return float(u) if u.ndim == 0 else u

@@ -13,3 +13,32 @@ def frozen_constants() -> dict[str, float]:
     out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
                          check=True)
     return {name: float(v) for name, v in json.loads(out.stdout).items()}
+
+
+@pytest.fixture(scope="session")
+def exact_rel_err():
+    """The relative error of a Clopper-Pearson bound, by an exact binomial sum."""
+    return _exact_rel_err
+
+
+def _exact_rel_err(x: float, k: int, n: int, level: float) -> float:
+    """Relative error of x as the root of P(Bin(n, x) >= k) = level.
+
+    One Newton step on the binomial tail, summed at 40 digits over its
+    shorter side, with d/dx P(Bin(n, x) >= k) = n C(n-1, k-1) x^(k-1)
+    (1-x)^(n-k).  The Clopper-Pearson bounds are these roots: the lower at
+    k = hits and level 0.025, the upper at k = hits + 1 and level 0.975.
+    """
+    import mpmath as mp
+
+    with mp.workdps(40):
+        x = mp.mpf(x)
+        j0, j1 = (k, n) if n - k < k else (0, k - 1)
+        term = mp.binomial(n, j0) * x ** j0 * (1 - x) ** (n - j0)
+        total = term
+        for j in range(j0 + 1, j1 + 1):
+            term *= (n - j + 1) * x / (j * (1 - x))
+            total += term
+        tail = total if j0 == k else 1 - total
+        slope = n * mp.binomial(n - 1, k - 1) * x ** (k - 1) * (1 - x) ** (n - k)
+        return float((tail - level) / slope / x)

@@ -29,7 +29,7 @@ from cmld import (
     rate_d_regular,
     rate_d_regular_subgraph,
 )
-from cmld import core
+from cmld import core, estimate, lln
 from cmld.core import bisect_increasing, bisect_increasing_array
 from cmld.estimate import clopper_pearson
 from cmld.lln import inverse_Fs, survival_rho
@@ -113,33 +113,30 @@ class TestBetaRoot:
 
 class TestBisectArray:
     def test_lanes_match_scalar_bits(self):
-        # x*x*x - c is evaluated to the same bits by numpy and Python, so each
-        # lane must follow the scalar halvings exactly; the brackets make the
-        # lanes stop after different numbers of halvings
+        # x*x*x - c and 3*x*x are evaluated to the same bits by numpy and
+        # Python, so each lane must follow the scalar halvings, or with the
+        # slope the scalar Newton steps, exactly; the brackets make the lanes
+        # stop after different numbers of points
         c = np.array([0.5, 1e-12, 2.0, 7.9, 1e3, 0.0, 0.3, 1e-300])
         lo = np.array([0.0, 0.0, 1.0, 0.0, 9.0, -1.0, 0.6, 0.0])
         hi = np.array([1.0, 1e-3, 2.0, 8.0, 11.0, 1.0, 0.6 + 1e-14, 1e-99])
-        rounds = []
+        for sloped in (False, True):
+            def cube(x, c):
+                value = x * x * x - c
+                return (value, 3.0 * x * x) if sloped else value
 
-        def cube(x):
-            rounds.append(x)
-            return x * x * x - c
-
-        got = bisect_increasing_array(cube, lo, hi)
-        halvings = []
-        for i in range(len(c)):
-            calls = []
-
-            def f(x, i=i):
-                calls.append(x)
-                return x * x * x - c[i]
-
-            want = bisect_increasing(f, float(lo[i]), float(hi[i]))
-            assert got[i] == want
-            halvings.append(len(calls))
-        assert len(set(halvings)) >= 4
-        # the array form runs until its last lane stops, and no longer
-        assert len(rounds) == max(halvings)
+            rounds = []
+            got = bisect_increasing_array(lambda x: rounds.append(x) or cube(x, c), lo, hi)
+            points = []
+            for i in range(len(c)):
+                calls = []
+                want = bisect_increasing(lambda x: calls.append(x) or cube(x, c[i]),
+                                         float(lo[i]), float(hi[i]))
+                assert got[i] == want, (sloped, i)
+                points.append(len(calls))
+            assert len(set(points)) >= 4
+            # the array form runs until its last lane stops, and no longer
+            assert len(rounds) == max(points)
 
     def test_empty_and_single_lane(self):
         assert bisect_increasing_array(lambda x: x, np.zeros(0), np.ones(0)).shape == (0,)
@@ -218,6 +215,49 @@ class TestBisectSlope:
         rate_component_size(DegreeDistribution({3: 0.5, 4: 0.5}), 0.3)
         assert len(solves) <= 1 + 6 + 1
 
+    @staticmethod
+    def points_per_solve(module, monkeypatch):
+        """The number of points each root of ``module.bisect_increasing`` takes."""
+        counts, bisect = [], module.bisect_increasing
+
+        def counted_bisect(f, lo, hi):
+            points = []
+            root = bisect(lambda x: points.append(x) or f(x), lo, hi)
+            counts.append(len(points))
+            return root
+
+        monkeypatch.setattr(module, "bisect_increasing", counted_bisect)
+        return counts
+
+    # plain halving of [0, 1] to 1e-15 takes 50 points per root
+    def test_beta_of_q_points(self, monkeypatch):
+        counts = self.points_per_solve(core, monkeypatch)
+        for q in _BETA_GRID:
+            beta_of_q(q)
+        assert len(counts) == len(_BETA_GRID) and max(counts) <= 10
+
+    def test_survival_rho_points(self, monkeypatch):
+        counts = self.points_per_solve(lln, monkeypatch)
+        for p in _RHO_GRID:
+            survival_rho(p)
+        assert len(counts) == len(_RHO_GRID) and max(counts) <= 10
+
+    @pytest.mark.parametrize("hits, reps", [(2379, 2 ** 19), (17114, 20000)])
+    def test_clopper_pearson_tail_calls(self, monkeypatch, hits, reps):
+        # halving [-745, 0] takes about 60 tail evaluations per bound
+        calls, tails = [], estimate._beta_tails
+
+        def counted(*args):
+            calls.append(args)
+            return tails(*args)
+
+        monkeypatch.setattr(estimate, "_beta_tails", counted)
+        estimate._beta_quantile(hits, reps - hits + 1, upper=False)
+        assert 0 < len(calls) <= 50
+        calls.clear()
+        estimate._beta_quantile(hits + 1, reps - hits, upper=True)
+        assert 0 < len(calls) <= 50
+
 
 def _sha256(values) -> str:
     return hashlib.sha256(np.asarray(values, dtype=np.float64).tobytes()).hexdigest()
@@ -253,38 +293,47 @@ def _mp_rho(p, dps=50):
                                     for k, v in w.items()) / mu - 1, dps)
 
 
-class TestHalvingCallersKeepBits:
-    # the callers without slopes take the plain halving path: each digest
-    # pins its float64 output bytes, and beta and rho are also held within
-    # 1e-15 of their roots to 50 digits
+_BETA_GRID = [{1: a, 3: b} for a in (0.02, 0.1, 0.25) for b in (0.3, 0.45, 0.6)]
+_BETA_GRID += [{1: 0.2, 4: 0.2}, {1: 0.05, 3: 0.1, 5: 0.2, 9: 0.05}]
+_RHO_GRID = [DegreeDistribution(p) for p in [{1: a, 3: 1 - a} for a in (0.05, 0.2, 0.5, 0.7)]
+             + [{1: 0.3, 2: 0.1, 3: 0.2, 4: 0.15, 5: 0.1, 7: 0.1, 10: 0.05}, {1: 0.4, 4: 0.6}]]
+_CP_GRID = [(h, n) for n in (1, 10, 1000, 2 ** 19, 10 ** 9)
+            for h in (0, 1, 7, n // 3, n) if h <= n]
+
+
+class TestRootCallersKeepBits:
+    # each digest pins the float64 output bytes of a root caller; beta and
+    # rho are also held within 1e-15 of their roots to 50 digits, and the
+    # Clopper-Pearson bounds within 1e-12 relative of the binomial quantiles
     def test_beta_of_q(self):
-        qs = [{1: a, 3: b} for a in (0.02, 0.1, 0.25) for b in (0.3, 0.45, 0.6)]
-        qs += [{1: 0.2, 4: 0.2}, {1: 0.05, 3: 0.1, 5: 0.2, 9: 0.05}]
-        betas = [beta_of_q(q) for q in qs]
+        betas = [beta_of_q(q) for q in _BETA_GRID]
         assert _sha256(betas) == \
-            "ce3505946ecb1a63a36656eb2c93bc364fcee9ab7e48350fa68c09695de6501d"
-        for q, beta in zip(qs, betas):
+            "425aa944de5cc38a46d212aadd3758e2fa561a70f751ec27b657940a9686c8da"
+        for q, beta in zip(_BETA_GRID, betas):
             assert abs(beta - _mp_beta(q, 50)) <= 1e-15, q
 
     def test_survival_rho(self):
-        ps = [{1: a, 3: 1 - a} for a in (0.05, 0.2, 0.5, 0.7)]
-        ps += [{1: 0.3, 2: 0.1, 3: 0.2, 4: 0.15, 5: 0.1, 7: 0.1, 10: 0.05}, {1: 0.4, 4: 0.6}]
-        ps = [DegreeDistribution(p) for p in ps]
-        rhos = [survival_rho(p) for p in ps]
+        rhos = [survival_rho(p) for p in _RHO_GRID]
         assert _sha256(rhos) == \
-            "7736ee50f02719baed97c43a0b9176798d2a3aeeb030413473e960f886bfa74d"
-        for p, rho in zip(ps, rhos):
+            "5b1e8b24930a1bfe4222f649d541b5f7d3a668cd1331956aec1170a3f4896a21"
+        for p, rho in zip(_RHO_GRID, rhos):
             assert abs(rho - _mp_rho(p)) <= 1e-15, p.weights
 
-    def test_clopper_pearson(self):
-        grid = [(h, n) for n in (1, 10, 1000, 2 ** 19, 10 ** 9)
-                for h in (0, 1, 7, n // 3, n) if h <= n]
-        assert _sha256([clopper_pearson(h, n) for h, n in grid]) == \
-            "b51dc96e527b24b7f51cd7493cd9d2ee62185a1bc84c413d6332dfbe3ee64f9c"
+    def test_clopper_pearson(self, exact_rel_err):
+        bounds = [clopper_pearson(h, n) for h, n in _CP_GRID]
+        assert _sha256(bounds) == \
+            "86944ef12136e2e324af7b59ddec9629509300a60b5ad68742122824e504ff77"
+        for (h, n), (lo, hi) in zip(_CP_GRID, bounds):
+            if n == 10 ** 9 and h == n // 3:
+                continue  # the exact tail would sum 3.3e8 terms at 40 digits
+            if h > 0:
+                assert abs(exact_rel_err(lo, h, n, 0.025)) <= 1e-12, (h, n)
+            if h < n:
+                assert abs(exact_rel_err(hi, h + 1, n, 0.975)) <= 1e-12, (h, n)
 
     def test_inverse_Fs(self):
         u = inverse_Fs(P13, 0.8, np.linspace(0.0, 0.6, 41))
-        assert _sha256(u) == "5ec40db56e94e5fb685e63b83a82a6fb34d7d3194c46f097edea4e649b386b13"
+        assert _sha256(u) == "6862de1e130c24b82429eab47448cffec2e2a53ea1e0693f15cef6700ff9bc63"
 
 
 class TestKCorrection:

@@ -52,29 +52,6 @@ def _scalar_hits(d, seed, reps, event):
     return sum(h > 0 for h in per_rep), sum(per_rep)
 
 
-def _exact_rel_err(x: float, k: int, n: int, level: float) -> float:
-    """Relative error of x as the root of P(Bin(n, x) >= k) = level.
-
-    One Newton step on the binomial tail, summed at 40 digits over its
-    shorter side, with d/dx P(Bin(n, x) >= k) = n C(n-1, k-1) x^(k-1)
-    (1-x)^(n-k).  The Clopper-Pearson bounds are these roots: the lower at
-    k = hits and level 0.025, the upper at k = hits + 1 and level 0.975.
-    """
-    import mpmath as mp
-
-    with mp.workdps(40):
-        x = mp.mpf(x)
-        j0, j1 = (k, n) if n - k < k else (0, k - 1)
-        term = mp.binomial(n, j0) * x ** j0 * (1 - x) ** (n - j0)
-        total = term
-        for j in range(j0 + 1, j1 + 1):
-            term *= (n - j + 1) * x / (j * (1 - x))
-            total += term
-        tail = total if j0 == k else 1 - total
-        slope = n * mp.binomial(n - 1, k - 1) * x ** (k - 1) * (1 - x) ** (n - k)
-        return float((tail - level) / slope / x)
-
-
 @pytest.fixture
 def no_kept_pool():
     """The estimate module with no kept pool, before the test and after it."""
@@ -710,7 +687,7 @@ class TestConfidenceIntervals:
             clopper_pearson(hits, reps)
 
     @pytest.mark.parametrize("hits, reps", _CP_CASES)
-    def test_matches_scipy_and_exact_quantiles(self, hits, reps):
+    def test_matches_scipy_and_exact_quantiles(self, hits, reps, exact_rel_err):
         # Both bounds lie within 1e-12 relative of the exact binomial
         # quantile, and of scipy.stats.beta.ppf wherever scipy is itself
         # within 1e-12 of it.  scipy 1.17.1 is not on a few upper bounds
@@ -726,9 +703,9 @@ class TestConfidenceIntervals:
         if hits < reps:
             bounds.append((hi, float(beta.ppf(0.975, hits + 1, reps - hits)), hits + 1, 0.975))
         for ours, ref, k, level in bounds:
-            assert abs(_exact_rel_err(ours, k, reps, level)) <= 1e-12
+            assert abs(exact_rel_err(ours, k, reps, level)) <= 1e-12
             if abs(ours - ref) > 1e-12 * ref:
-                assert abs(_exact_rel_err(ref, k, reps, level)) > 1e-12
+                assert abs(exact_rel_err(ref, k, reps, level)) > 1e-12
 
 
 class TestRateFit:

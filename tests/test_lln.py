@@ -84,9 +84,8 @@ class TestSurvivalRoot:
         w1, w3 = p.pk(1), p.pk(3)
         rho = w1 / (3.0 * w3)
         assert abs(survival_rho(p) - rho) <= 1e-15
-        # the 1e-15 allowed on rho moves 1 - G0(rho) by up to G0'(1) 1e-15 = mu 1e-15
         want = 1.0 - w1 * rho - w3 * rho ** 3
-        assert abs(giant_fraction(p) - want) <= 1e-6 * want + p.mu * 1e-15
+        assert abs(giant_fraction(p) - want) <= 1e-6 * want
 
 
 class TestGiantFraction:
