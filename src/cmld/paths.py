@@ -301,23 +301,32 @@ def _rate_integrand(zeta0: np.ndarray, zetak: np.ndarray, dzetak: np.ndarray,
     produce spurious infinities; the rate is infinite where sum_k nu_k
     exceeds 1 by more than ``slack`` (a number or one per node), or where
     some zeta_k' exceeds it, since no chain puts a vertex back to sleep;
-    nu_0 is clamped at 0 below that.
+    nu_0 is clamped at 0 below that.  nu and mu fill one buffer in place,
+    and the ratio, its log and the product are taken on live lanes only.
+    The sums over degrees read their rows in ``dzetak``'s memory order
+    (Fortran for the closed-form route's transposes), which fixes their
+    rounding: numpy adds a Fortran-ordered column pairwise from 8 terms on.
     """
-    z0 = np.maximum(zeta0, 0.0)
-    r = z0 + ks @ zetak
+    order = "F" if np.isfortran(dzetak) else "C"
+    nu, mu = np.empty((2, len(ks) + 1, dzetak.shape[1]))
+    r = np.maximum(zeta0, 0.0, out=mu[0]) + ks @ zetak
     empty = r <= 0.0
-    nu_k = np.maximum(-dzetak, 0.0)
-    nu0 = 1.0 - nu_k.sum(axis=0)
-    nu = np.vstack([np.maximum(nu0, 0.0), nu_k])
-    mu = np.vstack([z0, ks[:, None] * np.maximum(zetak, 0.0)]) / np.where(empty, 1.0, r)
+    rising = np.any(np.negative(dzetak, out=nu[1:]) < -slack, axis=0)  # some zeta_k' > slack
+    np.maximum(nu[1:], 0.0, out=nu[1:])
+    nu0 = 1.0 - np.asarray(nu[1:], order=order).sum(axis=0)
+    np.maximum(nu0, 0.0, out=nu[0])
+    np.multiply(ks[:, None], np.maximum(zetak, 0.0, out=mu[1:]), out=mu[1:])
+    mu /= np.where(empty, 1.0, r)
     mu[:, empty] = 0.0
     mu[0, empty] = 1.0
     live = nu > floor
     bad = live & (mu <= 0.0)
     ok = live & ~bad
-    ratio = np.where(ok, nu / np.where(ok, mu, 1.0), 1.0)
-    out = np.sum(np.where(ok, nu * np.log(ratio), 0.0), axis=0)
-    out[np.any(bad, axis=0) | (nu0 < -slack) | np.any(dzetak > slack, axis=0)] = math.inf
+    np.log(np.divide(nu, mu, out=mu, where=ok), out=mu, where=ok)
+    np.multiply(nu, mu, out=mu, where=ok)
+    mu[~ok] = 0.0
+    out = np.asarray(mu, order=order).sum(axis=0)
+    out[np.any(bad, axis=0) | (nu0 < -slack) | rising] = math.inf
     return out
 
 
@@ -363,6 +372,8 @@ def path_cost(path: FluidPath, t1: float | None = None, t2: float | None = None)
     [0, varsigma].  Any other path (``lln_path``, a CSV, a user-built grid)
     is integrated from its grid by 2-point Gauss on every grid interval,
     with velocities from finite differences, and t1, t2 must be grid points.
+    A bound that is not finite, or t1 = t2 outside the route's domain,
+    raises :class:`DomainError`; an empty interval inside it costs 0.
 
     t1 and t2 default to the path's ends: for a minimizer its segment's, 0
     and varsigma, which are also its grid's, so the cost builds no grid.
@@ -372,13 +383,15 @@ def path_cost(path: FluidPath, t1: float | None = None, t2: float | None = None)
         t1 = 0.0 if segment else float(path.grid[0])
     if t2 is None:
         t2 = path.spec.varsigma if segment else float(path.grid[-1])
+    if not (math.isfinite(t1) and math.isfinite(t2)):
+        raise DomainError(f"bounds must be finite, got [{t1}, {t2}]")
     if t2 < t1:
         raise DomainError(f"empty interval [{t1}, {t2}]")
-    if t2 == t1:
-        return 0.0
     if segment:
         return _segment_cost(path.spec, t1, t2)
-    return _grid_cost(path, t1, t2)
+    if t2 == t1 and not np.any(np.abs(path.grid - t1) <= 1e-9):  # FluidPath.slice's tolerance
+        raise DomainError(f"{t1} is not a grid point")
+    return 0.0 if t2 == t1 else _grid_cost(path, t1, t2)
 
 
 def _integrate(weights: np.ndarray, vals: np.ndarray) -> float:
@@ -394,6 +407,8 @@ def _segment_cost(spec: PathSegmentSpec, t1: float, t2: float) -> float:
     tol = 1e-9 * max(1.0, spec.varsigma)
     if t1 < -tol or t2 > spec.varsigma + tol:
         raise DomainError(f"[{t1}, {t2}] is not inside [0, {spec.varsigma}]")
+    if t2 == t1:
+        return 0.0
     t2 = min(t2, spec.varsigma)
     span = t2 - min(max(t1, 0.0), t2)
     s, w = _gl_rule()
@@ -407,18 +422,26 @@ def _segment_cost(spec: PathSegmentSpec, t1: float, t2: float) -> float:
 
 
 def _grid_cost(path: FluidPath, t1: float, t2: float) -> float:
-    """Grid route: central-difference velocities, interpolated to 2-point
-    Gauss nodes on every grid interval.  The nodes are strictly interior, so
-    a mass vanishing exactly at a grid point never enters a logarithm."""
+    """Grid route: central-difference velocities at the 2-point Gauss nodes
+    of every grid interval.  The nodes sit at the fixed fractions
+    (1 -+ 1/sqrt(3))/2 of each interval, where the piecewise-linear path is
+    a fixed blend of the interval's ends; a node value y_i + s_i (t - t_i),
+    s_i the interval's slope, is formed as ``np.interp`` forms it, without
+    its search for the interval.  The nodes are strictly interior, so a
+    mass vanishing exactly at a grid point never enters a logarithm."""
     seg = path.slice(t1, t2)
     _check_unit_pace(seg)
     _, dzetak = seg.derivatives()
+    rows = np.vstack([seg.zeta0, seg.zetak.T, dzetak.T, _wake_error(dzetak)])
     half = 0.5 * np.diff(seg.grid)
-    mid = seg.grid[:-1] + half
-    g2 = 1.0 / math.sqrt(3.0)
-    t_nodes = np.concatenate([mid - half * g2, mid + half * g2])
-    stacked = np.vstack([seg.zeta0, seg.zetak.T, dzetak.T, _wake_error(dzetak)])
-    vals = np.array([np.interp(t_nodes, seg.grid, row) for row in stacked])
+    mid, g2 = seg.grid[:-1] + half, 1.0 / math.sqrt(3.0)
+    vals = np.empty((len(rows), 2, len(half)))  # lower nodes, then upper ones
+    slope = np.divide(np.diff(rows, axis=1), np.diff(seg.grid), out=vals[:, 1])
+    np.multiply(slope, (mid - half * g2) - seg.grid[:-1], out=vals[:, 0])
+    slope *= (mid + half * g2) - seg.grid[:-1]
+    vals += rows[:, None, :-1]
+    vals = vals.reshape(len(rows), -1)
+    del rows, dzetak  # freed before the integrand's buffers are taken
     d = len(seg.degrees)
     ks = np.array(seg.degrees, dtype=float)
     rates = _rate_integrand(vals[0], vals[1:d + 1], vals[d + 1:-1], ks,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cmld import (
     CASE_I,
@@ -81,6 +82,54 @@ def _root(x1, x2):
     """The segment's transition root and case."""
     spec = make_segment_spec(x1, x2)
     return spec.beta, spec.case
+
+
+def _reference_integrand(zeta0, zetak, dzetak, ks, floor=paths._NU_FLOOR,
+                         slack=paths._NU_FLOOR):
+    """paths._rate_integrand written with stacked nu and mu and np.where
+    temporaries, as it read before it was evaluated in place."""
+    z0 = np.maximum(zeta0, 0.0)
+    r = z0 + ks @ zetak
+    empty = r <= 0.0
+    nu_k = np.maximum(-dzetak, 0.0)
+    nu0 = 1.0 - nu_k.sum(axis=0)
+    nu = np.vstack([np.maximum(nu0, 0.0), nu_k])
+    mu = np.vstack([z0, ks[:, None] * np.maximum(zetak, 0.0)]) / np.where(empty, 1.0, r)
+    mu[:, empty] = 0.0
+    mu[0, empty] = 1.0
+    live = nu > floor
+    bad = live & (mu <= 0.0)
+    ok = live & ~bad
+    ratio = np.where(ok, nu / np.where(ok, mu, 1.0), 1.0)
+    out = np.sum(np.where(ok, nu * np.log(ratio), 0.0), axis=0)
+    out[np.any(bad, axis=0) | (nu0 < -slack) | np.any(dzetak > slack, axis=0)] = math.inf
+    return out
+
+
+# zeros of both signs, entries at the 1e-8 velocity floor, and non-finite ones
+_ENTRY = st.one_of(st.sampled_from([0.0, -0.0, 1e-8, -1e-8, 2e-8, -2e-8, 1e-300, math.inf,
+                                    -math.inf, math.nan]),
+                   st.floats(-1.5, 1.5))
+
+
+@st.composite
+def _integrand_inputs(draw):
+    d, n = draw(st.integers(1, 8)), draw(st.integers(1, 64))
+    ks = np.array(sorted(draw(st.lists(st.integers(1, 12), min_size=d, max_size=d,
+                                       unique=True))), dtype=float)
+    zeta0 = draw(arrays(np.float64, n, elements=_ENTRY))
+    zetak = draw(arrays(np.float64, (d, n), elements=_ENTRY))
+    # velocities from -1.5 (nu_0 far below 0) to 1.5 (a rising zeta_k)
+    dzetak = draw(arrays(np.float64, (d, n), elements=_ENTRY))
+    empty = draw(arrays(np.bool_, n))  # nodes with no mass left: r <= 0
+    zeta0[empty] = -np.abs(zeta0[empty])
+    zetak[:, empty] = -np.abs(zetak[:, empty])
+    if draw(st.booleans()):  # the closed-form route passes transposes
+        zetak, dzetak = np.asfortranarray(zetak), np.asfortranarray(dzetak)
+    slack = draw(st.one_of(st.sampled_from([0.0, 1e-8, 1e-3]),
+                           arrays(np.float64, n, elements=st.floats(0.0, 1e-2))))
+    floor = draw(st.sampled_from([0.0, paths._NU_FLOOR]))
+    return zeta0, zetak, dzetak, ks, floor, slack
 
 
 class TestSkorokhod:
@@ -319,6 +368,58 @@ class TestLocalRate:
             StatePoint(x0, {3: 1.0})
 
 
+class TestIntegrandBits:
+    @settings(max_examples=300, deadline=None)
+    @given(_integrand_inputs())
+    def test_in_place_integrand_is_the_stacked_one(self, args):
+        with np.errstate(all="ignore"):
+            got = paths._rate_integrand(*args)
+            want = _reference_integrand(*args)
+        assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("d", [8, 12])
+    def test_transposed_velocities_summed_in_their_own_order(self, d):
+        # numpy sums the columns of a transposed (d, n) array pairwise once
+        # d >= 8, and the rows of a C-ordered one in turn
+        rng = np.random.default_rng(d)
+        ks = np.arange(1.0, d + 1.0)
+        zetak = np.asfortranarray(rng.uniform(0.0, 0.2, (d, 64)))
+        dzetak = np.asfortranarray(-rng.uniform(0.0, 0.2, (d, 64)))
+        zeta0 = rng.uniform(0.0, 0.5, 64)
+        if np.array_equal(np.ascontiguousarray(dzetak).sum(axis=0), dzetak.sum(axis=0)):
+            pytest.skip("this numpy sums both layouts in one order")
+        for floor in (0.0, paths._NU_FLOOR):
+            assert np.array_equal(paths._rate_integrand(zeta0, zetak, dzetak, ks, floor),
+                                  _reference_integrand(zeta0, zetak, dzetak, ks, floor))
+
+    def test_closed_form_route_keeps_its_bits(self, monkeypatch):
+        specs = _segment_battery()
+        got = [path_cost(minimizer_path(spec)) for spec in specs]
+        monkeypatch.setattr(paths, "_rate_integrand", _reference_integrand)
+        assert [path_cost(minimizer_path(spec)) for spec in specs] == got
+
+    def test_grid_route_keeps_its_bits(self):
+        # the grid route's node values are np.interp's at the same node times
+        fps = [_plain(minimizer_path(spec, 301)) for spec in _segment_battery()[:6]]
+        fp = lln_path(DegreeDistribution({1: 0.5, 3: 0.5}), T=1.2, grid_points=301)
+        t2 = float(fp.grid[fp.grid <= fp.tau_markers["tau"] + 1e-12][-1])
+        for path, t1, t2 in [(f, f.grid[0], f.grid[-1]) for f in fps] + [(fp, 0.0, t2)]:
+            seg = path.slice(t1, t2)
+            half = 0.5 * np.diff(seg.grid)
+            mid = seg.grid[:-1] + half
+            g2 = 1.0 / math.sqrt(3.0)
+            t = np.concatenate([mid - half * g2, mid + half * g2])
+            _, dzetak = seg.derivatives()
+            rows = np.vstack([seg.zeta0, seg.zetak.T, dzetak.T, paths._wake_error(dzetak)])
+            vals = np.array([np.interp(t, seg.grid, row) for row in rows])
+            d = len(seg.degrees)
+            rates = _reference_integrand(vals[0], vals[1:d + 1], vals[d + 1:-1],
+                                         np.array(seg.degrees, dtype=float),
+                                         slack=np.maximum(vals[-1], paths._NU_FLOOR))
+            want = float(np.sum(np.concatenate([half, half]) * rates))
+            assert path_cost(path, t1, t2) == want
+
+
 class TestPathCost:
     def test_regular_quadrature_matches(self):
         mp = minimizer_path(make_segment_spec(X1_REG, X2_REG))
@@ -356,6 +457,22 @@ class TestPathCost:
             costs.append(path_cost(FluidPath(grid=t, degrees=(3,), zeta0=z0,
                                              zetak=z3[:, None], psi=z0)))
         assert costs == [0.49681946254229653, math.inf]
+
+    @pytest.mark.parametrize("t", [7.0, 0.013])
+    def test_empty_interval_off_grid_rejected(self, t):
+        # it returned 0.0, while the same bound around a nonempty interval raised
+        fp = lln_path(DegreeDistribution({1: 0.5, 3: 0.5}), T=1.2, grid_points=101)
+        with pytest.raises(DomainError, match="not a grid point"):
+            path_cost(fp, t, t)
+        assert path_cost(fp, float(fp.grid[1]), float(fp.grid[1])) == 0.0
+
+    @pytest.mark.parametrize("t1, t2", [(0.0, math.inf), (math.nan, 0.4)])
+    def test_non_finite_bound_rejected_on_the_grid(self, t1, t2):
+        # t2 = inf made FluidPath.slice's tolerance infinite, so that it took
+        # every grid point; t1 = nan was rejected only as an empty slice
+        fp = lln_path(DegreeDistribution({1: 0.5, 3: 0.5}), T=1.2, grid_points=101)
+        with pytest.raises(DomainError, match="finite"):
+            path_cost(fp, t1, t2)
 
 
 
@@ -428,6 +545,20 @@ class TestClosedFormRoute:
             path_cost(mp, 0.0, 0.8)  # varsigma = 0.75
         with pytest.raises(DomainError):
             path_cost(mp, -0.1, 0.5)
+
+    @pytest.mark.parametrize("t1, t2", [(0.0, math.nan), (math.nan, 0.5)])
+    def test_nan_bound_rejected(self, t1, t2):
+        # each returned nan
+        mp = minimizer_path(make_segment_spec(X1_REG, X2_REG))
+        with pytest.raises(DomainError, match="finite"):
+            path_cost(mp, t1, t2)
+
+    def test_empty_interval_outside_segment_rejected(self):
+        # it returned 0.0, while [0.5, 5.0] raised
+        mp = minimizer_path(make_segment_spec(X1_REG, X2_REG))
+        with pytest.raises(DomainError, match="not inside"):
+            path_cost(mp, 5.0, 5.0)  # varsigma = 0.75
+        assert path_cost(mp, 0.75, 0.75) == 0.0
 
     def test_state_matches_forward_form(self):
         for x1, x2 in [(X1_REG, X2_REG), (X1_ACT, X2_ACT), (X1_LEAF, X2_LEAF)] + BETA_NEAR_ONE:
