@@ -258,10 +258,14 @@ def _batch_hits(counts: dict[int, int], rep_lo: int, rep_hi: int, seed: int,
     State is degree-major and cumulative: row d of ``C`` holds, for every
     lane (replication), the sleeping half-edge mass of the degrees up to
     ``degs[d]``, sum_{d' <= d} degs[d'] V[d'], so its last row is the
-    whole sleeping mass ``s``.  The bucket a wake falls in is then one
-    compare of ``C`` against the floor of the lane's target and one narrow
-    sum, and waking degree ``degs[b]`` is one broadcast subtract from rows
-    b and up; with one degree there is one row and no bucket.  ``C``,
+    whole sleeping mass ``s``.  ``C`` is non-decreasing down its rows, so
+    one compare of ``C[:-1]`` against the floor of the lane's target marks
+    the row b of the bucket a wake falls in and every row after it.  The
+    woken degree ``degs[b]`` is the largest degree less the degree steps
+    ``degs[d + 1] - degs[d]`` of the marked rows, one narrow product and
+    sum, and the wake subtracts it from the marked rows and from ``s``; no
+    bucket index is formed or looked up.  With one degree there is one row
+    and no compare.  ``C``,
     ``Cstart``, ``A``, ``need`` and the woken degrees have the narrowest
     signed type that holds 2m + 1: every value the kernel forms lies in
     [-2m, 2m + 1], ``s + killw``, ``s0 - H`` and the retired need 2m + 1
@@ -305,7 +309,9 @@ def _batch_hits(counts: dict[int, int], rep_lo: int, rep_hi: int, seed: int,
     :func:`cmld.explore.eea_run`).  Every lane starts at A = 0, so step 0
     is a wake; with one degree it wakes that degree whatever the draw, so
     it is taken before the loop and draw 0 is never made.  Step j still
-    reads draw j.
+    reads draw j.  A step from A = 0 always wakes, so a lane whose A is 0
+    after a step has just closed its component: the close test reads A
+    alone, and A after the step is killw + woken - busy.
     """
     degs = np.array(sorted(counts), dtype=np.int64)
     size = np.array([counts[int(k)] for k in degs], dtype=np.int64)
@@ -320,9 +326,10 @@ def _batch_hits(counts: dict[int, int], rep_lo: int, rep_hi: int, seed: int,
     # every value the state takes or forms lies in [-2m, 2m + 1], and 2m + 1
     # is odd, so the narrowest signed type holding -(2m + 1) holds them all
     idt = np.min_scalar_type(-retired)
-    # the bucket index is below D
-    bdt = np.int8 if D < 128 else np.intp
     k = degs.astype(idt)
+    # the degree steps, in a signed type holding the largest degree: their
+    # sums over any rows are below it
+    dk = np.diff(degs).astype(np.min_scalar_type(-int(degs[-1])))[:, None]
 
     C = np.repeat(np.cumsum(degs * size).astype(idt)[:, None], R, axis=1)
     Cstart = C.copy()
@@ -333,7 +340,6 @@ def _batch_hits(counts: dict[int, int], rep_lo: int, rep_hi: int, seed: int,
         buffers = _lane_buffers(R)
     keys, u, scratch = (buf[:R] for buf in buffers)
     keys = stream_keys(seed, np.arange(rep_lo, rep_hi, dtype=np.uint64), keys, scratch)
-    cols = np.arange(D, dtype=bdt)[:, None]
     hits = 0
     j0 = 0
     if D == 1:  # every lane starts at A = 0, so step 0 wakes the one degree
@@ -353,19 +359,25 @@ def _batch_hits(counts: dict[int, int], rep_lo: int, rep_hi: int, seed: int,
         wakes = x >= killw
         if D > 1:
             x -= killw
-            b = (C[:-1] <= x).sum(axis=0, dtype=bdt)
+            # C is non-decreasing down its rows, so g marks the bucket's row
+            # and the rows after it, and the woken degree is k[-1] less the
+            # degree steps that g marks
+            g = C[:-1] > x
             del x  # so the subtract below, the step's peak, does not hold it
-            woken = k.take(b)
+            woken = k[-1] - (g * dk).sum(axis=0, dtype=dk.dtype)
             woken *= wakes
-            C -= (cols >= b) * woken  # rows b and up lose the woken degree; s with them
+            C[:-1] -= g * woken  # the marked rows lose the woken degree
+            del g  # else it lives on beside the next step's compare, raising the peak
+            C[-1] -= woken  # and so does s
         else:  # one degree: a wake takes it from the one row
             woken = wakes * k[0]
             C -= woken
-        A += woken
-        A -= busy
-        A -= busy
+        killw += woken  # A + woken - 2 busy
+        killw -= busy
+        A = killw
 
-        idx = np.flatnonzero(busy & (A == 0))
+        # a step from A = 0 always wakes, so A = 0 after a step is a close
+        idx = np.flatnonzero(A == 0)
         if idx.size:
             # a hitting component ends with s >= s0 - H >= need, so a lane
             # below its need is retired or can no longer hit

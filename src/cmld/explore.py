@@ -41,7 +41,7 @@ import numpy as np
 from .core import DegreeDistribution, _degree
 from .errors import DomainError, ParityError, StateError
 from .fluid import FluidPath
-from .rng import CounterRNG
+from .rng import _CHUNK, CounterRNG
 
 _MIN_BLOCK = 512  # fewer steps than this do not repay a block's fixed cost
 _MIN_COMMIT = 32  # a round committing fewer steps ends its block
@@ -160,10 +160,19 @@ def sample_multigraph(d: DegreeSequence, rng: CounterRNG) -> np.ndarray:
     pairing; multi-edges and self-loops are retained.  Returns an (m, 2)
     int64 array whose row e holds the vertices of shuffled half-edges 2e
     and 2e + 1.
+
+    The shuffle's int32 sources come first; only once its scratch is freed
+    are the int32 half-edge-to-vertex map and the result allocated, and the
+    result is gathered 2^16 entries at a time, so no full-width intp index
+    is made.  The shuffle and the gather each hold 16 bytes per half-edge.
+    More than 2^31 half-edges raise :class:`DomainError`.
     """
-    half = np.repeat(np.arange(d.n, dtype=np.int64),
-                     np.array(d.degrees, dtype=np.int64))
-    rng.shuffle(half)
+    size = 2 * d.m
+    src = rng._fy_sources(size)
+    vertex = np.repeat(np.arange(d.n, dtype=np.int32), d.degrees)
+    half = np.empty(size, dtype=np.int64)
+    for a in range(0, size, _CHUNK):
+        half[a:a + _CHUNK] = vertex.take(src[a:a + _CHUNK])
     return half.reshape(-1, 2)
 
 

@@ -10,10 +10,16 @@ an absorbing state see identical uniforms at identical step indices.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DomainError
+
+_CHUNK = 1 << 16  # draws and index entries per chunk of a shuffle
+# the int32 words holding the high and the low half of an int64
+_HI, _LO = (0, 1) if sys.byteorder == "big" else (1, 0)
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -123,9 +129,12 @@ class CounterRNG:
     stream: int = 0
     _key: int = field(init=False, repr=False)
     _ctr: int = field(init=False, default=0, repr=False)
+    # the key as a uint64 scalar, converted once rather than on every block
+    _ukey: np.uint64 = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._key = stream_key(self.seed, self.stream)
+        self._ukey = np.uint64(self._key)
 
     def uniform(self) -> float:
         u = counter_uniform(self._key, self._ctr)
@@ -141,7 +150,7 @@ class CounterRNG:
         """Draws start, ..., start + count - 1, without moving the counter."""
         ctrs = np.arange(start + 1, start + count + 1, dtype=np.uint64)
         ctrs *= _U_GOLDEN
-        ctrs += np.uint64(self._key)
+        ctrs += self._ukey
         return _unit_floats(_mix64_vec(ctrs, np.empty_like(ctrs)), ctrs.view(np.float64))
 
     def skip(self, count: int) -> None:
@@ -156,9 +165,19 @@ class CounterRNG:
         """In-place Fisher-Yates shuffle, without a loop over the swaps.
 
         Step i = L-1, ..., 1 swaps positions i and ``j_i = randrange(i + 1)``;
-        the L - 1 draws are taken at once, with the same product and
-        truncation, and the result is the swap loop's exactly.  Three facts
-        resolve the swaps:
+        the result is the swap loop's exactly, for every length up to 2^31
+        and every dtype (see :meth:`_fy_sources`).  A longer array raises
+        :class:`DomainError` before any draw is made.
+        """
+        arr[:] = arr[self._fy_sources(len(arr))]
+
+    def _fy_sources(self, L: int) -> np.ndarray:
+        """Where each entry of a Fisher-Yates shuffle of length ``L`` comes
+        from: int32 ``src`` such that ``arr[src]`` is :meth:`shuffle`'s result.
+
+        The L - 1 draws are the swap loop's, taken with the same product and
+        truncation, and the counter moves past them.  Three facts resolve the
+        swaps:
 
         - position i is final after step i, and takes what position j_i
           holds just before it;
@@ -176,46 +195,65 @@ class CounterRNG:
         resolved by pointer jumping in about log2 of its length rounds.  A
         step with j_p = p heads group p, so the chain of p stops at p
         itself; no step reads it, since step p takes what its successor
-        held like any other step.  Everything is integer indexing (int32
-        below 2^31 entries), so the result is bitwise the loop's for every
-        length and dtype.
+        held like any other step.
+
+        The draws are made 2^16 at a time, straight into one int64 sort key
+        j 2^32 + i per step, written as its two int32 words; after the sort
+        the words are the sorted j and i, read in place.  Every full-width
+        take and put runs on int32 indices 2^16 entries at a time, since
+        numpy copies an index array to intp first.  The words are exact up
+        to L = 2^31, so a longer shuffle raises :class:`DomainError`; below
+        it the result is bitwise the loop's.  The working set is 16 bytes
+        per entry: the keys, ``src`` and the jumping's second buffer.
         """
-        L = len(arr)
-        idx = np.int32 if L < 1 << 31 else np.int64
-        u = self.uniforms(max(L - 1, 0))
-        u *= np.arange(L, 1, -1)
-        keys = u.astype(np.int64)  # j_i for i = L-1, ..., 1
-        del u
-        # one sort of j * L + i groups the steps by target, ascending i in each group
-        keys *= L
-        keys += np.arange(L - 1, 0, -1)
-        keys.sort()
-        sj, si = np.divmod(keys, L)
-        del keys
-        sj = sj.astype(idx)
-        si = si.astype(idx)
-        cont = sj[1:] == sj[:-1]  # step k's successor in its group is step k + 1
-        first = np.empty(len(sj), dtype=bool)
-        first[:1] = True
-        np.logical_not(cont, out=first[1:])
+        if L > 1 << 31:
+            raise DomainError(f"a shuffle of {L} entries is longer than 2^31")
+        if L < 2:  # no step, no draw
+            return np.arange(L, dtype=np.int32)
+        steps = L - 1
+        # one int64 key j 2^32 + i per step, written as its two int32 words
+        # (j and i are below 2^31); a last key of j = -1, i = 0 lets every
+        # chunk compare each step with the next and read its position
+        keys = np.empty(steps + 1, dtype=np.int64)
+        keys[-1] = -1 << 32
+        words = keys.view(np.int32)
+        sj, si = words[_HI::2], words[_LO::2]
+        for a in range(0, steps, _CHUNK):
+            b = min(a + _CHUNK, steps)
+            u = self._block(self._ctr + a, b - a)
+            # i + 1 for the steps i drawn here, as exact floats
+            u *= np.arange(L - a, L - b, -1.0)
+            np.copyto(sj[a:b], u, casting="unsafe")  # j_i, truncated as astype does
+            si[a:b] = np.arange(L - 1 - a, L - 1 - b, -1, dtype=np.int32)
+        self._ctr += steps
+        # one sort groups the steps by target, ascending i in each group
+        keys[:-1].sort()
         # src[p] starts as the smallest step writing into p, the last write
-        # before step p; jumped to its fixed point it is the position whose
-        # original entry p holds just before step p
-        src = np.arange(L, dtype=idx)
-        src.put(sj.compress(first), si.compress(first))
-        del first
+        # before step p: put writes in index order, so put in reverse the
+        # first of each group is written last.  Jumped to its fixed point it
+        # is the position whose original entry p holds just before step p
+        src = np.arange(L, dtype=np.int32)
+        rj, ri = sj[-2::-1], si[-2::-1]
+        for a in range(0, steps, _CHUNK):
+            src.put(rj[a:a + _CHUNK], ri[a:a + _CHUNK])
         # pointers never decrease, so the sum stops changing exactly at the fixed point
         nxt = np.empty_like(src)
         total = np.add.reduce(src)
         while True:
-            src.take(src, out=nxt, mode="clip")  # indices are in range by construction
+            for a in range(0, L, _CHUNK):
+                # indices are in range by construction, and "clip" writes straight into out
+                src.take(src[a:a + _CHUNK], out=nxt[a:a + _CHUNK], mode="clip")
             s = np.add.reduce(nxt)
             src, nxt = nxt, src
             if s == total:
                 break
             total = s
         del nxt
-        # step si[k] takes what its group successor held, else the entry at sj[k]
-        np.copyto(sj[:-1], src.take(si[1:]), where=cont)
-        src.put(si, sj)
-        arr[:] = arr[src]
+        # step si[k] takes what its group successor held, else the entry at
+        # sj[k]; a chunk reads only positions that no earlier chunk wrote
+        for a in range(0, steps, _CHUNK):
+            b = min(a + _CHUNK, steps)
+            j = sj[a:b]
+            np.copyto(j, src.take(si[a + 1:b + 1]), where=sj[a + 1:b + 1] == j)
+            src.put(si[a:b], j)
+        return src

@@ -248,6 +248,19 @@ class TestEventProbability:
             small = estimate_event_prob(d, q, eps, reps=reps, seed=seed, chunk_size=64)
             assert default.hits == small.hits == scalar
 
+    def test_matches_scalar_chain_on_thirty_degrees(self):
+        # thirty degree columns, one step apart, at int16 state: the wake
+        # compare has 29 rows.  The window is a component of at most three
+        # vertices of each degree and four leaves, about one replication in 50
+        p30 = {k: 0.06 if k <= 10 else 0.03 if k <= 20 else 0.01 for k in range(1, 31)}
+        d = DegreeSequence.from_distribution(DegreeDistribution(p30), 100)
+        assert sorted(d.counts()) == list(range(1, 31))
+        event = _event(d, {1: 0.01}, 0.03)
+        reps, seed = 2000, 4242
+        scalar, _ = _scalar_hits(d, seed, reps, event)
+        assert 10 <= scalar < reps
+        assert _batch_hits(d.counts(), 0, reps, seed, *event) == scalar
+
     def test_matches_scalar_chain_on_rare_regular(self):
         # criterion 6's shape: an 8-vertex component of a 16-vertex 3-regular
         # graph; a lane whose first component is small goes on to hit with a

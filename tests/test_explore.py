@@ -113,7 +113,10 @@ class TestMatching:
         return ref, rng._ctr
 
     def test_shuffle_matches_randrange_loop(self):
-        for length in (0, 1, 2, 3, 7, 64, 1000, 65537):
+        # the shuffle draws and indexes 2^16 entries at a time: 65537 entries
+        # fill one draw chunk, and the longer lengths end one short of, on and
+        # one past the second chunk's end, and one past the third's
+        for length in (0, 1, 2, 3, 7, 64, 1000, 65537, 131071, 131072, 131073, 196609):
             for seed in (3, 2024):
                 ref, ref_ctr = self._loop_shuffle(seed, 5, range(length))
                 rng = CounterRNG(seed, 5)
@@ -128,16 +131,42 @@ class TestMatching:
         assert arr.dtype == np.float64 and arr.tolist() == ref
 
     def test_multigraph_pairs_the_reference_shuffle(self):
-        p = DegreeDistribution({1: 0.3, 2: 0.1, 3: 0.2, 4: 0.15, 5: 0.1, 7: 0.1, 10: 0.05})
-        d = DegreeSequence.from_distribution(p, 2000)
-        half = np.repeat(np.arange(d.n), d.degrees).tolist()
-        for seed in (1, 9):
-            ref, ref_ctr = self._loop_shuffle(seed, 1, half)
-            rng = CounterRNG(seed, 1)
-            edges = sample_multigraph(d, rng)
-            assert edges.shape == (d.m, 2) and edges.dtype == np.int64
-            assert edges.tolist() == [ref[k:k + 2] for k in range(0, 2 * d.m, 2)]
-            assert rng._ctr == ref_ctr == 2 * d.m - 1
+        # at n = 40000 there are about 1.4e5 half-edges: three draw chunks
+        p = DegreeDistribution(P_MIX)
+        for n in (2000, 40000):
+            d = DegreeSequence.from_distribution(p, n)
+            half = np.repeat(np.arange(d.n), d.degrees).tolist()
+            for seed in (1, 9):
+                ref, ref_ctr = self._loop_shuffle(seed, 1, half)
+                rng = CounterRNG(seed, 1)
+                edges = sample_multigraph(d, rng)
+                assert edges.shape == (d.m, 2) and edges.dtype == np.int64
+                assert edges.tolist() == [ref[k:k + 2] for k in range(0, 2 * d.m, 2)]
+                assert rng._ctr == ref_ctr == 2 * d.m - 1
+
+    def test_multigraph_working_set(self):
+        # the shuffle's keys, sources and second buffer, then the sources, the
+        # int32 vertex map and the int64 result: 16 bytes per half-edge each,
+        # beside 2^16-entry chunks
+        d = DegreeSequence.from_distribution(DegreeDistribution(P_MIX), 100_000)
+        tracemalloc.start()
+        try:
+            sample_multigraph(d, CounterRNG(7, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2 * d.m
+
+    def test_shuffle_longer_than_2_31_rejected(self):
+        # j 2^32 + i keys and int32 indices are exact up to 2^31 entries; the
+        # check reads the length alone, so a zero-stride view of 2^31 + 1
+        # entries, which holds one byte, stands for the array
+        rng = CounterRNG(3, 0)
+        with pytest.raises(DomainError, match="2\\^31"):
+            rng._fy_sources(2**31 + 1)
+        with pytest.raises(DomainError, match="2\\^31"):
+            rng.shuffle(np.broadcast_to(np.int8(0), (2**31 + 1,)))
+        assert rng._ctr == 0
 
 
 class TestExplorationRuns:
