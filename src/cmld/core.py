@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from .errors import DomainError, FeasibilityError
 
 PROB_TOL = 1e-12
@@ -227,90 +225,46 @@ def _transition_fn(w: Mapping[int, float], x10: float, x20: float):
 
 
 def bisect_increasing(f, lo: float, hi: float) -> float:
-    """Root of an increasing function on [lo, hi] by bisection, with Newton
-    steps when f also gives its slope.
+    """Root of an increasing function on [lo, hi] by Newton steps kept
+    inside a bisection bracket; the package's one root finder.
 
-    The shared root finder of the package; a decreasing function is passed
-    negated.  Expects f(lo) <= 0 <= f(hi) and does not evaluate the ends;
-    callers that need the bracket checked do so themselves.  Each value of
-    f moves an end of the bracket to the point evaluated: the lower end if
-    it is negative, else the upper end.  The next point is the midpoint;
-    the search stops when the bracket is at most 1e-15 wide, its midpoint
-    no longer lies strictly inside, or 200 points have been evaluated, and
-    returns the midpoint.  This leaves residuals well inside the
-    documented 1e-12.
+    f returns (value, slope); a decreasing function is passed negated, and
+    a function with no useful slope returns slope 0.0, which gives plain
+    halving.  Expects f(lo) <= 0 <= f(hi) and does not evaluate the ends;
+    callers that need the bracket checked do so themselves.  Each value
+    moves an end of the bracket to the point evaluated: the lower end if
+    it is negative, else the upper end.  The next point is the Newton step
+    x - value / slope when the slope is positive and the step lands
+    strictly inside the bracket, and the midpoint otherwise.
 
-    If f returns a tuple (value, slope), the next point is the Newton step
-    x - value / slope instead, whenever the slope is positive and the step
-    lands strictly inside the bracket; every value still moves an end by
-    its sign.  The search then also stops, returning the point evaluated,
-    where f is zero or where the Newton step moves it by at most 1e-15
-    relative.
+    The search returns the point evaluated where f is zero or where the
+    Newton step moves it by at most 1e-15 relative.  Otherwise it returns
+    the midpoint once the bracket is at most 1e-15 min(1, max(-lo, hi))
+    wide, once the midpoint no longer lies strictly inside, or after 200
+    points.  The width bound is absolute for a bracket reaching beyond
+    unit size, such as the Clopper-Pearson bracket [-745, 0], and relative
+    to the larger end below that, so a root of 1e-20 on [0, 1] is found to
+    1e-15 relative and not returned as a midpoint near 1e-16.
     """
     x = None  # the next point: a Newton step, or None for the midpoint
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-15 or not lo < mid < hi:
+        if hi - lo <= 1e-15 * min(1.0, max(-lo, hi)) or not lo < mid < hi:
             break
         if x is None:
             x = mid
-        value = f(x)
-        slope = None
-        if isinstance(value, tuple):
-            value, slope = value
-        if value < 0.0:
-            lo = x
-        else:
-            hi = x
-        if slope is not None:
-            if value == 0.0:
+        value, slope = f(x)
+        if value == 0.0:
+            return x
+        lo, hi = (x, hi) if value < 0.0 else (lo, x)
+        if slope > 0.0:
+            step = value / slope
+            if abs(step) <= 1e-15 * abs(x):
                 return x
-            if slope > 0.0:
-                step = value / slope
-                if abs(step) <= 1e-15 * abs(x):
-                    return x
-                x -= step
-                if lo < x < hi:
-                    continue
+            x -= step
+            if lo < x < hi:
+                continue
         x = None
-    return 0.5 * (lo + hi)
-
-
-def bisect_increasing_array(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """:func:`bisect_increasing` lane by lane for a vectorised f.
-
-    f maps an array of points to the array of values, or to a tuple (values,
-    slopes), lane i of the output depending only on lane i of the input;
-    the lanes are the broadcast shape of lo and hi.  Each lane follows the
-    scalar rule, halving or taking its own Newton step, and is frozen once
-    it stops; f is still evaluated on frozen lanes, whose values are
-    ignored.  With f evaluated to the same bits as its scalar form, each
-    lane returns the same bits as :func:`bisect_increasing`.  Each point
-    costs a few array operations, so a single root is far cheaper by the
-    scalar form.
-    """
-    lo, hi = (np.array(a, dtype=float) for a in np.broadcast_arrays(lo, hi))
-    live = np.ones(lo.shape, dtype=bool)
-    x = np.full(lo.shape, np.nan)  # each lane's Newton step, NaN for its midpoint
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        live &= (hi - lo > 1e-15) & (lo < mid) & (mid < hi)
-        if not live.any():
-            break
-        point = np.where(np.isnan(x), mid, x)
-        value = f(point)
-        value, slope = value if isinstance(value, tuple) else (value, None)
-        below = value < 0.0
-        lo = np.where(live & below, point, lo)
-        hi = np.where(live & ~below, point, hi)
-        if slope is not None:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = value / slope
-                # a lane that stops is pinned, lo = hi = its point, so it stays stopped
-                stop = live & ((value == 0.0) | (slope > 0.0) & (abs(step) <= 1e-15 * abs(point)))
-                lo, hi = np.where(stop, point, lo), np.where(stop, point, hi)
-                x = point - step
-                x[~((slope > 0.0) & (lo < x) & (x < hi))] = np.nan
     return 0.5 * (lo + hi)
 
 

@@ -13,7 +13,11 @@ The zero-cost trajectory explores the graph at unit pace along one
 profile zeta_k(t) = p_k y(t)^k: y = sqrt(1 - 2t/mu) until tau = mu(1-rho^2)/2
 (the giant is exhausted), then y = rho f_rho(t - tau), with f_s the inverse
 of F_s(u) = G0(s) - G0(su).  Without a giant the sentinel rho = 1 gives
-tau = 0, so the profile is p_k f_1(t)^k throughout.
+tau = 0, so the profile is p_k f_1(t)^k throughout.  rho is found by
+:func:`cmld.core.bisect_increasing`, the package's one root finder; f_s
+needs no bracket, since G0 has nonnegative coefficients and so is convex
+and increasing on [0, 1]: :func:`inverse_Fs` descends onto it by Newton
+steps from u = 1.
 
 Up to tau, zeta_0 = sum_k k (p_k - zeta_k) - 2t by unit pace and psi = zeta_0.
 After tau there is no active mass and psi = sum_k (k - 2)(p_k rho^k - zeta_k),
@@ -26,7 +30,7 @@ import math
 
 import numpy as np
 
-from .core import DegreeDistribution, bisect_increasing, bisect_increasing_array
+from .core import DegreeDistribution, bisect_increasing
 from .errors import DomainError
 from .fluid import FluidPath
 
@@ -95,15 +99,29 @@ def giant_fraction(p: DegreeDistribution) -> float:
     return 1.0 - gen_G0(p, survival_rho(p))
 
 
+def _g0_and_slope(p: DegreeDistribution, s: float, u):
+    """G0(su) and its slope s G0'(su) in u, for a float or an array u."""
+    z = s * u
+    terms = [(k, v, z ** (k - 1)) for k, v in p.weights.items()]
+    return sum(v * w * z for _, v, w in terms), s * sum(k * v * w for k, v, w in terms)
+
+
 def inverse_Fs(p: DegreeDistribution, s: float, t):
     """f_s(t): inverse of F_s(u) = G0(s) - G0(su) for t <= G0(s), else 0.
 
     t is a float or an array of times; a float t gives a float.  Lanes with
     t = 0 return 1 and lanes with t >= G0(s), an infinite t among them,
-    return 0 exactly; only the times in (0, G0(s)) are solved, together, by
-    one call of :func:`cmld.core.bisect_increasing_array`, whose lanes take
-    Newton steps from the slope s G0'(su).  A negative or NaN time raises
-    :class:`DomainError`.
+    return 0 exactly; a negative or NaN time raises :class:`DomainError`.
+
+    The times in (0, G0(s)) are solved together, with no bracket, by Newton
+    descent on h(u) = G0(su) - (G0(s) - t) from u = 1, where h = t > 0,
+    with the slope s G0'(su).  G0 has nonnegative coefficients, so h is
+    convex and increasing on [0, 1]: each Newton point lies at or above the
+    root, and a lane falls monotonically.  A lane moves while h > 0 and its
+    Newton point is lower than u, so each moving lane strictly decreases
+    every round and the loop ends when none moves.  A lane whose last step
+    overshot the root by a rounding, leaving h < 0, takes one Newton step
+    back up.
     """
     if not 0.0 < s <= 1.0:
         raise DomainError(f"s must lie in (0, 1], got {s}")
@@ -115,14 +133,21 @@ def inverse_Fs(p: DegreeDistribution, s: float, t):
     g0s = gen_G0(p, s)
     u = np.where(tt <= 0.0, 1.0, 0.0)
     open_ = (tt > 0.0) & (tt < g0s)
-    target = g0s - tt[open_]  # solve G0(s u) = target, increasing in u
-
-    def gap(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        z = s * u
-        terms = [(v * z ** k, k * v * z ** (k - 1)) for k, v in p.weights.items()]
-        return sum(t for t, _ in terms) - target, s * sum(d for _, d in terms)
-
-    u[open_] = bisect_increasing_array(gap, np.zeros(target.shape), np.ones(target.shape))
+    h = tt[open_]
+    target = g0s - h
+    x, dh = np.ones(h.shape), np.full(h.shape, _g0_and_slope(p, s, 1.0)[1])
+    lane = np.arange(h.size)  # the lanes still moving
+    while lane.size:
+        step = x[lane] - h[lane] / dh[lane]
+        down = step < x[lane]
+        lane, step = lane[down], step[down]
+        x[lane] = step
+        value, dh[lane] = _g0_and_slope(p, s, step)
+        h[lane] = value - target[lane]
+        lane = lane[h[lane] > 0.0]
+    back = h < 0.0
+    x[back] -= h[back] / dh[back]
+    u[open_] = x
     return float(u) if u.ndim == 0 else u
 
 
@@ -152,9 +177,11 @@ def lln_path(p: DegreeDistribution, T: float | None = None, grid_points: int = 1
     Without ``grid``, the grid is ``grid_points`` uniform points with four
     times the density within five spacings of tau, and tau itself
     (:func:`_refined_grid`); when 0 < tau < T it therefore holds more points
-    than asked, 1032 for p = {1: .5, 3: .5} at 1001.  The returned path
-    carries tau markers and summary scalars (mu, nu, rho, tau, giant
-    fraction) in ``meta``.
+    than asked, 1032 for p = {1: .5, 3: .5} at 1001.  Every grid point
+    after tau is solved by one call of :func:`inverse_Fs`, whose Newton
+    descent runs all of them together.  The returned path carries tau
+    markers and summary scalars (mu, nu, rho, tau, giant fraction) in
+    ``meta``.
     """
     mu = p.mu
     if grid is not None:

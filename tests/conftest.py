@@ -42,3 +42,35 @@ def _exact_rel_err(x: float, k: int, n: int, level: float) -> float:
         tail = total if j0 == k else 1 - total
         slope = n * mp.binomial(n - 1, k - 1) * x ** (k - 1) * (1 - x) ** (n - k)
         return float((tail - level) / slope / x)
+
+
+@pytest.fixture(scope="session")
+def inverse_Fs_rel_err():
+    """The relative error of u as f_s(t), against a 50-digit root."""
+    return _inverse_Fs_rel_err
+
+
+def _inverse_Fs_rel_err(p, s: float, t: float, u: float) -> float:
+    """Relative error of u as the root of G0(s u) = G0(s) - t in (0, 1].
+
+    G0(s) is the float that ``inverse_Fs`` compares t with, taken exactly;
+    times near it leave targets of a few ulps of G0(s), which only that
+    float defines.  The root is found at 50 digits by Newton steps from
+    u = 1, which fall monotonically onto it since G0 is convex.
+    """
+    import mpmath as mp
+
+    from cmld import gen_G0
+
+    with mp.workdps(50):
+        w = [(k, mp.mpf(v)) for k, v in p.weights.items()]
+        s_, target = mp.mpf(s), mp.mpf(gen_G0(p, s)) - mp.mpf(t)
+        root = mp.mpf(1)
+        for _ in range(2000):
+            z = s_ * root
+            value = sum(v * z ** k for k, v in w) - target
+            step = value / (s_ * sum(k * v * z ** (k - 1) for k, v in w))
+            root -= step
+            if abs(step) <= mp.mpf(10) ** -45 * root:
+                break
+        return float((u - root) / root)

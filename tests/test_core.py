@@ -30,7 +30,7 @@ from cmld import (
     rate_d_regular_subgraph,
 )
 from cmld import core, estimate, lln
-from cmld.core import bisect_increasing, bisect_increasing_array
+from cmld.core import bisect_increasing
 from cmld.estimate import clopper_pearson
 from cmld.lln import inverse_Fs, survival_rho
 
@@ -111,39 +111,6 @@ class TestBetaRoot:
         assert F(lo) < F(hi)
 
 
-class TestBisectArray:
-    def test_lanes_match_scalar_bits(self):
-        # x*x*x - c and 3*x*x are evaluated to the same bits by numpy and
-        # Python, so each lane must follow the scalar halvings, or with the
-        # slope the scalar Newton steps, exactly; the brackets make the lanes
-        # stop after different numbers of points
-        c = np.array([0.5, 1e-12, 2.0, 7.9, 1e3, 0.0, 0.3, 1e-300])
-        lo = np.array([0.0, 0.0, 1.0, 0.0, 9.0, -1.0, 0.6, 0.0])
-        hi = np.array([1.0, 1e-3, 2.0, 8.0, 11.0, 1.0, 0.6 + 1e-14, 1e-99])
-        for sloped in (False, True):
-            def cube(x, c):
-                value = x * x * x - c
-                return (value, 3.0 * x * x) if sloped else value
-
-            rounds = []
-            got = bisect_increasing_array(lambda x: rounds.append(x) or cube(x, c), lo, hi)
-            points = []
-            for i in range(len(c)):
-                calls = []
-                want = bisect_increasing(lambda x: calls.append(x) or cube(x, c[i]),
-                                         float(lo[i]), float(hi[i]))
-                assert got[i] == want, (sloped, i)
-                points.append(len(calls))
-            assert len(set(points)) >= 4
-            # the array form runs until its last lane stops, and no longer
-            assert len(rounds) == max(points)
-
-    def test_empty_and_single_lane(self):
-        assert bisect_increasing_array(lambda x: x, np.zeros(0), np.ones(0)).shape == (0,)
-        one = bisect_increasing_array(lambda x: x * x - 0.5, 0.0, 1.0)
-        assert one.shape == () and float(one) == bisect_increasing(lambda x: x * x - 0.5, 0.0, 1.0)
-
-
 class TestBisectSlope:
     @staticmethod
     def solve(f, lo, hi):
@@ -158,9 +125,9 @@ class TestBisectSlope:
     def test_cube_root_against_mpmath(self):
         root, points = self.solve(lambda x: (x ** 3 - 2.0, 3.0 * x * x), 0.0, 4.0)
         assert root == pytest.approx(float(mpmath.cbrt(2)), rel=2.3e-16)
-        # plain halving takes 52 points to reach 1e-15
+        # plain halving, slope 0.0, takes 52 points to reach 1e-15
         assert len(points) <= 8
-        assert len(self.solve(lambda x: x ** 3 - 2.0, 0.0, 4.0)[1]) > 40
+        assert len(self.solve(lambda x: (x ** 3 - 2.0, 0.0), 0.0, 4.0)[1]) > 40
 
     def test_flat_tails_fall_back_to_halving(self):
         # from x = 30 the logistic is flat, so its Newton step leaves
@@ -288,7 +255,8 @@ def _mp_beta(q, dps=60):
 def _mp_rho(p, dps=50):
     """rho = G1(rho) for the float weights of p, in dps digits."""
     w = {k: mpmath.mpf(v) for k, v in p.weights.items()}
-    mu = sum(k * v for k, v in w.items())
+    with mpmath.workdps(dps):  # at double precision mu would drop a p_1 below 1e-16
+        mu = sum(k * v for k, v in w.items())
     return _mp_bisect(lambda z: sum(k * v * _mp_geometric(z, k - 1)
                                     for k, v in w.items()) / mu - 1, dps)
 
@@ -331,9 +299,30 @@ class TestRootCallersKeepBits:
             if h < n:
                 assert abs(exact_rel_err(hi, h + 1, n, 0.975)) <= 1e-12, (h, n)
 
-    def test_inverse_Fs(self):
-        u = inverse_Fs(P13, 0.8, np.linspace(0.0, 0.6, 41))
-        assert _sha256(u) == "6862de1e130c24b82429eab47448cffec2e2a53ea1e0693f15cef6700ff9bc63"
+    def test_inverse_Fs(self, inverse_Fs_rel_err):
+        t = np.linspace(0.0, 0.6, 41)
+        u = inverse_Fs(P13, 0.8, t)
+        assert _sha256(u) == "18ebcdf8053eaf34a9bc862c33489a5dfaf9971b4f73a1e1bf8fcddf05ea6d97"
+        for ti, ui in zip(t[1:], u[1:]):  # t = 0 gives 1 exactly
+            assert abs(inverse_Fs_rel_err(P13, 0.8, ti, ui)) <= 1e-15, ti
+
+
+class TestTinyRoots:
+    # a root below 1e-15 on [0, 1] was returned as a midpoint near 1e-16
+    # while the bracket stop was absolute; survival_rho({1: 1e-20, 4: 1})
+    # read 2.698e-16 for 2.5e-21
+    @pytest.mark.parametrize("q1", [1e-15, 1e-20, 1e-30])
+    def test_beta_of_q(self, q1):
+        for q in ({1: q1, 3: 0.3}, {1: q1, 4: 0.2, 7: 0.1}):
+            want = _mp_beta(q)
+            assert abs(beta_of_q(q) - want) <= 1e-15 * want, q
+
+    @pytest.mark.parametrize("p1", [1e-15, 1e-20, 1e-30])
+    def test_survival_rho(self, p1):
+        for w in ({1: p1, 3: 1.0}, {1: p1, 4: 1.0}, {1: p1, 2: 0.3, 5: 0.7}):
+            p = DegreeDistribution(w)
+            want = _mp_rho(p)
+            assert abs(survival_rho(p) - want) <= 1e-15 * want, w
 
 
 class TestKCorrection:

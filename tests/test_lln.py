@@ -18,7 +18,7 @@ from cmld import (
     survival_rho,
 )
 from cmld import lln
-from cmld.core import bisect_increasing, bisect_increasing_array
+from cmld.core import bisect_increasing
 
 P13 = DegreeDistribution({1: 0.5, 3: 0.5})
 P3 = DegreeDistribution({3: 1.0})
@@ -121,27 +121,60 @@ class TestInverseFs:
         assert inverse_Fs(P13, 0.8, math.inf) == 0.0
         assert inverse_Fs(P13, 0.8, np.array([math.inf, 0.0])).tolist() == [0.0, 1.0]
 
-    def test_only_open_times_are_bisected(self, monkeypatch):
-        lanes = []
+    def test_only_open_times_are_solved(self, monkeypatch):
+        lanes, pair = [], lln._g0_and_slope  # the lanes of each array the descent evaluates
 
-        def counted(f, lo, hi):
-            lanes.append(np.shape(lo))
-            return bisect_increasing_array(f, lo, hi)
+        def counted(p, s, u):
+            if np.ndim(u):
+                lanes.append(np.size(u))
+            return pair(p, s, u)
 
-        monkeypatch.setattr(lln, "bisect_increasing_array", counted)
+        monkeypatch.setattr(lln, "_g0_and_slope", counted)
         g0s = gen_G0(P13, 0.8)
         t = np.array([0.0, 0.3 * g0s, g0s, 2.0, 0.7 * g0s, math.inf])
         u = inverse_Fs(P13, 0.8, t)
-        assert lanes == [(2,)]
+        # every lane stops for good, so each round evaluates no more lanes than the last
+        assert lanes[0] == 2 and lanes == sorted(lanes, reverse=True)
         assert u[[0, 2, 3, 5]].tolist() == [1.0, 0.0, 0.0, 0.0]
-        assert inverse_Fs(P13, 0.8, 0.3 * g0s) == u[1] and lanes[1:] == [(1,)]
-        assert inverse_Fs(P13, 0.8, 2.0) == 0.0 and lanes[2:] == [(0,)]
+        lanes.clear()
+        assert inverse_Fs(P13, 0.8, 0.3 * g0s) == u[1] and max(lanes) == 1
+        lanes.clear()
+        assert inverse_Fs(P13, 0.8, 2.0) == 0.0 and lanes == []
         # lln_path's default grid for p_mix: most post-tau points are past G0(rho)
         lanes.clear()
         fp = lln_path(P_MIX, T=0.5 * P_MIX.mu + 2.0)
         post = fp.grid[fp.grid > fp.meta["tau"]] - fp.meta["tau"]
         n_open = int(np.count_nonzero(post < gen_G0(P_MIX, fp.meta["rho"])))
-        assert lanes == [(n_open,)] and 0 < 2 * n_open < post.size
+        assert lanes[0] == n_open and max(lanes) == n_open and 0 < 2 * n_open < post.size
+
+    @pytest.mark.parametrize("w", [{100: 1.0}, {2: 1.0}, {30: 0.5, 400: 0.5},
+                                   {1: 1e-12, 2: 0.5, 1000: 0.5 - 1e-12}])
+    @pytest.mark.parametrize("s", [1.0, 0.5, 1e-3])
+    def test_descent_ends(self, monkeypatch, w, s):
+        # each round is one evaluation; a steep G0 makes the lanes near
+        # exhaustion fall about a factor 1 - 1/k per round from u = 1
+        p = DegreeDistribution(w)
+        g0s = gen_G0(p, s)
+        t = np.append(g0s * np.array([1e-16, 1e-8, 0.5, 1.0 - 1e-8]), np.nextafter(g0s, 0.0))
+        rounds, pair = [], lln._g0_and_slope
+        monkeypatch.setattr(lln, "_g0_and_slope", lambda *a: rounds.append(1) or pair(*a))
+        u = inverse_Fs(p, s, t)
+        assert len(rounds) <= 50
+        assert np.all((0.0 < u) & (u <= 1.0))
+
+    @pytest.mark.parametrize("p", POST_TAU_CASES + [DegreeDistribution({1: 1e-6, 5: 1.0 - 1e-6})],
+                             ids=lambda p: str(p.weights))
+    def test_against_50_digit_roots(self, p, inverse_Fs_rel_err):
+        # times from 1e-16 G0(s) up to one ulp below G0(s), where the target
+        # G0(s) - t is one ulp of G0(s) and, with a degree-one weight, the root tiny
+        frac = np.array([1e-16, 1e-12, 1e-6, 0.1, 0.5, 0.9])
+        for s in {survival_rho(p), 0.5, 1.0}:
+            g0s = gen_G0(p, s)
+            t = np.concatenate([g0s * frac, g0s - g0s * frac[1:3], [np.nextafter(g0s, 0.0)]])
+            assert np.all((0.0 < t) & (t < g0s))
+            u = inverse_Fs(p, s, t)
+            for ti, ui in zip(t, u):
+                assert abs(inverse_Fs_rel_err(p, s, ti, ui)) <= 1e-15, (s, ti)
 
     @given(st.floats(0.05, 1.0), st.floats(0.0, 1.0))
     @settings(max_examples=80, deadline=None)
@@ -152,7 +185,7 @@ class TestInverseFs:
 
 
 class TestInverseFsArray:
-    """One array bisection over every post-tau point of lln_path's default grid."""
+    """One descent over every post-tau point of lln_path's default grid."""
 
     @pytest.mark.parametrize("p", POST_TAU_CASES, ids=lambda p: str(p.weights))
     def test_array_matches_scalar_and_inverts(self, p):
@@ -180,7 +213,8 @@ class TestInverseFsArray:
             target = g0s - (t - tau)
             if target <= 0.0:
                 return 0.0
-            return rho * bisect_increasing(lambda u: gen_G0(p, rho * u) - target, 0.0, 1.0)
+            return rho * bisect_increasing(lambda u: (gen_G0(p, rho * u) - target, 0.0),
+                                           0.0, 1.0)
 
         ys = np.array([y(float(t)) for t in fp.grid])
         for j, k in enumerate(p.degrees):
