@@ -27,6 +27,7 @@ from .serialize import (
     estimate_to_json_line,
     estimates_to_csv,
     fluid_path_to_csv,
+    json_text,
     load_degree_distribution,
     load_degree_input,
     load_state_point,
@@ -122,7 +123,7 @@ def _build_parser() -> _Parser:
 def _emit(payload: dict, out: str | None) -> None:
     if out:
         write_sidecar(payload, out)
-    print(json.dumps(payload, indent=2))
+    print(json_text(payload))
 
 
 def _cmd_rate(args: argparse.Namespace) -> int:

@@ -131,12 +131,17 @@ def fluid_path_from_csv(path: str | Path) -> FluidPath:
     )
 
 
-def write_sidecar(meta: dict, path: str | Path) -> None:
+def json_text(payload: dict) -> str:
+    """``payload`` as the JSON text that stdout and sidecars carry, each
+    non-finite float value written as null: JSON has no Infinity or NaN."""
     clean = {k: (None if isinstance(v, float) and not np.isfinite(v) else v)
-             for k, v in meta.items()}
+             for k, v in payload.items()}
+    return json.dumps(clean, indent=2, allow_nan=False)
+
+
+def write_sidecar(meta: dict, path: str | Path) -> None:
     with open(path, "w") as f:
-        json.dump(clean, f, indent=2)
-        f.write("\n")
+        f.write(json_text(meta) + "\n")
 
 
 def estimate_to_json_line(res: EstimateResult, eps: float) -> str:

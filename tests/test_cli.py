@@ -1,7 +1,9 @@
 import csv
+import hashlib
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -20,11 +22,16 @@ from cmld import (
     giant_fraction,
     lln_check,
     lln_path,
+    make_segment_spec,
+    minimizer_path,
+    path_cost,
     rate_component_degree,
     rate_component_size,
+    rate_d_regular_subgraph,
     rate_fit,
 )
 from cmld.cli import main
+from cmld.estimate import clopper_pearson
 from cmld.serialize import (
     fluid_path_from_csv,
     fluid_path_to_csv,
@@ -36,6 +43,13 @@ from cmld.serialize import (
 
 P13 = {"degrees": {"1": 0.5, "3": 0.5}}
 Q13 = {"degrees": {"1": 0.1, "3": 0.3}}
+P_MIX = {1: 0.3, 2: 0.1, 3: 0.2, 4: 0.15, 5: 0.1, 7: 0.1, 10: 0.05}
+P30 = {k: 0.06 if k <= 10 else 0.03 if k <= 20 else 0.01 for k in range(1, 31)}
+
+
+def _not_json(name):
+    """json.loads's hook for Infinity, -Infinity and NaN, which JSON lacks."""
+    raise ValueError(f"{name} is not JSON")
 
 
 @pytest.fixture
@@ -76,17 +90,21 @@ class TestRateCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["rate"] == pytest.approx(0.5 * math.log(2), abs=1e-6)
 
-    def test_size_three_degrees_matches_library(self, tmp_path, capsys):
+    def test_size_three_degrees_matches_library(self, tmp_path, monkeypatch, capsys):
         # {3: 1} above returns before any root is solved; three degrees run
         # both levels of the solver
         w = {3: 0.4, 4: 0.3, 5: 0.3}
         p = tmp_path / "p345.json"
         p.write_text(json.dumps({"degrees": {str(k): v for k, v in w.items()}}))
         assert main(["rate", "size", "--p", str(p), "--r", "0.3"]) == 0
-        payload = json.loads(capsys.readouterr().out)
+        printed = capsys.readouterr().out
+        payload = json.loads(printed)
         rate, argmin = rate_component_size(DegreeDistribution(w), 0.3)
         assert payload["rate"] == rate and payload["limit"] == -rate
         assert payload["argmin"] == {str(k): v for k, v in argmin.items()}
+        monkeypatch.setitem(sys.modules, "scipy", None)  # an import of scipy now raises
+        assert main(["rate", "size", "--p", str(p), "--r", "0.3"]) == 0
+        assert capsys.readouterr().out == printed
 
     def test_largest_conj_flagged(self, files, capsys):
         assert main(["rate", "largest-conj", "--D", "3", "--x", "0.5"]) == 0
@@ -101,6 +119,9 @@ class TestRateCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["rate"] == pytest.approx(0.5 * math.log(2), abs=1e-12)
         assert payload["limit"] == -payload["rate"]
+        assert main(["rate", "dreg-sub", "--p", str(p), "--D", "3", "--q", "0.25"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["rate"] == rate_d_regular_subgraph(DegreeDistribution({3: 1.0}), 3, 0.25)
 
     def test_out_writes_the_printed_payload(self, files, capsys):
         out = files["tmp"] / "rate.json"
@@ -265,6 +286,18 @@ class TestTrajectoryCommands:
         assert meta["giant_fraction"] == pytest.approx(22.0 / 27.0, abs=1e-9)
         fp = fluid_path_from_csv(out)
         assert fp.grid[0] == 0.0
+        # read back from its CSV, each path keeps its invariants and costs at
+        # most 1e-5 up to the tau of its sidecar (criterion 5 on the grid
+        # route, 7.8e-7 here); the subcritical path has tau = 0, an empty interval
+        sub = files["tmp"] / "psub.json"
+        sub.write_text(json.dumps({"degrees": {"1": 0.6, "2": 0.3, "3": 0.1}}))
+        assert main(["lln", "--p", str(sub), "--T", "1.0", "--out",
+                     str(files["tmp"] / "sub.csv")]) == 0
+        for name in ("lln", "sub"):
+            fp = fluid_path_from_csv(files["tmp"] / f"{name}.csv")
+            fp.check_invariants()
+            tau = json.loads((files["tmp"] / f"{name}.meta.json").read_text())["tau"]
+            assert path_cost(fp, 0.0, tau) <= 1e-5, name
 
     def test_lln_sidecar_reports_grid_and_rows(self, files, capsys):
         # the grid is refined around tau, so more rows are written than asked for
@@ -282,6 +315,23 @@ class TestTrajectoryCommands:
         meta = json.loads(capsys.readouterr().out)
         assert meta["rho"] == pytest.approx(1.0 / 3.0, abs=1e-9)
         assert meta["giant_fraction"] == pytest.approx(22.0 / 27.0, abs=1e-9)
+        # 1 - rho = 5.3e-9 and 5.3e-11: the giant fraction against its closed
+        # form 1 - w1 rho - w3 rho^3, rho = w1 / (3 w3)
+        f = files["tmp"] / "near.json"
+        for w1, w3 in ((0.749999999, 0.250000001), (0.74999999999, 0.25000000001)):
+            f.write_text(json.dumps({"degrees": {"1": w1, "3": w3}}))
+            assert main(["lln", "--p", str(f), "--T", "2"]) == 0
+            rho = w1 / (3 * w3)
+            want = 1 - w1 * rho - w3 * rho ** 3
+            got = json.loads(capsys.readouterr().out)["giant_fraction"]
+            assert abs(got - want) <= 1e-6 * want, (w1, got, want)
+        # rho at the zero end, p_1 / (3 p_3) and p_1 / (4 p_4) (1 - p_1 / (4 p_4)),
+        # far below the 1e-15 at which an absolute bracket stop returns a midpoint
+        for k, want in ((3, 1e-20 / 3), (4, 2.5e-21)):
+            f.write_text(json.dumps({"degrees": {"1": 1e-20, str(k): 1.0}}))
+            assert main(["lln", "--p", str(f), "--T", "2"]) == 0
+            got = json.loads(capsys.readouterr().out)["rho"]
+            assert abs(got - want) <= 1e-15 * want, (k, got, want)
 
     def test_path_reports_costs(self, files, capsys):
         assert main(["path", "--x1", files["x1"], "--x2", files["x2"],
@@ -290,6 +340,33 @@ class TestTrajectoryCommands:
         assert payload["case"] == "case_i"
         assert payload["residual"] <= 1e-6
         assert payload["cost_closed"] == pytest.approx(0.5 * math.log(2), abs=1e-12)
+
+    @pytest.mark.parametrize("x1, x2", [
+        # beta ~ 0.9944, where path_cost once differenced the grid to inf
+        ({"x0": 0.17811420009550638, "xk": {"1": 0.5949995265441596, "4": 0.13006241668863816}},
+         {"x0": 0.0, "xk": {"1": 0.36991778168318323, "4": 0.10607848419395322}}),
+        # a quadrature cost of +inf, once printed as Infinity, which no JSON reader takes
+        ({"x0": 0.0, "xk": {"3": 8.815952533666052e-38, "6": 3.718865243276547e-283}},
+         {"x0": 0.0, "xk": {"3": 0.0, "6": 0.0}}),
+    ], ids=["beta-near-one", "cost-inf"])
+    def test_path_out_is_the_printed_report_and_the_first_read_csv(self, tmp_path, capsys,
+                                                                  x1, x2):
+        # stdout and the .cost.json sidecar are one JSON text; the CSV holds the
+        # bytes of a minimizer whose grid is read first, though the CLI costs
+        # the minimizer before its CSV samples the grid
+        names = []
+        for name, x in (("x1", x1), ("x2", x2)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(x))
+            names.append(str(tmp_path / f"{name}.json"))
+        out = tmp_path / "seg.csv"
+        assert main(["path", "--x1", names[0], "--x2", names[1], "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        json.loads(printed, parse_constant=_not_json)
+        assert out.with_suffix(".cost.json").read_text() == printed
+        traj = minimizer_path(make_segment_spec(*map(load_state_point, names)), 4501)
+        traj.grid
+        fluid_path_to_csv(traj, tmp_path / "first_read.csv")
+        assert out.read_bytes() == (tmp_path / "first_read.csv").read_bytes()
 
     def test_path_solves_its_root_once(self, files, monkeypatch, capsys):
         import cmld.paths
@@ -363,13 +440,14 @@ class TestTrajectoryCommands:
 
     def test_simulate_sidecar_is_lln_check(self, files, capsys):
         out = files["tmp"] / "sim.json"
-        assert main(["simulate", "--p", files["p"], "--n", "2000", "--seed", "4",
-                     "--trajectory", "--out", str(out)]) == 0
-        meta = json.loads((files["tmp"] / "sim.traj.meta.json").read_text())
         p = DegreeDistribution({1: 0.5, 3: 0.5})
-        assert (meta["largest_fraction"], meta["sup_distance"]) == lln_check(p, 2000, seed=4)
-        assert meta["giant_fraction"] == giant_fraction(p)
-        assert meta["n"] == 2000 and meta["grid_points"] == 401
+        for n, seed in ((2000, 4), (1000, 20240810), (2000, 20240810)):
+            assert main(["simulate", "--p", files["p"], "--n", str(n), "--seed", str(seed),
+                         "--trajectory", "--out", str(out)]) == 0
+            meta = json.loads((files["tmp"] / "sim.traj.meta.json").read_text())
+            assert (meta["largest_fraction"], meta["sup_distance"]) == lln_check(p, n, seed=seed)
+            assert meta["giant_fraction"] == giant_fraction(p)
+            assert meta["n"] == n and meta["grid_points"] == 401
 
     def test_simulate_sidecar_for_a_degree_sequence(self, files, capsys):
         # the sequence's own frequencies n_k / n are {1: 1/2, 3: 1/2}, so its
@@ -456,20 +534,34 @@ class TestSweep:
         return ["estimate", "--p", str(tmp_path / "p3.json"), "--q", str(tmp_path / "q3.json"),
                 "--reps", "3000", "--seed", "5"]
 
-    def test_three_sizes_then_the_fit_line(self, argv, capsys):
-        assert main(argv + ["--n", *self.SIZES, "--eps", *self.EPS]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 4
-        for line, n, eps in zip(lines, self.SIZES, self.EPS):
-            assert main(argv + ["--n", n, "--eps", eps]) == 0
-            assert capsys.readouterr().out == line + "\n"
+    def test_three_sizes_then_the_fit_line(self, argv, tmp_path, capsys):
+        # at the fixture's run, then at 20000 replications on two workers; the
+        # same sweep as CSV writes a header and a row per size, and prints the
+        # same fit line
         p = DegreeDistribution({3: 1.0})
-        results = [estimate_event_prob(p, {3: 0.5}, float(eps), 3000, 5, n=int(n))
-                   for n, eps in zip(self.SIZES, self.EPS)]
-        slope, intercept = rate_fit(results)
         rate = rate_component_degree(p, {3: 0.5}).I1
-        assert json.loads(lines[3]) == {"slope": slope, "intercept": intercept, "rate": rate,
-                                        "relative_gap": (slope - rate) / rate}
+        for reps, seed, workers in (("3000", "5", "1"), ("20000", "20240810", "2")):
+            argv[argv.index("--reps") + 1], argv[argv.index("--seed") + 1] = reps, seed
+            run = argv + ["--workers", workers]
+            sweep = run + ["--n", *self.SIZES, "--eps", *self.EPS]
+            out = tmp_path / f"sweep{seed}.jsonl"
+            assert main(sweep + ["--out", str(out)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert len(lines) == 4 and lines[3].startswith('{"slope": ')
+            assert out.read_text().splitlines() == lines[:3]
+            for line, n, eps in zip(lines, self.SIZES, self.EPS):
+                assert main(run + ["--n", n, "--eps", eps]) == 0
+                assert capsys.readouterr().out == line + "\n"
+            results = [estimate_event_prob(p, {3: 0.5}, float(eps), int(reps), int(seed), n=int(n))
+                       for n, eps in zip(self.SIZES, self.EPS)]
+            slope, intercept = rate_fit(results)
+            assert json.loads(lines[3]) == {"slope": slope, "intercept": intercept, "rate": rate,
+                                            "relative_gap": (slope - rate) / rate}
+            out = tmp_path / f"sweep{seed}.csv"
+            assert main(sweep + ["--format", "csv", "--out", str(out)]) == 0
+            assert capsys.readouterr().out == lines[3] + "\n"
+            with open(out, newline="") as f:
+                assert [row["n"] for row in csv.DictReader(f)] == self.SIZES
 
     def test_one_eps_serves_every_size_and_csv_has_a_row_each(self, argv, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -517,6 +609,93 @@ class TestSweep:
         assert main(argv + ["--n", *self.SIZES, "--eps", "0.01"]) == 0
         fit = json.loads(capsys.readouterr().out.splitlines()[3])
         assert fit["rate"] == 0.0 and fit["relative_gap"] is None
+
+
+class TestPinnedRuns:
+    """Runs whose outputs are pinned: the estimator's hits, with the same bytes
+    at one and four workers, and simulate's bytes in vector blocks, in scalar
+    steps only, and with every block stopped after its first round."""
+
+    @pytest.fixture
+    def degree_file(self, tmp_path):
+        def write(name, weights):
+            f = tmp_path / f"{name}.json"
+            f.write_text(json.dumps({"degrees": {str(k): v for k, v in weights.items()}}))
+            return str(f)
+        return write
+
+    @staticmethod
+    def _stdout(capsys, argv):
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("p, q, n, eps, reps, seed, hits", [
+        ({3: 1.0}, {3: 0.5}, "16", "0.0625", "300000", "11", 170),  # int8 state
+        # the whole 100-vertex graph as one component: four shards of up to
+        # 2^16 lanes, the last a short one; 2m + 1 = 341, so the state is int16
+        (P_MIX, P_MIX, "100", "0.005", "200000", "4242", 41287),
+        # thirty degree columns one apart, so the wake compare has 29 rows
+        (P30, P30, "100", "0.005", "200000", "4242", 195967),
+    ], ids=["regular", "seven-columns", "thirty-columns"])
+    def test_estimate_hits_and_bytes_at_one_and_four_workers(self, degree_file, capsys,
+                                                             p, q, n, eps, reps, seed, hits):
+        # the hit count itself, so a decision rule that moved every worker count alike fails
+        argv = ["estimate", "--p", degree_file("p", p), "--q", degree_file("q", q), "--n", n,
+                "--eps", eps, "--reps", reps, "--seed", seed]
+        one = self._stdout(capsys, argv + ["--workers", "1"])
+        assert json.loads(one)["hits"] == hits
+        assert self._stdout(capsys, argv + ["--workers", "4"]) == one
+
+    def test_regular_estimate_bytes_across_sizes_and_without_scipy(self, degree_file, capsys,
+                                                                   monkeypatch):
+        argv = ["estimate", "--p", degree_file("p", {3: 1.0}), "--q", degree_file("q", {3: 0.5}),
+                "--eps", "0.0625", "--reps", "300000", "--seed", "11"]
+        one = self._stdout(capsys, argv + ["--n", "16", "--workers", "1"])
+        res = json.loads(one)
+        assert (res["ci_low"], res["ci_high"]) == clopper_pearson(170, 300000)
+        # two sizes in one process: the second estimate reuses the first one's pool
+        sweep = self._stdout(capsys, argv + ["--n", "12", "16", "--workers", "1"])
+        assert self._stdout(capsys, argv + ["--n", "12", "16", "--workers", "4"]) == sweep
+        monkeypatch.setitem(sys.modules, "scipy", None)  # an import of scipy now raises
+        assert self._stdout(capsys, argv + ["--n", "16", "--workers", "1"]) == one
+
+    def _simulate(self, monkeypatch, capsys, argv, out, **gates):
+        """stdout, then the bytes of the JSON, trajectory CSV and sidecar at ``out``,
+        with the block gates of cmld.explore set to ``gates`` for the run."""
+        import cmld.explore
+
+        with monkeypatch.context() as mp:
+            for name, value in gates.items():
+                mp.setattr(cmld.explore, name, value)
+            printed = self._stdout(capsys, argv + ["--out", str(out)])
+        return [printed.encode()] + [out.with_suffix(suffix).read_bytes()
+                                     for suffix in (".json", ".traj.csv", ".traj.meta.json")]
+
+    def test_simulate_digest_in_blocks_scalar_steps_and_short_commits(self, degree_file, tmp_path,
+                                                                      monkeypatch, capsys):
+        argv = ["simulate", "--p", degree_file("pmix", P_MIX), "--n", "100000", "--seed", "7",
+                "--trajectory"]
+        block = self._simulate(monkeypatch, capsys, argv, tmp_path / "block.json")
+        # the bytes written when every row of (A, V) was stored
+        assert hashlib.sha256(block[2]).hexdigest() == (
+            "d3e686445c779652b80af867677673d578a73a6841ec4b7a23bd25fa6a758d8a")
+        # a block threshold no run reaches: every step is a scalar step
+        assert self._simulate(monkeypatch, capsys, argv, tmp_path / "scalar.json",
+                              _MIN_BLOCK=1 << 62) == block
+        # a commit threshold no round reaches: every block stops after its first round
+        assert self._simulate(monkeypatch, capsys, argv, tmp_path / "short.json",
+                              _MIN_COMMIT=1 << 30) == block
+
+    @pytest.mark.parametrize("p, n", [
+        ({3: 1.0}, "500000"),  # one degree column, whose blocks reach the 2^16-step cap
+        (P30, "100000"),  # each round's mass table has thirty rows
+    ], ids=["one-column", "thirty-columns"])
+    def test_simulate_bytes_in_blocks_and_scalar_steps(self, degree_file, tmp_path, monkeypatch,
+                                                       capsys, p, n):
+        argv = ["simulate", "--p", degree_file("p", p), "--n", n, "--seed", "7", "--trajectory"]
+        block = self._simulate(monkeypatch, capsys, argv, tmp_path / "block.json")
+        assert self._simulate(monkeypatch, capsys, argv, tmp_path / "scalar.json",
+                              _MIN_BLOCK=1 << 62) == block
 
 
 class TestRoundTrip:
@@ -581,12 +760,13 @@ class TestRoundTrip:
         "t,zeta_0,zeta_3,psi\n",
         "t,zeta_0,zeta_3,psi\n0,nan,1,0\n",
         "t,zeta_0,zeta_3,psi\n0,0,1,0\n0.1,0,inf,0\n",
+        "t,zeta_0,zeta_3,psi\n0,0,inf,0\n",
         b"\xff\xfet,zeta_0,zeta_3,psi\n0,0,1,0\n",
         "t,zeta_0,zeta_0,psi\n0,0,1,0\n",
         "t,zeta_0,zeta_3,zeta_03,psi\n0,0,1,1,0\n",
         "t,zeta_0,zeta_\u0663,psi\n0,0,1,0\n",
     ], ids=["header", "ragged", "not-a-number", "empty", "header-only", "nan", "inf",
-            "not-utf-8", "degree-0", "degree-twice", "non-ascii-digit"])
+            "inf-only-row", "not-utf-8", "degree-0", "degree-twice", "non-ascii-digit"])
     def test_malformed_trajectory_csv_is_a_value_error(self, tmp_path, text):
         # the exit-1 class, as for a malformed JSON file: not a CmldError
         f = tmp_path / "bad.csv"

@@ -68,7 +68,9 @@ def no_kept_pool():
 
 
 _CP_REPS = (10, 200, 2**19, 2**20, 20000, 10**6, 10**9)
-_CP_CASES = sorted({(h, r) for r in _CP_REPS for h in (0, 1, 2, 10, 1000, r - 1, r) if h <= r})
+# with the 170 hits of 300000 that the CLI's regular estimate pins
+_CP_CASES = sorted({(h, r) for r in _CP_REPS for h in (0, 1, 2, 10, 1000, r - 1, r) if h <= r}
+                   | {(170, 300000)})
 
 
 class TestEventProbability:
@@ -160,6 +162,7 @@ class TestEventProbability:
         res = estimate_event_prob(p, q, eps, reps=10**6, seed=11, n=16, workers=4)
         assert res.hits == 0 and res.p_hat == 0.0
         assert (res.ci_low, res.ci_high) == clopper_pearson(0, 10**6)
+        assert estimate_event_prob(p, q, eps, reps=10**6, seed=11, n=16, workers=1) == res
 
     def test_event_windows_are_clamped_integers(self):
         counts = {1: 4, 2: 2, 3: 4}

@@ -29,6 +29,8 @@ from cmld import (
     minimizer_path,
     path_cost,
     rate_component_degree,
+    rate_conjectured_largest,
+    rate_conjectured_multi,
     survival_rho,
 )
 from cmld import paths
@@ -482,11 +484,16 @@ class TestFluidLimitRoute:
         {1: 0.3, 2: 0.1, 3: 0.2, 4: 0.15, 5: 0.1, 7: 0.1, 10: 0.05},
         {3: 1.0},
         {1: 0.2, 2: 0.3, 4: 0.5},
+        {1: 0.2, 4: 0.8},
     ])
     def test_lln_path_is_the_zero_cost_segment(self, weights):
         # up to tau, lln_path(p) is the minimizer of (0, p) -> (0, p_k rho^k)
-        # with beta = rho and varsigma = tau, and that segment costs 0; the
-        # two routes agree to 6.2e-15 on zeta_0 and 5.6e-16 on zeta_k
+        # with beta = rho and varsigma = tau, and that segment costs 0.  rho is
+        # the transition root because sum_k k p_k rho^k = mu rho^2, so
+        # z~_k = p_k, varsigma~ = mu/2 and zeta_k = p_k (1 - 2t/mu)^{k/2},
+        # lln_path's own formula.  The two routes agree to 6.2e-15 on zeta_0
+        # and 1.5e-15 on zeta_k; beta is within 1.4e-16 of rho, varsigma is
+        # tau exactly, and the cost is at most 6.2e-16
         p = DegreeDistribution(weights)
         rho = survival_rho(p)
         x1 = StatePoint(0.0, dict(weights))
@@ -503,6 +510,59 @@ class TestFluidLimitRoute:
         for j, k in enumerate(spec.degrees):
             assert np.max(np.abs(fluid.zeta(k)[:-1] - zetak[:, j])) <= 1e-13
         assert abs(cost_closed_form(x1, x2)) <= 1e-14
+
+
+class TestDynamicProgramming:
+    def test_cost_is_a_value_function(self):
+        # V(x1, y) + V(y, x2) >= V(x1, x2) for admissible y between the ends,
+        # with equality on the minimizer.  On each battery segment y is the
+        # minimizer at varsigma/4, /2 and 3/4 (split to 1.8e-15), then that
+        # point with each mass moved by N(0, 0.05 drop), kept within
+        # [x2_k, x1_k], and y_0 refit so r(y) is unchanged (margins from 8.4e-7)
+        rng = np.random.default_rng(15)
+        off = []
+        for spec in _segment_battery():
+            x1, x2, whole = spec.x1, spec.x2, spec.cost_closed_form()
+            ks = np.array(spec.degrees, dtype=float)
+            lo = np.array([x2.mass(k) for k in spec.degrees])
+            hi = np.array([x1.mass(k) for k in spec.degrees])
+            zeta0, zetak, _ = _segment_state(spec, spec.varsigma * np.array([0.75, 0.5, 0.25]))
+            for y0, yk in zip(zeta0, zetak):
+                y = StatePoint(max(y0, 0.0), dict(zip(spec.degrees, yk.tolist())))
+                split = cost_closed_form(x1, y) + cost_closed_form(y, x2)
+                assert abs(split - whole) <= 1e-12, (spec, y)
+                for _ in range(4):
+                    wk = np.clip(yk + rng.normal(0.0, 0.05, len(ks)) * (hi - lo), lo, hi)
+                    w0 = y0 + ks @ (yk - wk)
+                    if w0 < 0.0:
+                        continue
+                    w = StatePoint(w0, dict(zip(spec.degrees, wk.tolist())))
+                    try:
+                        split = cost_closed_form(x1, w) + cost_closed_form(w, x2)
+                    except FeasibilityError:  # a part admits no transition root
+                        continue
+                    off.append(split - whole)
+        assert len(off) >= 150 and min(off) >= -1e-12
+
+    @pytest.mark.parametrize("D", [3, 4])
+    def test_conjectured_rates_are_concatenated_segments(self, D):
+        # exploring the windowed components one after another, (0, {D: 1}) ->
+        # (0, {D: 1 - s_1}) -> (0, {D: 1 - s_1 - s_2}) -> ..., costs the
+        # conjectured rate (to 4.2e-16 relative)
+        def explored(sizes):
+            rest, total = 1.0, 0.0
+            for s in sizes:
+                total += cost_closed_form(StatePoint(0.0, {D: rest}), StatePoint(0.0, {D: rest - s}))
+                rest -= s
+            return total
+
+        for sizes in ([0.5], [0.3, 0.2], [0.2, 0.3], [0.4, 0.4], [0.25, 0.25], [0.25] * 4,
+                      [0.5, 0.5], [0.3] * 3):
+            want = rate_conjectured_multi(D, sizes)
+            assert abs(explored(sizes) - want) <= 1e-12 * want, sizes
+        for x in (0.5, 0.4, 0.3):
+            want = rate_conjectured_largest(D, x)
+            assert abs(explored([x] * math.floor(1.0 / x)) - want) <= 1e-12 * want, x
 
 
 class TestClosedFormRoute:
