@@ -10,7 +10,6 @@ or a non-finite weight (the message names the violated condition).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -24,9 +23,9 @@ from .lln import giant_fraction, lln_path
 from .paths import make_segment_spec, minimizer_path, path_cost
 from .rng import CounterRNG
 from .serialize import (
-    estimate_to_json_line,
     estimates_to_csv,
     fluid_path_to_csv,
+    json_line,
     json_text,
     load_degree_distribution,
     load_degree_input,
@@ -134,18 +133,14 @@ def _cmd_rate(args: argparse.Namespace) -> int:
     elif args.rate_kind in ("dreg", "dreg-sub"):
         rate = (core.rate_d_regular(args.D, args.q) if args.rate_kind == "dreg" else
                 core.rate_d_regular_subgraph(load_degree_distribution(args.p), args.D, args.q))
-        payload = {"D": args.D, "q": args.q, "rate": rate, "limit": -rate,
-                   "sign_convention": core.SIGN_NOTE}
+        payload = core.rate_record(rate, {"D": args.D, "q": args.q})
     elif args.rate_kind == "size":
-        p = load_degree_distribution(args.p)
-        rate, argmin = core.rate_component_size(p, args.r)
-        payload = {"r": args.r, "rate": rate, "limit": -rate,
-                   "argmin": {str(k): v for k, v in argmin.items()},
-                   "sign_convention": core.SIGN_NOTE}
+        rate, argmin = core.rate_component_size(load_degree_distribution(args.p), args.r)
+        payload = core.rate_record(rate, {"r": args.r},
+                                   argmin={str(k): v for k, v in argmin.items()})
     else:  # largest-conj
         rate = core.rate_conjectured_largest(args.D, args.x)
-        payload = {"D": args.D, "x": args.x, "rate": rate, "limit": -rate,
-                   "conjecture": True, "sign_convention": core.SIGN_NOTE}
+        payload = core.rate_record(rate, {"D": args.D, "x": args.x}, conjecture=True)
     _emit(payload, args.out)
     return 0
 
@@ -243,7 +238,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         _report_n(n, res.n)
         results.append(res)
         if args.format == "json":
-            line = estimate_to_json_line(res, eps)
+            line = json_line({"eps": eps, **res.as_dict()})
             if args.out:
                 with open(args.out, "a") as f:
                     f.write(line + "\n")
@@ -259,8 +254,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
             print(f"no fit line: {exc}", file=sys.stderr)
         else:
             rate = core.rate_component_degree(p, q).I1 if q.feasible else None
-            print(json.dumps({"slope": slope, "intercept": intercept, "rate": rate,
-                              "relative_gap": (slope - rate) / rate if rate else None}))
+            print(json_line({"slope": slope, "intercept": intercept, "rate": rate,
+                             "relative_gap": (slope - rate) / rate if rate else None}))
     return 0
 
 

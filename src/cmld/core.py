@@ -156,18 +156,15 @@ class RateBreakdown:
     bound_kind: str  # BOUND_TWO_SIDED when p_1 = 0, else BOUND_LOWER_ONLY
 
     def as_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "H_q": self.H_q,
-            "H_pq": self.H_pq,
-            "H_p": self.H_p,
-            "K": self.K,
-            "rate": self.I1,
-            "limit": -self.I1,
-            "feasible": self.feasible,
-            "bound_kind": self.bound_kind,
-            "sign_convention": SIGN_NOTE,
-        }
+        return rate_record(self.I1, {"beta": self.beta, "H_q": self.H_q, "H_pq": self.H_pq,
+                                     "H_p": self.H_p, "K": self.K},
+                           feasible=self.feasible, bound_kind=self.bound_kind)
+
+
+def rate_record(rate: float, inputs: dict, **after) -> dict:
+    """The record of a decay rate: ``inputs``, the rate and its limit
+    (1/n) log P = -rate, the fields ``after``, then the sign convention."""
+    return {**inputs, "rate": rate, "limit": -rate, **after, "sign_convention": SIGN_NOTE}
 
 
 def _weights_of(r) -> dict[int, float]:

@@ -46,7 +46,7 @@ import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from multiprocessing.util import Finalize
 
 import numpy as np
@@ -61,28 +61,20 @@ _DEFAULT_CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class EstimateResult:
-    """Event-probability estimate with an exact binomial interval."""
+    """Event-probability estimate with an exact binomial interval; the
+    fields are in the order a record prints them."""
 
+    n: int
     p_hat: float
     ci_low: float
     ci_high: float
     reps: int
     hits: int
-    n: int
     seed: int
-    per_n_rate: float  # -log(p_hat)/n, +inf when no hits
+    per_n_rate: float  # -log(p_hat)/n, +0.0 when every replication hits, +inf when none
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "p_hat": self.p_hat,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "reps": self.reps,
-            "hits": self.hits,
-            "seed": self.seed,
-            "per_n_rate": self.per_n_rate if math.isfinite(self.per_n_rate) else None,
-        }
+        return asdict(self)
 
 
 _CI_TAIL = 0.025  # mass of each tail outside the 95% interval
@@ -238,8 +230,10 @@ def _event_windows(counts: dict[int, int], q, eps: float
     n = sum(counts.values())
     degs = sorted(counts)
     qk = np.array([qw.get(k, 0.0) for k in degs])
-    lo = np.maximum(np.ceil(n * (qk - eps)), 0.0)
-    hi = np.minimum(np.floor(n * (qk + eps)), [counts[k] for k in degs])
+    # a count lies in [0, n], so clipping q_k -+ eps to [0, 1] moves no window,
+    # and n times a huge eps cannot overflow
+    lo = np.ceil(n * np.maximum(qk - eps, 0.0))
+    hi = np.minimum(np.floor(n * np.minimum(qk + eps, 1.0)), [counts[k] for k in degs])
     if not np.all(lo <= hi):
         return None
     return lo.astype(np.int64), hi.astype(np.int64)
@@ -543,9 +537,9 @@ def estimate_event_prob(p_or_d, q, eps: float, reps: int, seed: int,
 
     p_hat = hits / reps
     ci_lo, ci_hi = clopper_pearson(hits, reps)
-    rate = -math.log(p_hat) / d.n if p_hat > 0.0 else math.inf
-    return EstimateResult(p_hat=p_hat, ci_low=ci_lo, ci_high=ci_hi, reps=reps,
-                          hits=hits, n=d.n, seed=seed, per_n_rate=rate)
+    rate = abs(math.log(p_hat)) / d.n if p_hat > 0.0 else math.inf
+    return EstimateResult(n=d.n, p_hat=p_hat, ci_low=ci_lo, ci_high=ci_hi, reps=reps,
+                          hits=hits, seed=seed, per_n_rate=rate)
 
 
 def rate_fit(results: list[EstimateResult]) -> tuple[float, float]:

@@ -100,10 +100,8 @@ class DegreeSequence:
             raise DomainError(f"n = {n} too small: all rounded counts vanish")
         fix = None
         if sum(k * c for k, c in counts.items()) % 2 != 0:
-            odd_ks = [k for k, c in counts.items() if k % 2 == 1 and c > 0]
-            if not odd_ks:
-                raise ParityError("cannot fix parity: no odd-degree bucket to decrement")
-            k = max(odd_ks)
+            # an odd total has an odd term k n_k, so an odd degree k is present
+            k = max(k for k in counts if k % 2 == 1)
             counts[k] -= 1
             fix = {"degree": k, "removed": 1}
             if counts[k] == 0:

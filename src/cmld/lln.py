@@ -50,10 +50,7 @@ def gen_G1(p: DegreeDistribution, z: float) -> float:
 
 def criticality_nu(p: DegreeDistribution) -> float:
     """Mean forward degree nu = sum k(k-1) p_k / sum k p_k."""
-    mu = p.mu
-    if mu <= 0.0:
-        raise DomainError("degenerate distribution: zero mean degree")
-    return p.moment(2) / mu - 1.0
+    return p.moment(2) / p.mu - 1.0
 
 
 def _kk2(p: DegreeDistribution) -> float:

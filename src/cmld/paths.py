@@ -39,11 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _clean_weights, _degree, _transition_root
+from .core import PROB_TOL, _clean_weights, _degree, _transition_root
 from .errors import DomainError, PreconditionError
 from .fluid import FluidPath
-
-_MASS_TOL = 1e-12
 
 CASE_I = "case_i"
 CASE_II = "case_ii"
@@ -65,7 +63,7 @@ class StatePoint:
     def __post_init__(self) -> None:
         if not math.isfinite(self.x0):
             raise DomainError(f"x0 must be finite, got {self.x0}")
-        if self.x0 < -_MASS_TOL:
+        if self.x0 < -PROB_TOL:
             raise DomainError(f"x0 must be nonnegative, got {self.x0}")
         object.__setattr__(self, "x0", max(float(self.x0), 0.0))
         object.__setattr__(self, "xk", _clean_weights(self.xk, "StatePoint"))
@@ -90,7 +88,7 @@ class LocalVelocity:
     def __post_init__(self) -> None:
         for k, v in self.betak.items():
             _degree(k, "LocalVelocity")
-            if not -1.0 - _MASS_TOL <= v <= _MASS_TOL:
+            if not -1.0 - PROB_TOL <= v <= PROB_TOL:
                 raise DomainError(f"beta_{k} = {v} outside [-1, 0]")
 
 
@@ -141,14 +139,14 @@ def make_segment_spec(x1: StatePoint, x2: StatePoint) -> PathSegmentSpec:
     z = {}
     for k in degrees:
         d = x1.mass(k) - x2.mass(k)
-        if d < -_MASS_TOL:
+        if d < -PROB_TOL:
             raise DomainError(f"x2 exceeds x1 at degree {k}: drop {d} < 0")
         if d > 0.0:
             z[k] = d
     beta = _transition_root(z, x1.x0, x2.x0)
     case = CASE_I if x2.x0 == 0.0 and z.get(1, 0.0) == 0.0 else CASE_II
     vs = 0.5 * (x1.r() - x2.r())
-    if vs < -_MASS_TOL:
+    if vs < -PROB_TOL:
         raise DomainError(f"segment duration varsigma = {vs} is negative")
     return PathSegmentSpec(x1=x1, x2=x2, varsigma=max(vs, 0.0), beta=beta, case=case,
                            z=z, degrees=degrees)
@@ -191,11 +189,25 @@ def _segment_state(spec: PathSegmentSpec,
     column per degree in ``spec.degrees``; rest is clipped to
     [0, varsigma].  Requires varsigma > 0.
     """
+    return _unit_state(spec, rest, 1.0)
+
+
+def _unit_state(spec: PathSegmentSpec, rest: np.ndarray,
+                lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_segment_state` of the segment with every mass, and so its
+    duration, scaled by ``lam``, a power of two; ``rest`` is in the
+    scaled segment's time.
+
+    beta does not depend on scale, so the states scale by lam and the
+    velocities not at all.  Each product with lam is exact, so the states
+    are the unscaled ones times lam and the velocities the unscaled ones,
+    bit for bit, wherever neither under- nor overflows.
+    """
     ks = np.array(spec.degrees, dtype=float)
     half = 0.5 * ks
-    x2 = np.array([spec.x2.mass(k) for k in spec.degrees])
-    z = np.array([spec.z.get(k, 0.0) for k in spec.degrees])
-    vs, beta = spec.varsigma, spec.beta
+    x2 = np.array([lam * spec.x2.mass(k) for k in spec.degrees])
+    z = np.array([lam * spec.z.get(k, 0.0) for k in spec.degrees])
+    vs, beta = lam * spec.varsigma, spec.beta
     rest = np.clip(rest, 0.0, vs)
     x = (rest / vs)[:, None]
     if beta > 0.0:
@@ -210,7 +222,7 @@ def _segment_state(spec: PathSegmentSpec,
         # case (i): z_1 = 0, so degree 1 takes exponent 0 in place of the
         # -1/2 that is infinite at t = varsigma
         dzetak = (-half / vs * z) * x ** np.maximum(half - 1.0, 0.0)
-    return spec.x2.x0 + 2.0 * rest - drop @ ks, x2 + drop, dzetak
+    return lam * spec.x2.x0 + 2.0 * rest - drop @ ks, x2 + drop, dzetak
 
 
 class SegmentPath(FluidPath):
@@ -412,7 +424,15 @@ def _segment_cost(spec: PathSegmentSpec, t1: float, t2: float) -> float:
     t2 = min(t2, spec.varsigma)
     span = t2 - min(max(t1, 0.0), t2)
     s, w = _gl_rule()
-    zeta0, zetak, dzetak = _segment_state(spec, (spec.varsigma - t2) + span * s * s)
+    # the cost is homogeneous of degree one in the state, so the integrand
+    # is read on the segment scaled by the power of two that puts varsigma
+    # in [1/2, 1) (a subnormal one as near as 2^1023 takes it), where a tiny
+    # mass neither underflows nor divides to inf; varsigma = (r(x1) -
+    # r(x2))/2 is 0 or above 2^-55 r(x1), so no scaled state overflows.  The
+    # weights keep the unscaled span.
+    lam = math.ldexp(1.0, min(-math.frexp(spec.varsigma)[1], 1023))
+    rest = lam * (spec.varsigma - t2) + (lam * span) * s * s
+    zeta0, zetak, dzetak = _unit_state(spec, rest, lam)
     # exact velocities need no noise floor: at the 1e-8 default, dropping
     # a small wake rate near t2 costs up to 6e-11 in case (i) on 8400
     # random segments

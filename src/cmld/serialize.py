@@ -131,12 +131,22 @@ def fluid_path_from_csv(path: str | Path) -> FluidPath:
     )
 
 
-def json_text(payload: dict) -> str:
-    """``payload`` as the JSON text that stdout and sidecars carry, each
-    non-finite float value written as null: JSON has no Infinity or NaN."""
+def _json(payload: dict, indent: int | None) -> str:
+    """The one rule for JSON output: each non-finite float value is written
+    as null, since JSON has no Infinity or NaN."""
     clean = {k: (None if isinstance(v, float) and not np.isfinite(v) else v)
              for k, v in payload.items()}
-    return json.dumps(clean, indent=2, allow_nan=False)
+    return json.dumps(clean, indent=indent, allow_nan=False)
+
+
+def json_text(payload: dict) -> str:
+    """``payload`` as the JSON document that stdout and sidecars carry."""
+    return _json(payload, 2)
+
+
+def json_line(payload: dict) -> str:
+    """``payload`` as a one-line JSON record, as ``estimate`` prints them."""
+    return _json(payload, None)
 
 
 def write_sidecar(meta: dict, path: str | Path) -> None:
@@ -144,14 +154,9 @@ def write_sidecar(meta: dict, path: str | Path) -> None:
         f.write(json_text(meta) + "\n")
 
 
-def estimate_to_json_line(res: EstimateResult, eps: float) -> str:
-    return json.dumps({"eps": eps, **res.as_dict()})
-
-
 def estimates_to_csv(results: list[EstimateResult], path: str | Path) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["n", "p_hat", "ci_low", "ci_high", "per_n_rate"])
         for r in results:
-            rate = _fmt(r.per_n_rate) if np.isfinite(r.per_n_rate) else "inf"
-            w.writerow([r.n, _fmt(r.p_hat), _fmt(r.ci_low), _fmt(r.ci_high), rate])
+            w.writerow([r.n, _fmt(r.p_hat), _fmt(r.ci_low), _fmt(r.ci_high), _fmt(r.per_n_rate)])

@@ -492,6 +492,18 @@ class TestTrajectoryCommands:
         assert payload["reps"] == 400
         assert 0.0 <= payload["ci_low"] <= payload["p_hat"] <= payload["ci_high"] <= 1.0
 
+    def test_estimate_at_infinite_eps_prints_json(self, tmp_path, capsys):
+        # it printed "eps": Infinity and "per_n_rate": -0.0
+        p = tmp_path / "p.json"
+        q = tmp_path / "q.json"
+        p.write_text('{"degrees": {"3": 1}}')
+        q.write_text('{"degrees": {"3": 0.5}}')
+        assert main(["estimate", "--p", str(p), "--q", str(q), "--n", "12", "--eps", "inf",
+                     "--reps", "100", "--seed", "1"]) == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=_not_json)
+        assert payload["eps"] is None and payload["hits"] == 100
+        assert math.copysign(1.0, payload["per_n_rate"]) == 1.0
+
     def test_estimate_out_appends_json_lines(self, files, capsys):
         out = files["tmp"] / "est.jsonl"
         argv = ["estimate", "--p", files["p"], "--q", files["q"], "--n", "60",
@@ -777,11 +789,11 @@ class TestRoundTrip:
 
     def test_estimate_json_line_roundtrip(self):
         from cmld import EstimateResult, estimate_event_prob
-        from cmld.serialize import estimate_to_json_line
+        from cmld.serialize import json_line
 
         res = estimate_event_prob((1, 1, 3, 3), {3: 0.5}, eps=0.3, reps=300, seed=9)
         assert math.isfinite(res.per_n_rate)
-        payload = json.loads(estimate_to_json_line(res, 0.3))
+        payload = json.loads(json_line({"eps": 0.3, **res.as_dict()}))
         assert payload.pop("eps") == 0.3
         assert EstimateResult(**payload) == res
 

@@ -122,6 +122,26 @@ class TestEventProbability:
         res = estimate_event_prob((3,) * 12, {3: 0.5}, eps=math.inf, reps=300, seed=5)
         assert res.hits == res.reps and res.p_hat == 1.0
 
+    def test_any_eps_above_one_is_the_whole_window_without_warning(self):
+        # n (q_k + eps) overflowed at eps = 1e308 with two RuntimeWarnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = [estimate_event_prob((3,) * 12, {3: 0.5}, eps=eps, reps=300, seed=5)
+                   for eps in (2.0, 1e308, math.inf)]
+            windows = [_event_windows({3: 12}, {3: 0.5}, eps) for eps in (2.0, 1e308, math.inf)]
+        assert res[0] == res[1] == res[2]
+        for lo, hi in windows:
+            assert lo.tolist() == [0] and hi.tolist() == [12]
+
+    def test_every_replication_hitting_has_rate_plus_zero(self, tmp_path):
+        # the rate was -log(1)/n = -0.0, printed "-0" in the CSV
+        from cmld.serialize import estimates_to_csv
+
+        res = estimate_event_prob((3,) * 12, {3: 0.5}, eps=math.inf, reps=300, seed=5)
+        assert res.per_n_rate == 0.0 and math.copysign(1.0, res.per_n_rate) == 1.0
+        estimates_to_csv([res], tmp_path / "est.csv")
+        assert (tmp_path / "est.csv").read_text().splitlines()[1].split(",")[-1] == "0"
+
     def test_pool_capped_at_shards_and_cores(self, monkeypatch, no_kept_pool):
         est = no_kept_pool
         started = []

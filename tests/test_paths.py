@@ -637,6 +637,36 @@ class TestClosedFormRoute:
         _, _, dzetak = _segment_state(spec, spec.varsigma - t)
         assert np.max(np.abs((ahead - behind) / (2.0 * h) - dzetak)) <= 1e-7
 
+    def test_masses_at_the_ends_of_the_double_range(self):
+        # the first cost +inf, as zeta_6 underflowed at 62 nodes; the second
+        # and third raised "overflow encountered in divide" in their velocity
+        spec = make_segment_spec(
+            StatePoint(0.0, {3: 8.815952533666052e-38, 6: 3.718865243276547e-283}),
+            StatePoint(0.0, {}))
+        assert spec.cost_closed_form() == 0.0
+        assert 0.0 <= path_cost(minimizer_path(spec)) <= 1e-50
+        spec = make_segment_spec(
+            StatePoint(5.899394527176587e-301, {1: 2.768922284478448e-304,
+                                                4: 4.1733798198421405e-302}),
+            StatePoint(0.0, {1: 1.8023336598994667e-304, 4: 1.4342534774766274e-302}))
+        assert path_cost(minimizer_path(spec)) == pytest.approx(spec.cost_closed_form(),
+                                                                rel=1e-12)
+        # a subnormal varsigma: its masses carry about 11 bits
+        spec = make_segment_spec(StatePoint(0.0, {3: 3e-320}), StatePoint(0.0, {3: 1e-320}))
+        assert path_cost(minimizer_path(spec)) == pytest.approx(spec.cost_closed_form(),
+                                                                rel=1e-2)
+
+    @pytest.mark.parametrize("x1, x2", [(X1_REG, X2_REG), (X1_ACT, X2_ACT)] + BETA_NEAR_ONE)
+    def test_scaled_state_is_the_state_times_the_scale(self, x1, x2):
+        spec = make_segment_spec(x1, x2)
+        rest = np.linspace(0.0, 1.0, 7) * spec.varsigma
+        lam = 2.0 ** -40
+        scaled = paths._unit_state(spec, lam * rest, lam)
+        state = _segment_state(spec, rest)
+        assert np.array_equal(scaled[0], lam * state[0])
+        assert np.array_equal(scaled[1], lam * state[1])
+        assert np.array_equal(scaled[2], state[2])
+
     def test_spec_travels_outside_meta(self):
         spec = make_segment_spec(X1_ACT, X2_ACT)
         mp = minimizer_path(spec)
