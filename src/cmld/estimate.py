@@ -21,21 +21,20 @@ x = floor(u * denominator), exactly as the float decision would be, so it
 finds the woken degree with one integer compare and removes it with one
 broadcast subtract; a graph of one degree needs neither, and its first
 step, a certain wake, is taken without a draw.  The stream keys and the
-draw's two buffers are a shard's lane buffers: a pool worker keeps its
-three for its later shards, and an in-process call makes them once and
-drops them when it returns.  A replication leaves the block once its
-outcome is settled: when it hits, when its chain stops, or when its
-sleeping half-edge mass shows that no component can reach the window.
-That test is exact, since every hitting component's half-edge mass lies
-between those of the window's integer edges.  Once at most half of a
-block is still live, the live replications are gathered into smaller
-arrays.  Shards run in one process, or in a pool of at most one process
-per shard and per usable core.  The pool is kept for later calls of the
-same size in the same process; it is replaced when the size changes or
-when it breaks and joined at interpreter exit, and a forked child starts
-with no pool and a free lock.  Its workers are forked at the first
-parallel call, so they run the code as it was then: a monkeypatch made
-later does not reach them.
+draw's two buffers are a shard's lane buffers (:func:`_lane_buffers`).
+A replication leaves the block once its outcome is settled: when it
+hits, when its chain stops, or when its sleeping half-edge mass shows
+that no component can reach the window.  That test is exact, since every
+hitting component's half-edge mass lies between those of the window's
+integer edges.  Once at most half of a block is still live, the live
+replications are gathered into smaller arrays.  :func:`_batch_hits` runs
+a shard in any process: the shards run in this one, or a pool of at most
+one process per shard and per usable core maps them.  The pool is kept
+for later calls of the same size in the same process; it is replaced
+when the size changes or when it breaks and joined at interpreter exit,
+and a forked child starts with no pool and a free lock.  Its workers are
+forked at the first parallel call, so they run the code as it was then:
+a monkeypatch made later does not reach them.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from multiprocessing.util import Finalize
 
 import numpy as np
@@ -239,14 +239,29 @@ def _event_windows(counts: dict[int, int], q, eps: float
     return lo.astype(np.int64), hi.astype(np.int64)
 
 
+# the calling thread's lane buffers, as its attribute "buffers"
+_lanes = threading.local()
+
+
 def _lane_buffers(R: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fresh buffers for R lanes: the stream keys, and the draw's two."""
-    return np.empty(R, dtype=np.uint64), np.empty(R), np.empty(R, dtype=np.uint64)
+    """The calling thread's lane buffers, at least R wide: the stream keys,
+    and the draw's two.
+
+    They are the only lane memory, and each thread keeps its own, so two
+    threads running shards at once never share one.  They grow to the
+    widest shard the thread has run: a pool worker keeps them for its
+    later shards, and an in-process estimate makes its thread's afresh and
+    drops them when it returns.
+    """
+    buffers = getattr(_lanes, "buffers", None)
+    if buffers is None or len(buffers[0]) < R:
+        buffers = np.empty(R, dtype=np.uint64), np.empty(R), np.empty(R, dtype=np.uint64)
+        _lanes.buffers = buffers
+    return buffers
 
 
 def _batch_hits(counts: dict[int, int], rep_lo: int, rep_hi: int, seed: int,
-                lo: np.ndarray, hi: np.ndarray,
-                buffers: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None) -> int:
+                lo: np.ndarray, hi: np.ndarray) -> int:
     """Event hits among replications [rep_lo, rep_hi), lockstep-vectorized.
 
     State is degree-major and cumulative: row d of ``C`` holds, for every
@@ -264,8 +279,7 @@ def _batch_hits(counts: dict[int, int], rep_lo: int, rep_hi: int, seed: int,
     signed type that holds 2m + 1: every value the kernel forms lies in
     [-2m, 2m + 1], ``s + killw``, ``s0 - H`` and the retired need 2m + 1
     among them.  So R lanes on D degrees start at 2DR entries of that type,
-    beside the lane buffers: the R keys and the draw's two R-wide buffers,
-    the first R entries of ``buffers`` (made here when it is None).
+    beside the first R entries of the lane buffers (:func:`_lane_buffers`).
     ``Cstart`` is ``C`` when the current component started; at a close,
     ``Cstart - C`` differenced along the degree axis and divided by the
     degrees is the component's configuration.  ``lo`` and ``hi`` are the
@@ -330,9 +344,7 @@ def _batch_hits(counts: dict[int, int], rep_lo: int, rep_hi: int, seed: int,
     s = C[-1]
     A = np.zeros(R, dtype=idt)
     need = np.full(R, min(L, 2 * m - H), dtype=idt)
-    if buffers is None:
-        buffers = _lane_buffers(R)
-    keys, u, scratch = (buf[:R] for buf in buffers)
+    keys, u, scratch = (buf[:R] for buf in _lane_buffers(R))
     keys = stream_keys(seed, np.arange(rep_lo, rep_hi, dtype=np.uint64), keys, scratch)
     hits = 0
     j0 = 0
@@ -401,20 +413,6 @@ def _batch_hits(counts: dict[int, int], rep_lo: int, rep_hi: int, seed: int,
     return hits
 
 
-# a pool worker's lane buffers, kept for its later shards; only workers set it
-_worker_buffers: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
-
-def _worker_hits(counts: dict[int, int], rep_lo: int, rep_hi: int, seed: int,
-                 lo: np.ndarray, hi: np.ndarray) -> int:
-    """:func:`_batch_hits` in a pool worker, on the worker's kept lane
-    buffers, which grow to the widest shard it has run."""
-    global _worker_buffers
-    if _worker_buffers is None or len(_worker_buffers[0]) < rep_hi - rep_lo:
-        _worker_buffers = _lane_buffers(rep_hi - rep_lo)
-    return _batch_hits(counts, rep_lo, rep_hi, seed, lo, hi, _worker_buffers)
-
-
 def _usable_cores() -> int:
     """Cores this process may run on (all of them where affinity is unknown)."""
     try:
@@ -457,10 +455,12 @@ def _pool_hits(procs: int, counts: dict[int, int], shards: list[tuple[int, int]]
     forks beside the old one's manager thread.  A broken pool is replaced
     and the call run once more; the hits are a pure function of the
     arguments, so the retry gives the same number.  On any other failure
-    the shards not yet started are cancelled, so the pool does not run
+    the map cancels the shards not yet started, so the pool does not run
     them ahead of the next call's.
     """
     global _pool
+    starts, stops = zip(*shards)
+    lo, hi = event
     with _POOL_LOCK:
         for retry in (False, True):
             if _pool is not None and _pool[0] != procs:
@@ -472,19 +472,13 @@ def _pool_hits(procs: int, counts: dict[int, int], shards: list[tuple[int, int]]
                 # pool is also shut down by a finalizer that runs first, and
                 # before its call queue's own (priority 10) stops the queue
                 _pool = procs, pool, Finalize(pool, pool.shutdown, exitpriority=20)
-            futs = []
             try:
-                for a, b in shards:
-                    futs.append(_pool[1].submit(_worker_hits, counts, a, b, seed, *event))
-                return sum(f.result() for f in futs)
+                return sum(_pool[1].map(_batch_hits, repeat(counts), starts, stops,
+                                        repeat(seed), repeat(lo), repeat(hi)))
             except BrokenProcessPool:
                 _drop_pool()
                 if retry:
                     raise
-            except BaseException:
-                for f in futs:
-                    f.cancel()
-                raise
 
 
 def _resolve_input(p_or_d, n: int | None) -> tuple[DegreeSequence, dict[int, int]]:
@@ -528,10 +522,10 @@ def estimate_event_prob(p_or_d, q, eps: float, reps: int, seed: int,
     if event is not None:
         shards = [(a, min(a + chunk_size, reps)) for a in range(0, reps, chunk_size)]
         procs = min(workers, len(shards), _usable_cores())
-        if procs == 1:  # the first shard is the widest
-            buffers = _lane_buffers(shards[0][1] - shards[0][0])
-            for a, b in shards:
-                hits += _batch_hits(counts, a, b, seed, *event, buffers)
+        if procs == 1:  # on lane buffers made for this call and dropped after it
+            _lanes.buffers = None
+            hits = sum(_batch_hits(counts, a, b, seed, *event) for a, b in shards)
+            _lanes.buffers = None
         else:
             hits = _pool_hits(procs, counts, shards, seed, event)
 

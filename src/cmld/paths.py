@@ -168,10 +168,12 @@ def _segment_grid(vs: float, n: int) -> np.ndarray:
     return np.unique(np.concatenate([body, tail]))
 
 
-def _segment_state(spec: PathSegmentSpec,
-                   rest: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _unit_state(spec: PathSegmentSpec, rest: np.ndarray,
+                lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """zeta_0, zeta_k and zeta_k' of the segment's minimizer at the times
-    t = varsigma - rest.
+    t = varsigma - rest, with every mass, and so the duration, scaled by
+    ``lam``, a power of two; ``rest`` is in the scaled segment's time, and
+    ``lam = 1.0`` gives the segment itself.
 
     The minimizer zeta_k(t) = x1_k - z~_k [1 - (1 - t/varsigma~)^{k/2}],
     z~_k = z_k/(1 - beta^k), is written from the right endpoint as
@@ -187,16 +189,7 @@ def _segment_state(spec: PathSegmentSpec,
     taken through log1p/expm1: zeta - x2 keeps its relative precision as
     t -> varsigma, where masses may vanish.  The last two arrays hold one
     column per degree in ``spec.degrees``; rest is clipped to
-    [0, varsigma].  Requires varsigma > 0.
-    """
-    return _unit_state(spec, rest, 1.0)
-
-
-def _unit_state(spec: PathSegmentSpec, rest: np.ndarray,
-                lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_segment_state` of the segment with every mass, and so its
-    duration, scaled by ``lam``, a power of two; ``rest`` is in the
-    scaled segment's time.
+    [0, lam varsigma].  Requires varsigma > 0.
 
     beta does not depend on scale, so the states scale by lam and the
     velocities not at all.  Each product with lam is exact, so the states
@@ -255,7 +248,7 @@ class SegmentPath(FluidPath):
             zetak = [[spec.x1.mass(k) for k in self.degrees]]
         else:
             grid = _segment_grid(spec.varsigma, self._grid_points)
-            zeta0, zetak, _ = _segment_state(spec, spec.varsigma - grid)
+            zeta0, zetak, _ = _unit_state(spec, spec.varsigma - grid, 1.0)
             zeta0, psi = np.maximum(zeta0, 0.0), zeta0 - spec.x1.x0
         self.__dict__.update(grid=grid, zeta0=zeta0, zetak=zetak, psi=psi)
         FluidPath.__post_init__(self)
@@ -265,7 +258,7 @@ class SegmentPath(FluidPath):
 def minimizer_path(spec: PathSegmentSpec, grid_points: int = 4501) -> SegmentPath:
     """The explicit minimizing trajectory of the segment on [0, varsigma].
 
-    Samples :func:`_segment_state` on ``grid_points`` points of
+    Samples :func:`_unit_state` on ``grid_points`` points of
     :func:`_segment_grid`; psi = zeta_0 - x1_0 and zeta_0 is clamped at 0.
     Hits x2 at varsigma exactly and x1 at 0 to rounding; when varsigma = 0
     the path is the single point x1 at 0.  ``grid_points`` below 4 (two
@@ -377,7 +370,7 @@ def path_cost(path: FluidPath, t1: float | None = None, t2: float | None = None)
 
     Two routes, one quadrature rule each.  A path from
     :func:`minimizer_path` carries its segment: its state and velocity are
-    evaluated in closed form (:func:`_segment_state`) at the nodes of one
+    evaluated in closed form (:func:`_unit_state`) at the nodes of one
     composite Gauss-Legendre rule in s = sqrt((t2 - t)/(t2 - t1)), which
     removes the integrable logarithmic singularity that appears when the
     active mass vanishes at t2, and [t1, t2] may be any subinterval of

@@ -76,6 +76,15 @@ class TestRateCommands:
         assert payload["rate"] == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
         assert payload["limit"] == -payload["rate"]
 
+    @pytest.mark.parametrize("argv", [["dreg", "--D", "3", "--q", "1"],
+                                      ["dreg", "--D", "4", "--q", "1e-320"],
+                                      ["largest-conj", "--D", "3", "--x", "1"]])
+    def test_zero_rate_prints_plus_zero(self, argv, capsys):
+        assert main(["rate", *argv]) == 0
+        out = capsys.readouterr().out
+        assert '"rate": 0.0,' in out
+        assert math.copysign(1.0, json.loads(out)["rate"]) == 1.0
+
     def test_degree_payload(self, files, capsys):
         assert main(["rate", "degree", "--p", files["p"], "--q", files["q"]]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -659,6 +659,14 @@ class TestConjectured:
     def test_full_zero(self):
         assert rate_conjectured_largest(3, 1.0) == pytest.approx(0.0, abs=1e-12)
 
+    def test_zero_rates_are_plus_zero(self):
+        # the whole graph as one component: (1 - D/2) times a zero entropy
+        # is -0.0 unless the sign is put right
+        for D in (3, 4, 7):
+            for rate in (rate_d_regular(D, 1.0), rate_d_regular(D, 1e-320),
+                         rate_conjectured_largest(D, 1.0), rate_conjectured_multi(D, [1.0])):
+                assert rate == 0.0 and math.copysign(1.0, rate) == 1.0
+
     def test_half(self):
         assert rate_conjectured_largest(3, 0.5) == pytest.approx(HALF_LOG2, abs=1e-12)
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import multiprocessing
 import multiprocessing.connection
@@ -5,8 +6,11 @@ import os
 import signal
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -538,6 +542,16 @@ def _estimate_in_child(conn) -> None:
     conn.close()
 
 
+def _logged_shard(log: Path, counts, rep_lo, rep_hi, seed, lo, hi) -> int:
+    """A stand-in kernel: shard 0 fails at once, and every other shard
+    sleeps 50 ms and then leaves a file named by its first replication."""
+    if rep_lo == 0:
+        raise RuntimeError("shard 0 fails")
+    time.sleep(0.05)
+    (log / str(rep_lo)).touch()
+    return 0
+
+
 class TestKeptPool:
     @pytest.fixture
     def est(self, monkeypatch, no_kept_pool):
@@ -585,6 +599,39 @@ class TestKeptPool:
         assert res.hits > 0 and est._pool is None
         assert peak - base >= 3 * 2**19
         assert held - base < 2**19
+
+    def test_two_threads_estimating_at_once_get_their_serial_hits(self, est):
+        # each thread runs its shards on its own lane buffers: one column and
+        # seven columns in process at the same time hit as each does alone
+        p_mix = {1: 0.3, 2: 0.1, 3: 0.2, 4: 0.15, 5: 0.1, 7: 0.1, 10: 0.05}
+        runs = [
+            (DegreeDistribution({3: 1.0}), {3: 0.5}, 1 / 16, 2**18, 11, 16),
+            (DegreeDistribution(p_mix), p_mix, 0.005, 2**17, 4242, 100),
+        ]
+        serial = [estimate_event_prob(*run[:5], n=run[5]) for run in runs]
+        start = threading.Barrier(len(runs))
+
+        def run_at_once(run):
+            start.wait()
+            return estimate_event_prob(*run[:5], n=run[5])
+
+        with ThreadPoolExecutor(len(runs)) as threads:
+            assert list(threads.map(run_at_once, runs)) == serial
+        assert est._pool is None
+
+    def test_failing_shard_cancels_the_shards_not_yet_started(self, est, monkeypatch,
+                                                              tmp_path):
+        # the stand-in kernel is in place before the pool's first fork.  Shard
+        # 0 fails while the other worker sleeps on shard 1, so the workers may
+        # finish the few shards already handed to them, but not the other 39
+        monkeypatch.setattr(est, "_batch_hits", functools.partial(_logged_shard, tmp_path))
+        with pytest.raises(RuntimeError, match="shard 0 fails"):
+            estimate_event_prob(DegreeDistribution({3: 1.0}), {3: 0.5}, 0.25, reps=40 * 64,
+                                seed=12, n=12, chunk_size=64, workers=2)
+        assert est._pool[0] == 2
+        with est._POOL_LOCK:
+            est._drop_pool()  # joins the workers once their shards have ended
+        assert len(list(tmp_path.iterdir())) < 20
 
     def test_new_size_joins_the_old_workers_first(self, est, monkeypatch):
         serial = _kept_run(1)

@@ -35,7 +35,7 @@ from cmld import (
 )
 from cmld import paths
 from cmld.fluid import reflect
-from cmld.paths import _segment_grid, _segment_state
+from cmld.paths import _segment_grid, _unit_state
 from cmld.verify import _check_quadrature, _segment_battery
 
 HALF_LOG2 = 0.5 * math.log(2.0)
@@ -274,7 +274,7 @@ class TestMinimizer:
 
     def test_midpoint_values(self):
         spec = make_segment_spec(X1_REG, X2_REG)
-        zeta0, zetak, _ = _segment_state(spec, spec.varsigma - np.array([0.375]))
+        zeta0, zetak, _ = _unit_state(spec, spec.varsigma - np.array([0.375]), 1.0)
         assert zetak[0, 0] == pytest.approx(0.6767766952966369, abs=1e-12)
         assert zeta0[0] == pytest.approx(0.2196699141100894, abs=1e-12)
 
@@ -505,7 +505,7 @@ class TestFluidLimitRoute:
         grid = np.linspace(0.0, tau, 501)
         # lln_path needs a horizon of at least mu/2 >= tau
         fluid = lln_path(p, grid=np.append(grid, p.mu))
-        zeta0, zetak, _ = _segment_state(spec, spec.varsigma - grid)
+        zeta0, zetak, _ = _unit_state(spec, spec.varsigma - grid, 1.0)
         assert np.max(np.abs(fluid.zeta0[:-1] - zeta0)) <= 1e-13
         for j, k in enumerate(spec.degrees):
             assert np.max(np.abs(fluid.zeta(k)[:-1] - zetak[:, j])) <= 1e-13
@@ -526,7 +526,7 @@ class TestDynamicProgramming:
             ks = np.array(spec.degrees, dtype=float)
             lo = np.array([x2.mass(k) for k in spec.degrees])
             hi = np.array([x1.mass(k) for k in spec.degrees])
-            zeta0, zetak, _ = _segment_state(spec, spec.varsigma * np.array([0.75, 0.5, 0.25]))
+            zeta0, zetak, _ = _unit_state(spec, spec.varsigma * np.array([0.75, 0.5, 0.25]), 1.0)
             for y0, yk in zip(zeta0, zetak):
                 y = StatePoint(max(y0, 0.0), dict(zip(spec.degrees, yk.tolist())))
                 split = cost_closed_form(x1, y) + cost_closed_form(y, x2)
@@ -589,7 +589,7 @@ class TestClosedFormRoute:
         spec = make_segment_spec(x1, x2)
         mp = minimizer_path(spec)
         ts = np.array([0.0, 0.3, 0.7, 1.0]) * spec.varsigma
-        zeta0, zetak, _ = _segment_state(spec, spec.varsigma - ts)
+        zeta0, zetak, _ = _unit_state(spec, spec.varsigma - ts, 1.0)
         states = [StatePoint(max(z0, 0.0), dict(zip(spec.degrees, row)))
                   for z0, row in zip(zeta0, zetak)]
         pieces = [path_cost(mp, a, b) for a, b in zip(ts, ts[1:])]
@@ -632,9 +632,9 @@ class TestClosedFormRoute:
         spec = make_segment_spec(*BETA_NEAR_ONE[1])
         t = np.linspace(0.1, 0.9, 9) * spec.varsigma
         h = 1e-6 * spec.varsigma
-        _, ahead, _ = _segment_state(spec, spec.varsigma - (t + h))
-        _, behind, _ = _segment_state(spec, spec.varsigma - (t - h))
-        _, _, dzetak = _segment_state(spec, spec.varsigma - t)
+        _, ahead, _ = _unit_state(spec, spec.varsigma - (t + h), 1.0)
+        _, behind, _ = _unit_state(spec, spec.varsigma - (t - h), 1.0)
+        _, _, dzetak = _unit_state(spec, spec.varsigma - t, 1.0)
         assert np.max(np.abs((ahead - behind) / (2.0 * h) - dzetak)) <= 1e-7
 
     def test_masses_at_the_ends_of_the_double_range(self):
@@ -661,8 +661,8 @@ class TestClosedFormRoute:
         spec = make_segment_spec(x1, x2)
         rest = np.linspace(0.0, 1.0, 7) * spec.varsigma
         lam = 2.0 ** -40
-        scaled = paths._unit_state(spec, lam * rest, lam)
-        state = _segment_state(spec, rest)
+        scaled = _unit_state(spec, lam * rest, lam)
+        state = _unit_state(spec, rest, 1.0)
         assert np.array_equal(scaled[0], lam * state[0])
         assert np.array_equal(scaled[1], lam * state[1])
         assert np.array_equal(scaled[2], state[2])
@@ -710,7 +710,7 @@ class TestSampledOnFirstRead:
                 assert mp.degrees == spec.x1.degrees
             else:
                 grid = _segment_grid(spec.varsigma, grid_points)
-                zeta0, zetak, _ = _segment_state(spec, spec.varsigma - grid)
+                zeta0, zetak, _ = _unit_state(spec, spec.varsigma - grid, 1.0)
                 want = (grid, np.maximum(zeta0, 0.0), zetak, zeta0 - spec.x1.x0)
                 assert mp.degrees == spec.degrees
             for name, w in zip(self.ARRAYS, want):
