@@ -5,15 +5,13 @@ A code line holds a token other than a comment.  Blank lines, comment-only
 lines and the lines of module, class and function docstrings are left out;
 any other string, and a docstring's line that also holds code, counts.
 
-    python scripts/code_lines.py [PACKAGE_DIR]
+    python scripts/code_lines.py
 
-PACKAGE_DIR defaults to ``src/cmld`` beside this script's directory.  Prints
-one row per module, sorted by name, then the total.
+Prints one row per module of ``src/cmld``, sorted by name, then the total.
 """
 
 import ast
 import io
-import sys
 import tokenize
 from pathlib import Path
 
@@ -44,8 +42,8 @@ def code_lines(path: Path) -> int:
     return len(lines)
 
 
-def main(argv: list[str]) -> None:
-    pkg = Path(argv[0]) if argv else Path(__file__).resolve().parents[1] / "src" / "cmld"
+def main() -> None:
+    pkg = Path(__file__).resolve().parents[1] / "src" / "cmld"
     counts = {p.name: code_lines(p) for p in sorted(pkg.glob("*.py"))}
     width = max(map(len, counts), default=5)
     for name, n in counts.items():
@@ -54,4 +52,4 @@ def main(argv: list[str]) -> None:
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()

@@ -524,8 +524,10 @@ def estimate_event_prob(p_or_d, q, eps: float, reps: int, seed: int,
         procs = min(workers, len(shards), _usable_cores())
         if procs == 1:  # on lane buffers made for this call and dropped after it
             _lanes.buffers = None
-            hits = sum(_batch_hits(counts, a, b, seed, *event) for a, b in shards)
-            _lanes.buffers = None
+            try:
+                hits = sum(_batch_hits(counts, a, b, seed, *event) for a, b in shards)
+            finally:
+                _lanes.buffers = None
         else:
             hits = _pool_hits(procs, counts, shards, seed, event)
 

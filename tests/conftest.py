@@ -6,6 +6,15 @@ from pathlib import Path
 import pytest
 
 
+@pytest.fixture(autouse=True)
+def _no_kept_lane_buffers():
+    """Start each test with no lane buffers kept on its thread, so a direct
+    kernel call's memory measurement counts its own buffers in any order."""
+    from cmld import estimate
+
+    estimate._lanes.buffers = None
+
+
 @pytest.fixture(scope="session")
 def frozen_constants() -> dict[str, float]:
     """The 50-digit values of scripts/frozen_constants.py, rounded to doubles."""
