@@ -175,7 +175,11 @@ def _weights_of(r) -> dict[int, float]:
 
 def entropy_H(r) -> float:
     """H(r) = sum r_k log r_k - s log s with s = (1/2) sum k r_k."""
-    w = _weights_of(r)
+    return _entropy(_weights_of(r))
+
+
+def _entropy(w: Mapping[int, float]) -> float:
+    """:func:`entropy_H` of weights that are already clean."""
     if not w:
         return 0.0
     s = 0.5 * math.fsum(k * v for k, v in w.items())
@@ -300,7 +304,7 @@ def _k_correction(w: Mapping[int, float], beta: float) -> float:
 def K_of_q(q) -> float:
     """Correction K(q); exactly zero when q_1 = 0."""
     w = _weights_of(q)
-    return _k_correction(w, beta_of_q(w))
+    return _k_correction(w, _transition_root(w, 0.0, 0.0))
 
 
 def rate_component_degree(p: DegreeDistribution, q) -> RateBreakdown:
@@ -316,7 +320,7 @@ def rate_component_degree(p: DegreeDistribution, q) -> RateBreakdown:
     beta = beta_of_q(sub)
     K = _k_correction(sub.weights, beta)
     H_q = entropy_H(sub)
-    H_pq = entropy_H(sub.complement())
+    H_pq = _entropy(sub.complement())  # positive entries of p - q, in p's order
     H_p = entropy_H(p)
     I1 = H_q + H_pq - H_p + K
     kind = BOUND_TWO_SIDED if p.pk(1) == 0.0 else BOUND_LOWER_ONLY

@@ -29,6 +29,19 @@ def reflect(psi: np.ndarray) -> np.ndarray:
     return psi - np.minimum(np.minimum.accumulate(psi), 0.0)
 
 
+def _grid_span(grid: np.ndarray, t1: float, t2: float) -> slice:
+    """The indices of the grid points inside [t1, t2] (to 1e-9 relative to
+    the interval, at least 1e-9), which must begin and end on the grid."""
+    tol = 1e-9 * max(1.0, abs(t2 - t1))
+    i = int(np.searchsorted(grid, t1 - tol))
+    j = int(np.searchsorted(grid, t2 + tol, side="right"))
+    if j - i < 2:
+        raise DomainError(f"[{t1}, {t2}] contains fewer than two grid points")
+    if abs(grid[i] - t1) > tol or abs(grid[j - 1] - t2) > tol:
+        raise DomainError(f"[{t1}, {t2}] endpoints must coincide with grid points")
+    return slice(i, j)
+
+
 @dataclass
 class FluidPath:
     """Fluid exploration state sampled on a time grid.
@@ -82,20 +95,15 @@ class FluidPath:
         return d0, dk
 
     def slice(self, t1: float, t2: float) -> "FluidPath":
-        """Restriction to grid points inside [t1, t2]; endpoints must be on the grid."""
-        tol = 1e-9 * max(1.0, abs(t2 - t1))
-        mask = (self.grid >= t1 - tol) & (self.grid <= t2 + tol)
-        if mask.sum() < 2:
-            raise DomainError(f"[{t1}, {t2}] contains fewer than two grid points")
-        idx = np.nonzero(mask)[0]
-        if abs(self.grid[idx[0]] - t1) > tol or abs(self.grid[idx[-1]] - t2) > tol:
-            raise DomainError(f"[{t1}, {t2}] endpoints must coincide with grid points")
+        """Restriction to grid points inside [t1, t2], as copies; endpoints
+        must be on the grid."""
+        idx = _grid_span(self.grid, t1, t2)
         return FluidPath(
-            grid=self.grid[idx],
+            grid=self.grid[idx].copy(),
             degrees=self.degrees,
-            zeta0=self.zeta0[idx],
-            zetak=self.zetak[idx],
-            psi=self.psi[idx],
+            zeta0=self.zeta0[idx].copy(),
+            zetak=self.zetak[idx].copy(),
+            psi=self.psi[idx].copy(),
             tau_markers=dict(self.tau_markers),
             meta=dict(self.meta),
         )

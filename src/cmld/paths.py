@@ -41,7 +41,7 @@ import numpy as np
 
 from .core import PROB_TOL, _clean_weights, _degree, _transition_root
 from .errors import DomainError, PreconditionError
-from .fluid import FluidPath
+from .fluid import FluidPath, _grid_span
 
 CASE_I = "case_i"
 CASE_II = "case_ii"
@@ -107,6 +107,11 @@ class PathSegmentSpec:
     case: str
     z: dict[int, float]
     degrees: tuple[int, ...]
+
+    @functools.cached_property
+    def _ks(self) -> np.ndarray:
+        """``degrees`` as floats, built once for both of a cost's array passes."""
+        return np.array(self.degrees, dtype=float)
 
     @property
     def varsigma_tilde(self) -> float:
@@ -196,25 +201,26 @@ def _unit_state(spec: PathSegmentSpec, rest: np.ndarray,
     are the unscaled ones times lam and the velocities the unscaled ones,
     bit for bit, wherever neither under- nor overflows.
     """
-    ks = np.array(spec.degrees, dtype=float)
-    half = 0.5 * ks
+    ks = spec._ks
+    half, neg_half = 0.5 * ks, -0.5 * ks
     x2 = np.array([lam * spec.x2.mass(k) for k in spec.degrees])
     z = np.array([lam * spec.z.get(k, 0.0) for k in spec.degrees])
     vs, beta = lam * spec.varsigma, spec.beta
-    rest = np.clip(rest, 0.0, vs)
+    rest = np.minimum(np.maximum(rest, 0.0), vs)
     x = (rest / vs)[:, None]
     if beta > 0.0:
         c = (1.0 - beta) * (1.0 + beta) / (beta * beta)
-        log_a, log_a1 = np.log1p(c * x), math.log1p(c)  # log(w/beta^2), and at t = 0
+        cx = c * x
+        log_a, log_a1 = np.log1p(cx), math.log1p(c)  # log(w/beta^2), and at t = 0
         w_half = np.exp(half * (log_a - log_a1))  # w^{k/2}
-        ztil = z / -np.expm1(-half * log_a1)  # z_k/(1 - beta^k)
-        drop = (ztil * w_half) * -np.expm1(-half * log_a)
-        dzetak = (-half * c / vs * ztil) * w_half / (1.0 + c * x)
+        ztil = z / -np.expm1(neg_half * log_a1)  # z_k/(1 - beta^k)
+        drop = (ztil * w_half) * -np.expm1(neg_half * log_a)
+        dzetak = (neg_half * c / vs * ztil) * w_half / (1.0 + cx)
     else:
         drop = z * x ** half
         # case (i): z_1 = 0, so degree 1 takes exponent 0 in place of the
         # -1/2 that is infinite at t = varsigma
-        dzetak = (-half / vs * z) * x ** np.maximum(half - 1.0, 0.0)
+        dzetak = (neg_half / vs * z) * x ** np.maximum(half - 1.0, 0.0)
     return lam * spec.x2.x0 + 2.0 * rest - drop @ ks, x2 + drop, dzetak
 
 
@@ -307,7 +313,8 @@ def _rate_integrand(zeta0: np.ndarray, zetak: np.ndarray, dzetak: np.ndarray,
     exceeds 1 by more than ``slack`` (a number or one per node), or where
     some zeta_k' exceeds it, since no chain puts a vertex back to sleep;
     nu_0 is clamped at 0 below that.  nu and mu fill one buffer in place,
-    and the ratio, its log and the product are taken on live lanes only.
+    and a lane that is not live, or whose mu is 0, is set to nu = mu = 1 so
+    that it adds exactly +0 without a masked pass.
     The sums over degrees read their rows in ``dzetak``'s memory order
     (Fortran for the closed-form route's transposes), which fixes their
     rounding: numpy adds a Fortran-ordered column pairwise from 8 terms on.
@@ -321,23 +328,29 @@ def _rate_integrand(zeta0: np.ndarray, zetak: np.ndarray, dzetak: np.ndarray,
     nu0 = 1.0 - np.asarray(nu[1:], order=order).sum(axis=0)
     np.maximum(nu0, 0.0, out=nu[0])
     np.multiply(ks[:, None], np.maximum(zetak, 0.0, out=mu[1:]), out=mu[1:])
-    mu /= np.where(empty, 1.0, r)
-    mu[:, empty] = 0.0
-    mu[0, empty] = 1.0
-    live = nu > floor
-    bad = live & (mu <= 0.0)
-    ok = live & ~bad
-    np.log(np.divide(nu, mu, out=mu, where=ok), out=mu, where=ok)
-    np.multiply(nu, mu, out=mu, where=ok)
-    mu[~ok] = 0.0
+    if empty.any():  # mu is the point mass at 0 there
+        r[empty], mu[:, empty] = 1.0, 0.0
+        mu[0, empty] = 1.0
+    mu /= r
+    ok = nu > floor  # the live lanes, less the bad ones
+    bad = ok & (mu <= 0.0)
+    infinite = (nu0 < -slack) | rising
+    if bad.any():
+        ok, infinite = ok & ~bad, infinite | np.any(bad, axis=0)
+    if not ok.all():  # a lane that is not ok adds 1 log(1/1) = +0
+        dead = ~ok
+        nu[dead] = mu[dead] = 1.0
+    np.log(np.divide(nu, mu, out=mu), out=mu)
+    np.multiply(nu, mu, out=mu)
     out = np.asarray(mu, order=order).sum(axis=0)
-    out[np.any(bad, axis=0) | (nu0 < -slack) | rising] = math.inf
+    out[infinite] = math.inf
     return out
 
 
-def _check_unit_pace(path: FluidPath) -> None:
-    r = path.r()
-    slopes = np.diff(r) / np.diff(path.grid)
+def _check_unit_pace(r: np.ndarray, dt: np.ndarray) -> None:
+    """Raise unless r(zeta) falls at rate 2 on every grid interval, of
+    widths ``dt``, to ``J2_TOLERANCE``."""
+    slopes = np.diff(r) / dt
     residual = float(np.max(np.abs(slopes + 2.0)))
     if residual > J2_TOLERANCE:
         raise PreconditionError(
@@ -400,9 +413,10 @@ def path_cost(path: FluidPath, t1: float | None = None, t2: float | None = None)
 
 
 def _integrate(weights: np.ndarray, vals: np.ndarray) -> float:
-    if not np.all(np.isfinite(vals)):
-        return math.inf
-    return float(np.sum(weights * vals))
+    # the weights are positive and no rate is -inf, so a rate that is +inf
+    # or NaN makes the sum +inf or NaN
+    total = float(np.sum(weights * vals))
+    return total if math.isfinite(total) else math.inf
 
 
 def _segment_cost(spec: PathSegmentSpec, t1: float, t2: float) -> float:
@@ -429,8 +443,7 @@ def _segment_cost(spec: PathSegmentSpec, t1: float, t2: float) -> float:
     # exact velocities need no noise floor: at the 1e-8 default, dropping
     # a small wake rate near t2 costs up to 6e-11 in case (i) on 8400
     # random segments
-    vals = _rate_integrand(zeta0, zetak.T, dzetak.T, np.array(spec.degrees, dtype=float),
-                           floor=0.0)
+    vals = _rate_integrand(zeta0, zetak.T, dzetak.T, spec._ks, floor=0.0)
     return _integrate(2.0 * span * s * w, vals)
 
 
@@ -441,22 +454,27 @@ def _grid_cost(path: FluidPath, t1: float, t2: float) -> float:
     a fixed blend of the interval's ends; a node value y_i + s_i (t - t_i),
     s_i the interval's slope, is formed as ``np.interp`` forms it, without
     its search for the interval.  The nodes are strictly interior, so a
-    mass vanishing exactly at a grid point never enters a logarithm."""
-    seg = path.slice(t1, t2)
-    _check_unit_pace(seg)
-    _, dzetak = seg.derivatives()
-    rows = np.vstack([seg.zeta0, seg.zetak.T, dzetak.T, _wake_error(dzetak)])
-    half = 0.5 * np.diff(seg.grid)
-    mid, g2 = seg.grid[:-1] + half, 1.0 / math.sqrt(3.0)
+    mass vanishing exactly at a grid point never enters a logarithm.  The
+    path's arrays are read through views of [t1, t2] and never written."""
+    idx = _grid_span(path.grid, t1, t2)
+    grid, zetak, d = path.grid[idx], path.zetak[idx], len(path.degrees)
+    ks = np.array(path.degrees, dtype=float)
+    dt = np.diff(grid)
+    # r from C order, as the sum over degrees rounds by the layout (see _wake_error)
+    _check_unit_pace(np.maximum(path.zeta0[idx], 0.0) + np.asarray(zetak, order="C") @ ks, dt)
+    rows = np.empty((2 * d + 2, len(grid)))  # zeta_0, zeta_k, zeta_k', wake error
+    rows[0], rows[1:d + 1] = path.zeta0[idx], zetak.T
+    rows[d + 1:-1] = np.gradient(rows[1:d + 1], grid, axis=1)
+    rows[-1] = _wake_error(rows[d + 1:-1].T)
+    half = 0.5 * dt
+    mid, g2 = grid[:-1] + half, 1.0 / math.sqrt(3.0)
     vals = np.empty((len(rows), 2, len(half)))  # lower nodes, then upper ones
-    slope = np.divide(np.diff(rows, axis=1), np.diff(seg.grid), out=vals[:, 1])
-    np.multiply(slope, (mid - half * g2) - seg.grid[:-1], out=vals[:, 0])
-    slope *= (mid + half * g2) - seg.grid[:-1]
+    slope = np.divide(np.subtract(rows[:, 1:], rows[:, :-1], out=vals[:, 1]), dt, out=vals[:, 1])
+    np.multiply(slope, (mid - half * g2) - grid[:-1], out=vals[:, 0])
+    slope *= (mid + half * g2) - grid[:-1]
     vals += rows[:, None, :-1]
     vals = vals.reshape(len(rows), -1)
-    del rows, dzetak  # freed before the integrand's buffers are taken
-    d = len(seg.degrees)
-    ks = np.array(seg.degrees, dtype=float)
+    del rows  # freed before the integrand's buffers are taken
     rates = _rate_integrand(vals[0], vals[1:d + 1], vals[d + 1:-1], ks,
                             slack=np.maximum(vals[-1], _NU_FLOOR))
     return _integrate(np.concatenate([half, half]), rates)
@@ -472,7 +490,8 @@ def _wake_error(dzetak: np.ndarray) -> np.ndarray:
     infinite.  (The tests' three minimizers with beta ~ 0.97-0.99,
     evaluated forward in t, overshoot by less than 0.3 of it.)
     """
-    jumps = np.abs(np.diff(np.maximum(-dzetak, 0.0) @ np.ones(dzetak.shape[1])))
+    # summed from C order whatever dzetak's layout: BLAS orders the sum by it
+    jumps = np.abs(np.diff(np.maximum(-dzetak, 0.0, order="C") @ np.ones(dzetak.shape[1])))
     j = np.concatenate([jumps[:1], jumps[:1], jumps, jumps[-1:], jumps[-1:]])
     return 4.0 * np.maximum.reduce([j[:-3], j[1:-2], j[2:-1], j[3:]])
 

@@ -30,6 +30,7 @@ from .paths import (
     CASE_I,
     PathSegmentSpec,
     StatePoint,
+    _unit_state,
     cost_closed_form,
     make_segment_spec,
     minimizer_path,
@@ -106,6 +107,50 @@ def _check_profile_vs_segment() -> CheckResult:
     err = abs(rb.I1 - cf)
     return CheckResult("profile rate vs segment cost", err <= 1e-12,
                        f"|I1 - cost| = {err:.3e}")
+
+
+def _value_function_gaps() -> tuple[float, list[float]]:
+    """Bellman's inequality V(x1, y) + V(y, x2) >= V(x1, x2) for the
+    closed-form cost V, with equality when y is on the minimizer.
+
+    On each battery segment y is the minimizer at varsigma/4, /2 and 3/4.
+    Each such y is then moved 4 times, every mass by N(0, 0.05 drop)
+    (generator seed 15) kept within [x2_k, x1_k], with y_0 refit so that
+    r(y) is unchanged; a move with y_0 < 0 or a part with no transition
+    root is skipped.  Returns the largest |split - whole| on the minimizer
+    and split - whole at every move kept.
+    """
+    rng = np.random.default_rng(15)
+    on, off = 0.0, []
+    for spec in _segment_battery():
+        x1, x2, whole = spec.x1, spec.x2, spec.cost_closed_form()
+        ks = np.array(spec.degrees, dtype=float)
+        lo = np.array([x2.mass(k) for k in spec.degrees])
+        hi = np.array([x1.mass(k) for k in spec.degrees])
+        zeta0, zetak, _ = _unit_state(spec, spec.varsigma * np.array([0.75, 0.5, 0.25]), 1.0)
+        for y0, yk in zip(zeta0, zetak):
+            y = StatePoint(max(y0, 0.0), dict(zip(spec.degrees, yk.tolist())))
+            on = max(on, abs(cost_closed_form(x1, y) + cost_closed_form(y, x2) - whole))
+            for _ in range(4):
+                wk = np.clip(yk + rng.normal(0.0, 0.05, len(ks)) * (hi - lo), lo, hi)
+                w0 = y0 + ks @ (yk - wk)
+                if w0 < 0.0:
+                    continue
+                w = StatePoint(w0, dict(zip(spec.degrees, wk.tolist())))
+                try:
+                    off.append(cost_closed_form(x1, w) + cost_closed_form(w, x2) - whole)
+                except FeasibilityError:  # a part admits no transition root
+                    pass
+    return on, off
+
+
+def _check_value_function() -> CheckResult:
+    on, off = _value_function_gaps()
+    least = min(off, default=math.nan)
+    return CheckResult("closed-form cost: value function",
+                       on <= 1e-12 and len(off) >= 150 and least >= -1e-12,
+                       f"on the minimizer |split - whole| <= {on:.1e}; "
+                       f"{len(off)} points off it, split - whole >= {least:.1e}")
 
 
 def _check_lln_zero_cost() -> CheckResult:
@@ -216,7 +261,7 @@ def _check_reflection() -> CheckResult:
 def run_battery() -> list[CheckResult]:
     return [_check_triple_agreement(), _check_quadrature(), _check_profile_vs_segment(),
             _check_lln_zero_cost(), _check_conservation(), _check_survival(),
-            _check_fluid_limit(), _check_reflection()]
+            _check_fluid_limit(), _check_reflection(), _check_value_function()]
 
 
 def print_table(results: list[CheckResult]) -> bool:

@@ -867,7 +867,7 @@ class TestVerifyCommand:
     def test_battery_passes(self, capsys):
         assert main(["verify"]) == 0
         rows = capsys.readouterr().out.splitlines()
-        assert len(rows) == 8 and all("  PASS  " in row for row in rows)
+        assert len(rows) == 9 and all("  PASS  " in row for row in rows)
         assert "25 segments" in rows[1] and "1000 randomized" in rows[4]
 
     def test_fast_flag_is_a_usage_error(self, capsys):

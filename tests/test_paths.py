@@ -35,8 +35,9 @@ from cmld import (
 )
 from cmld import paths
 from cmld.fluid import reflect
+from cmld.serialize import fluid_path_from_csv, fluid_path_to_csv
 from cmld.paths import _segment_grid, _unit_state
-from cmld.verify import _check_quadrature, _segment_battery
+from cmld.verify import _check_quadrature, _segment_battery, _value_function_gaps
 
 HALF_LOG2 = 0.5 * math.log(2.0)
 # frozen from a 50-digit closed-form evaluation at the exact root,
@@ -519,29 +520,8 @@ class TestDynamicProgramming:
         # minimizer at varsigma/4, /2 and 3/4 (split to 1.8e-15), then that
         # point with each mass moved by N(0, 0.05 drop), kept within
         # [x2_k, x1_k], and y_0 refit so r(y) is unchanged (margins from 8.4e-7)
-        rng = np.random.default_rng(15)
-        off = []
-        for spec in _segment_battery():
-            x1, x2, whole = spec.x1, spec.x2, spec.cost_closed_form()
-            ks = np.array(spec.degrees, dtype=float)
-            lo = np.array([x2.mass(k) for k in spec.degrees])
-            hi = np.array([x1.mass(k) for k in spec.degrees])
-            zeta0, zetak, _ = _unit_state(spec, spec.varsigma * np.array([0.75, 0.5, 0.25]), 1.0)
-            for y0, yk in zip(zeta0, zetak):
-                y = StatePoint(max(y0, 0.0), dict(zip(spec.degrees, yk.tolist())))
-                split = cost_closed_form(x1, y) + cost_closed_form(y, x2)
-                assert abs(split - whole) <= 1e-12, (spec, y)
-                for _ in range(4):
-                    wk = np.clip(yk + rng.normal(0.0, 0.05, len(ks)) * (hi - lo), lo, hi)
-                    w0 = y0 + ks @ (yk - wk)
-                    if w0 < 0.0:
-                        continue
-                    w = StatePoint(w0, dict(zip(spec.degrees, wk.tolist())))
-                    try:
-                        split = cost_closed_form(x1, w) + cost_closed_form(w, x2)
-                    except FeasibilityError:  # a part admits no transition root
-                        continue
-                    off.append(split - whole)
+        on, off = _value_function_gaps()
+        assert on <= 1e-12
         assert len(off) >= 150 and min(off) >= -1e-12
 
     @pytest.mark.parametrize("D", [3, 4])
@@ -760,6 +740,141 @@ class TestGridRoute:
         _, dzetak = fwd.derivatives()
         assert np.max(-dzetak.sum(axis=1)) - 1.0 > 1e-8
         assert abs(path_cost(fwd) - cost_closed_form(x1, x2)) <= 1e-6
+
+
+def _grid_reference(path, t1, t2):
+    """The grid route's cost written on a sliced copy: velocities from
+    ``FluidPath.derivatives``, node values from ``np.interp`` and the
+    stacked integrand."""
+    seg = path.slice(t1, t2)
+    half = 0.5 * np.diff(seg.grid)
+    mid, g2 = seg.grid[:-1] + half, 1.0 / math.sqrt(3.0)
+    t = np.concatenate([mid - half * g2, mid + half * g2])
+    _, dzetak = seg.derivatives()
+    rows = np.vstack([seg.zeta0, seg.zetak.T, dzetak.T, paths._wake_error(dzetak)])
+    vals = np.array([np.interp(t, seg.grid, row) for row in rows])
+    d = len(seg.degrees)
+    rates = _reference_integrand(vals[0], vals[1:d + 1], vals[d + 1:-1],
+                                 np.array(seg.degrees, dtype=float),
+                                 slack=np.maximum(vals[-1], paths._NU_FLOOR))
+    if not np.all(np.isfinite(rates)):
+        return math.inf
+    return float(np.sum(np.concatenate([half, half]) * rates))
+
+
+def _p13_path(grid):
+    """``lln_path`` of {1: .5, 3: .5} on ``grid``, and its last grid time
+    at or before tau."""
+    fp = lln_path(DegreeDistribution({1: 0.5, 3: 0.5}), grid=grid)
+    return fp, float(fp.grid[fp.grid <= fp.tau_markers["tau"] + 1e-12][-1])
+
+
+class TestGridRouteViews:
+    """The grid route reads views of [t1, t2] and keeps the bits of the
+    route written on a sliced copy."""
+
+    def test_uniform_grid(self):
+        # dyadic spacing is exact, so np.gradient takes its equal-spacing branch
+        fp, tau = _p13_path(np.arange(615) / 512.0)
+        assert np.all(np.diff(fp.grid) == fp.grid[1])
+        for t2 in (fp.grid[1], fp.grid[2], fp.grid[300], tau):
+            assert path_cost(fp, 0.0, float(t2)) == _grid_reference(fp, 0.0, float(t2))
+
+    def test_interior_interval(self):
+        fp, _ = _p13_path(np.linspace(0.0, 1.2, 601))
+        mp = _plain(minimizer_path(make_segment_spec(X1_LEAF, X2_LEAF), 301))
+        for path, i, j in [(fp, 37, 250), (fp, 100, 444), (mp, 1, 300), (mp, 120, 121)]:
+            t1, t2 = float(path.grid[i]), float(path.grid[j])
+            assert path_cost(path, t1, t2) == _grid_reference(path, t1, t2)
+
+    def test_two_point_interval(self):
+        fp, _ = _p13_path(np.linspace(0.0, 1.2, 601))
+        for i in (0, 41, 443):
+            t1, t2 = float(fp.grid[i]), float(fp.grid[i + 1])
+            cost = path_cost(fp, t1, t2)
+            assert cost == _grid_reference(fp, t1, t2) and 0.0 <= cost < 1e-6
+
+    def test_path_read_back_from_csv(self, tmp_path):
+        # fluid_path_from_csv's zeta_k columns are a strided view of one table
+        for spec in _segment_battery()[:6]:
+            mp = _plain(minimizer_path(spec, 301))
+            fluid_path_to_csv(mp, tmp_path / "p.csv")
+            back = fluid_path_from_csv(tmp_path / "p.csv")
+            assert not back.zetak.flags.c_contiguous
+            t2 = float(back.grid[200])
+            want = _grid_reference(back, 0.0, t2)
+            assert path_cost(back, 0.0, t2) == want == path_cost(mp, 0.0, t2)
+            assert path_cost(back) == path_cost(mp)
+
+    def test_mass_reaching_zero_at_a_node(self):
+        # zeta_1 falls to 0 at t = 0.1 and stays there: on the next interval
+        # it is 0 at both nodes while the differenced velocity is not, so
+        # nu_1 > 0 = mu_1 there and the rate is infinite.  A unit-pace grid
+        # path keeps r > 0 at every node, so the integrand's empty-node pass
+        # is left to its property test.
+        t = np.linspace(0.0, 0.2, 21)
+        z1 = np.maximum(0.05 - 0.5 * t, 0.0)
+        z0 = 0.5 - 2.0 * t + (0.05 - z1)  # r = z0 + z1 + 3 * 0.2 falls at rate 2
+        path = FluidPath(grid=t, degrees=(1, 3), zeta0=z0,
+                         zetak=np.column_stack([z1, np.full_like(t, 0.2)]), psi=z0 - z0[0])
+        for t1, t2 in [(0.0, 0.2), (0.05, 0.15), (0.0, 0.08), (0.12, 0.2)]:
+            assert path_cost(path, t1, t2) == _grid_reference(path, t1, t2)
+        assert path_cost(path, 0.05, 0.15) == math.inf
+        assert math.isfinite(path_cost(path, 0.0, 0.08))
+
+    def test_read_only_path_is_left_unchanged(self):
+        fp, tau = _p13_path(np.linspace(0.0, 1.2, 601))
+        want = path_cost(fp, 0.0, tau)
+        before = [a.copy() for a in (fp.grid, fp.zeta0, fp.zetak, fp.psi)]
+        for a in (fp.grid, fp.zeta0, fp.zetak, fp.psi):
+            a.flags.writeable = False
+        assert path_cost(fp, 0.0, tau) == want
+        assert path_cost(fp, float(fp.grid[10]), float(fp.grid[20])) == _grid_reference(
+            fp, float(fp.grid[10]), float(fp.grid[20]))
+        for a, b in zip((fp.grid, fp.zeta0, fp.zetak, fp.psi), before):
+            assert np.array_equal(a, b, equal_nan=True) and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("t1, t2, msg", [
+        (0.013, 0.5, r"\[0.013, 0.5\] endpoints must coincide with grid points"),
+        (0.0, 0.0005, r"\[0.0, 0.0005\] contains fewer than two grid points"),
+        (0.4, 0.3, r"empty interval \[0.4, 0.3\]"),
+    ])
+    def test_off_grid_bounds_keep_their_messages(self, t1, t2, msg):
+        fp, _ = _p13_path(np.linspace(0.0, 1.2, 601))
+        with pytest.raises(DomainError, match=msg):
+            path_cost(fp, t1, t2)
+
+    @pytest.mark.parametrize("d", [4, 7, 12])
+    def test_wake_error_does_not_depend_on_layout(self, d):
+        # the grid route passes a transposed view; BLAS orders a sum over
+        # degrees by the layout, so the error is summed from C order
+        dzetak = -np.random.default_rng(d).uniform(0.0, 0.3, (500, d))
+        want = paths._wake_error(dzetak)
+        assert np.array_equal(paths._wake_error(np.asfortranarray(dzetak)), want)
+        assert np.array_equal(paths._wake_error(np.ascontiguousarray(dzetak.T).T), want)
+
+    def test_pace_residual_does_not_depend_on_layout(self):
+        # a path built on a transposed zeta_k array reports the residual of
+        # its C-ordered copy, as the route on a sliced copy did
+        rng = np.random.default_rng(5)
+        t = np.linspace(0.0, 1.0, 50)
+        for _ in range(10):
+            zetak = rng.uniform(0.1, 1.0, (50, 7)) * (1.0 - 0.5 * t)[:, None]
+            msgs = []
+            for zk in (zetak, np.asfortranarray(zetak)):
+                path = FluidPath(grid=t, degrees=tuple(range(1, 8)), zeta0=np.full(50, 0.3),
+                                 zetak=zk, psi=np.zeros(50))
+                with pytest.raises(PreconditionError, match="not unit-pace") as exc:
+                    path_cost(path)
+                msgs.append(str(exc.value))
+            assert msgs[0] == msgs[1]
+
+    def test_slice_still_copies(self):
+        fp, tau = _p13_path(np.linspace(0.0, 1.2, 601))
+        seg = fp.slice(0.0, tau)
+        for a, b in [(seg.grid, fp.grid), (seg.zeta0, fp.zeta0), (seg.zetak, fp.zetak),
+                     (seg.psi, fp.psi)]:
+            assert not np.shares_memory(a, b)
 
 
 class TestClosedForm:
